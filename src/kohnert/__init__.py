@@ -59,7 +59,6 @@ from .bases import (
     key_split_expansion,
     omega_polynomial,
     schubert,
-    schubert_split_count,
     schubert_split_expansion,
     schur_block,
     split_extract,

@@ -18,6 +18,7 @@ both counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -51,82 +52,62 @@ def _first_ascent(alpha: Composition) -> int | None:
     return None
 
 
-def _dominant_monomial(alpha: Composition) -> Polynomial:
-    return Polynomial.monomial(alpha)
-
-
+# The operator is an argument of each recursion and part of its memo key.
+# The public functions look it up in this module when they are called.
 @lru_cache(maxsize=None)
-def _key(alpha: Composition) -> Polynomial:
+def _from_dominant(op, alpha: Composition) -> Polynomial:
+    """``op`` applied across the first ascent of alpha, recursively, down to
+    the dominant monomial of a weakly decreasing composition."""
     i = _first_ascent(alpha)
     if i is None:
-        return _dominant_monomial(alpha)
+        return Polynomial.monomial(alpha)
     swapped = list(alpha)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    return demazure(i, _key(trim(swapped)))
-
-
-@lru_cache(maxsize=None)
-def _omega(alpha: Composition) -> Polynomial:
-    i = _first_ascent(alpha)
-    if i is None:
-        return _dominant_monomial(alpha)
-    swapped = list(alpha)
-    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    return twisted_demazure(i, _omega(trim(swapped)))
+    return op(i, _from_dominant(op, trim(swapped)))
 
 
 def key_polynomial(alpha: Composition) -> Polynomial:
     """Demazure character of alpha: the dominant monomial when alpha is
     weakly decreasing, otherwise the symmetrizing operator applied across an
     ascent (the result is independent of which ascent is chosen)."""
-    return _key(perms.composition(alpha))
+    return _from_dominant(demazure, perms.composition(alpha))
 
 
 def omega_polynomial(alpha: Composition) -> Polynomial:
     """Deformation of the key polynomial using the twisted operator; its
     lowest-degree homogeneous component is the key polynomial."""
-    return _omega(perms.composition(alpha))
-
-
-def _staircase(n: int) -> Polynomial:
-    return Polynomial.monomial(tuple(range(n - 1, 0, -1)))
+    return _from_dominant(twisted_demazure, perms.composition(alpha))
 
 
 @lru_cache(maxsize=None)
-def _schubert(w: Permutation, n: int) -> Polynomial:
+def _from_staircase(op, w: Permutation, n: int) -> Polynomial:
+    """``op`` applied across the first ascent of w within S_n, recursively,
+    down to the staircase monomial of the longest element."""
     if w == perms.longest_element(n):
-        return _staircase(n)
+        return Polynomial.monomial(tuple(range(n - 1, 0, -1)))
     i = perms.perm_ascents_within(w, n)[0]
-    return divided_difference(i, _schubert(perms.multiply_s(w, i), n))
+    return op(i, _from_staircase(op, perms.multiply_s(w, i), n))
 
 
-@lru_cache(maxsize=None)
-def _grothendieck(w: Permutation, n: int) -> Polynomial:
-    if w == perms.longest_element(n):
-        return _staircase(n)
-    i = perms.perm_ascents_within(w, n)[0]
-    return isobaric(i, _grothendieck(perms.multiply_s(w, i), n))
+def _in_symmetric_group(w: Permutation, n: int | None) -> tuple[Permutation, int]:
+    w = perms.permutation(w)
+    n = max(len(w), 2) if n is None else n
+    if len(w) > n:
+        raise ValueError(f"{w} does not lie in S_{n}")
+    return w, n
 
 
 def schubert(w: Permutation, n: int | None = None) -> Polynomial:
     """Schubert polynomial, by divided differences down from the staircase
     monomial of the longest element of S_n (n defaults to the window size;
     the result does not depend on it)."""
-    w = perms.permutation(w)
-    n = max(len(w), 2) if n is None else n
-    if len(w) > n:
-        raise ValueError(f"{w} does not lie in S_{n}")
-    return _schubert(w, n)
+    return _from_staircase(divided_difference, *_in_symmetric_group(w, n))
 
 
 def grothendieck(w: Permutation, n: int | None = None) -> Polynomial:
     """Grothendieck polynomial, by isobaric operators down from the staircase
     monomial; its lowest-degree component is the Schubert polynomial."""
-    w = perms.permutation(w)
-    n = max(len(w), 2) if n is None else n
-    if len(w) > n:
-        raise ValueError(f"{w} does not lie in S_{n}")
-    return _grothendieck(w, n)
+    return _from_staircase(isobaric, *_in_symmetric_group(w, n))
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +137,14 @@ def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
         return ONE
     if len(lam) > len(variables):
         return ZERO
-    total = Polynomial()
+    counts = Counter()
     for t in tableaux.semistandard_tableaux(lam, len(variables)):
         exps = [0] * (max(variables))
         for row in t.rows:
             for v in row:
                 exps[variables[v - 1] - 1] += 1
-        total = total + Polynomial.monomial(exps)
-    return total
+        counts[tuple(exps), 0] += 1
+    return Polynomial.from_counts(counts)
 
 
 def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomial:
@@ -331,10 +312,6 @@ def schubert_split_expansion(
     return out
 
 
-def schubert_split_count(w: Permutation, d: Sequence[int], lams: LambdaTuple) -> int:
-    return schubert_split_expansion(w, d).get(tuple(tuple(l) for l in lams), 0)
-
-
 def key_split_expansion_via_pairs(
     alpha: Composition, d: Sequence[int] | None = None
 ) -> dict[LambdaTuple, int]:
@@ -358,16 +335,20 @@ def key_split_expansion_via_pairs(
     return out
 
 
+def _mark_exponent(marks: Sequence[int]) -> tuple[int, ...]:
+    """x^(exponent) is the product of x_m over the recording marks m."""
+    exps = [0] * (max(marks) if marks else 0)
+    for m in marks:
+        exps[m - 1] += 1
+    return tuple(exps)
+
+
 def schubert_from_compatible_pairs(w: Permutation) -> Polynomial:
     """Schubert polynomial as the mark generating function of compatible
     pairs."""
-    total = Polynomial()
-    for _, marks in tableaux.compatible_pairs(w):
-        exps = [0] * (max(marks) if marks else 0)
-        for m in marks:
-            exps[m - 1] += 1
-        total = total + Polynomial.monomial(exps)
-    return total
+    return Polynomial.from_counts(
+        Counter((_mark_exponent(marks), 0) for _, marks in tableaux.compatible_pairs(w))
+    )
 
 
 def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
@@ -376,21 +357,30 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
     alpha = perms.composition(alpha)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
-    total = Polynomial()
-    for word, marks in tableaux.compatible_pairs(w):
-        if tableaux.insertion_tableau(word) != t_ref:
-            continue
-        exps = [0] * (max(marks) if marks else 0)
-        for m in marks:
-            exps[m - 1] += 1
-        total = total + Polynomial.monomial(exps)
-    return total
+    return Polynomial.from_counts(
+        Counter(
+            (_mark_exponent(marks), 0)
+            for word, marks in tableaux.compatible_pairs(w)
+            if tableaux.insertion_tableau(word) == t_ref
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
 # greedy expansions in the three bases
 
 DEFAULT_EXPANSION_CAP = 10_000
+
+
+def _basis_generator(basis: str, closure_cap: int):
+    """The function alpha -> basis element for 'key', 'J' or 'omega'."""
+    if basis == "key":
+        return key_polynomial
+    if basis == "J":
+        return lambda alpha: diagrams.j_polynomial(alpha, closure_cap)
+    if basis == "omega":
+        return omega_polynomial
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def expand_in_basis(
@@ -410,14 +400,7 @@ def expand_in_basis(
     result if exceeded.  Coefficients are elements of Z[b] (b enters only
     through the J basis).
     """
-    if basis == "key":
-        generator = key_polynomial
-    elif basis == "J":
-        generator = lambda a: diagrams.j_polynomial(a, closure_cap)  # noqa: E731
-    elif basis == "omega":
-        generator = omega_polynomial
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    generator = _basis_generator(basis, closure_cap)
     if not f.is_beta_free():
         raise ValueError("basis expansion requires a b-free input polynomial")
     out: dict[Composition, BetaCoeff] = {}
@@ -449,14 +432,7 @@ def reconstruct_from_expansion(
     closure_cap: int = diagrams.DEFAULT_CLOSURE_CAP,
 ) -> Polynomial:
     """Inverse of ``expand_in_basis``: sum of coeff * basis element."""
-    if basis == "key":
-        generator = key_polynomial
-    elif basis == "J":
-        generator = lambda a: diagrams.j_polynomial(a, closure_cap)  # noqa: E731
-    elif basis == "omega":
-        generator = omega_polynomial
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+    generator = _basis_generator(basis, closure_cap)
     total = Polynomial()
     for alpha, c in coeffs.items():
         total = total + generator(perms.composition(alpha)).scale(c)

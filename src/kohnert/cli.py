@@ -33,6 +33,12 @@ class UsageError(Exception):
     pass
 
 
+# Every bound any sweep family takes, in registry order.
+_VERIFY_BOUNDS = tuple(
+    dict.fromkeys(name for spec in harness.SWEEPS.values() for name in spec.bounds)
+)
+
+
 def _cmd_poly(args) -> int:
     if (args.alpha is None) == (args.perm is None):
         raise UsageError("provide exactly one of --alpha or --perm")
@@ -188,44 +194,21 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cache_dir = args.cache or os.environ.get(harness.CACHE_ENV) or None
-    kwargs_by_family = {
-        "conj1": lambda: harness.verify_conjecture1(
-            args.max_weight if args.max_weight is not None else 7,
-            args.max_parts if args.max_parts is not None else 4,
+    spec = harness.SWEEPS[args.family]
+    bounds = {name: getattr(args, name) for name in _VERIFY_BOUNDS}
+    cache_dir = args.cache
+    if spec.closure and cache_dir is None:
+        cache_dir = os.environ.get(harness.CACHE_ENV) or None
+    try:
+        report = harness.verify(
+            args.family,
             jobs=args.jobs,
             cache_dir=cache_dir,
             cap=args.cap,
-        ),
-        "conj2": lambda: harness.verify_conjecture2(
-            args.n if args.n is not None else 5,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            cap=args.cap,
-        ),
-        "kohnert": lambda: harness.verify_kohnert(
-            args.max_weight if args.max_weight is not None else 7,
-            args.max_parts if args.max_parts is not None else 4,
-            args.n if args.n is not None else 5,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            cap=args.cap,
-        ),
-        "theorem1": lambda: harness.verify_theorem1(
-            args.max_weight if args.max_weight is not None else 6,
-            args.max_parts if args.max_parts is not None else 4,
-            jobs=args.jobs,
-        ),
-        "bjs": lambda: harness.verify_bjs(
-            args.n if args.n is not None else 5, jobs=args.jobs
-        ),
-        "theorem4": lambda: harness.verify_theorem4(
-            args.max_weight if args.max_weight is not None else 6,
-            args.max_parts if args.max_parts is not None else 4,
-            jobs=args.jobs,
-        ),
-    }
-    report = kwargs_by_family[args.family]()
+            **{k: v for k, v in bounds.items() if v is not None},
+        )
+    except harness.SweepInputError as exc:
+        raise UsageError(str(exc))
     for case in report.cases:
         if case.status != "pass":
             print(f"{case.status.upper()}: {case.family} {case.param}")
@@ -286,18 +269,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="polynomial JSON file")
     p.set_defaults(run=_cmd_expand)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "family",
-        choices=["conj1", "conj2", "kohnert", "theorem1", "bjs", "theorem4"],
+    p = sub.add_parser(
+        "verify",
+        help="run a verification sweep",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="families (default bounds):\n"
+        + "\n".join(
+            f"  {name} ({', '.join(f'{k}={v}' for k, v in spec.bounds.items())})"
+            for name, spec in harness.SWEEPS.items()
+        ),
     )
-    p.add_argument("--max-weight", type=int, dest="max_weight")
-    p.add_argument("--max-parts", type=int, dest="max_parts")
-    p.add_argument("--n", type=int)
+    p.add_argument("family", choices=list(harness.SWEEPS))
+    for name in _VERIFY_BOUNDS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, dest=name)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write the JSON report here")
-    p.add_argument("--cache", help=f"cache directory (default ${harness.CACHE_ENV})")
-    p.add_argument("--cap", type=int, default=diagrams.DEFAULT_CLOSURE_CAP)
+    p.add_argument(
+        "--cache",
+        help=f"cache directory for closure sweeps (default ${harness.CACHE_ENV})",
+    )
+    p.add_argument(
+        "--cap", type=int, help=f"closure cap (default {diagrams.DEFAULT_CLOSURE_CAP})"
+    )
     p.set_defaults(run=_cmd_verify)
     return parser
 

@@ -19,7 +19,7 @@ the generating polynomials this construction is defined by.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Mapping
 
 from .perms import Composition, Permutation, composition, perm_inverse, permutation
@@ -232,10 +232,9 @@ def diagram_weight(diagram: Diagram) -> Exponent:
 
 def ghost_weighted_sum(diagrams: Iterable[Diagram]) -> Polynomial:
     """Sum of b^(ghost count) * x^(column weight) over the diagrams."""
-    total = Polynomial()
-    for d in diagrams:
-        total = total + Polynomial.monomial(diagram_weight(d), 1, d.ghost_count())
-    return total
+    return Polynomial.from_counts(
+        Counter((diagram_weight(d), d.ghost_count()) for d in diagrams)
+    )
 
 
 def j_polynomial(alpha: Composition, cap: int = DEFAULT_CLOSURE_CAP) -> Polynomial:

@@ -5,6 +5,7 @@ permutation), comparing two routes to the same polynomial exactly.  A case
 passes, fails with a minimal term diff, or is skipped when an enumeration
 cap is hit; skipped cases are never counted as passes.  Case order and
 report content are deterministic and independent of the worker count.
+``SWEEPS`` lists the sweep families; ``verify`` runs one.
 
 Set the environment variable KOHNERT_FAULT_INJECT to "family:param" to
 perturb one coefficient of the computed side in that case; the sweep must
@@ -27,17 +28,6 @@ from typing import Callable
 from . import __version__, bases, diagrams, perms, tableaux
 from .perms import Composition
 from .poly import Polynomial
-
-FAMILIES = (
-    "conj1",
-    "conj2",
-    "kohnert_key",
-    "kohnert_schubert",
-    "theorem1",
-    "bjs",
-    "theorem4",
-    "talpha_props",
-)
 
 FAULT_ENV = "KOHNERT_FAULT_INJECT"
 CACHE_ENV = "KOHNERT_CACHE"
@@ -238,65 +228,52 @@ def _skip(family: str, param: str, exc: Exception) -> VerificationCase:
     return VerificationCase(family, param, "skipped", {"reason": str(exc)})
 
 
-def _run_case(task: tuple) -> VerificationCase:
-    family, param, cfg = task
-    cap = cfg.get("cap", diagrams.DEFAULT_CLOSURE_CAP)
-    cache_dir = cfg.get("cache_dir")
-    if family == "conj1":
-        alpha = perms.parse_composition(param)
-        try:
-            j = _cached(cache_dir, "J", param, lambda: diagrams.j_polynomial(alpha, cap))
-        except diagrams.ClosureCapError as exc:
-            return _skip(family, param, exc)
-        omega = _cached(cache_dir, "omega", param, lambda: bases.omega_polynomial(alpha))
-        return _compare_case(family, param, j.substitute_beta(-1), omega)
-    if family == "kohnert_key":
-        alpha = perms.parse_composition(param)
-        try:
-            j = _cached(cache_dir, "J", param, lambda: diagrams.j_polynomial(alpha, cap))
-        except diagrams.ClosureCapError as exc:
-            return _skip(family, param, exc)
-        key = _cached(cache_dir, "key", param, lambda: bases.key_polynomial(alpha))
-        return _compare_case(family, param, j.substitute_beta(0), key)
-    if family == "conj2":
-        w = perms.parse_permutation(param)
-        try:
-            k = _cached(cache_dir, "K", param, lambda: diagrams.k_polynomial(w, cap))
-        except diagrams.ClosureCapError as exc:
-            return _skip(family, param, exc)
-        groth = _cached(cache_dir, "grothendieck", param, lambda: bases.grothendieck(w))
-        return _compare_case(family, param, k.substitute_beta(-1), groth)
-    if family == "kohnert_schubert":
-        w = perms.parse_permutation(param)
-        try:
-            k = _cached(cache_dir, "K", param, lambda: diagrams.k_polynomial(w, cap))
-        except diagrams.ClosureCapError as exc:
-            return _skip(family, param, exc)
-        schub = _cached(cache_dir, "schubert", param, lambda: bases.schubert(w))
-        return _compare_case(family, param, k.substitute_beta(0), schub)
-    if family == "theorem1":
-        return _run_theorem1_case(param)
-    if family == "bjs":
-        w = perms.parse_permutation(param)
-        try:
-            lhs = bases.schubert_from_compatible_pairs(w)
-        except perms.BoundExceededError as exc:
-            return _skip(family, param, exc)
-        return _compare_case(family, param, lhs, bases.schubert(w))
-    if family == "theorem4":
-        alpha = perms.parse_composition(param)
-        try:
-            lhs = bases.key_by_insertion_fiber(alpha)
-        except perms.BoundExceededError as exc:
-            return _skip(family, param, exc)
-        return _compare_case(family, param, lhs, bases.key_polynomial(alpha))
-    if family == "talpha_props":
-        return _run_talpha_case(param)
-    raise ValueError(f"unknown family {family!r}")
+# Closure-versus-operator case families: the parameter parser; the diagram
+# side's cache tag, its function in ``diagrams`` and the b it is evaluated
+# at; the operator side's cache tag and its function in ``bases``.
+# Functions are looked up by name when a case runs, so a wrapper installed
+# on the module after import is the one called.
+_CLOSURE_CASES = {
+    "conj1": (perms.parse_composition, "J", "j_polynomial", -1, "omega", "omega_polynomial"),
+    "kohnert_key": (perms.parse_composition, "J", "j_polynomial", 0, "key", "key_polynomial"),
+    "conj2": (perms.parse_permutation, "K", "k_polynomial", -1, "grothendieck", "grothendieck"),
+    "kohnert_schubert": (perms.parse_permutation, "K", "k_polynomial", 0, "schubert", "schubert"),
+}
 
 
-def _run_theorem1_case(param: str) -> VerificationCase:
-    family = "theorem1"
+def _run_closure_case(family: str, param: str, cfg: dict) -> VerificationCase:
+    parse, diagram_tag, diagram_side, b, operator_tag, operator_side = _CLOSURE_CASES[family]
+    arg, cap, cache_dir = parse(param), cfg["cap"], cfg["cache_dir"]
+    try:
+        lhs = _cached(
+            cache_dir, diagram_tag, param, lambda: getattr(diagrams, diagram_side)(arg, cap)
+        )
+    except diagrams.ClosureCapError as exc:
+        return _skip(family, param, exc)
+    rhs = _cached(cache_dir, operator_tag, param, lambda: getattr(bases, operator_side)(arg))
+    return _compare_case(family, param, lhs.substitute_beta(b), rhs)
+
+
+# Compatible-pair case families: the parameter parser, the enumerative
+# generating function and the operator polynomial it must equal, both
+# functions in ``bases`` looked up by name; never cached.
+_PAIR_CASES = {
+    "bjs": (perms.parse_permutation, "schubert_from_compatible_pairs", "schubert"),
+    "theorem4": (perms.parse_composition, "key_by_insertion_fiber", "key_polynomial"),
+}
+
+
+def _run_pair_case(family: str, param: str, cfg: dict) -> VerificationCase:
+    parse, enumerated, operator = _PAIR_CASES[family]
+    arg = parse(param)
+    try:
+        lhs = getattr(bases, enumerated)(arg)
+    except perms.BoundExceededError as exc:
+        return _skip(family, param, exc)
+    return _compare_case(family, param, lhs, getattr(bases, operator)(arg))
+
+
+def _run_theorem1_case(family: str, param: str, cfg: dict) -> VerificationCase:
     alpha = perms.parse_composition(param)
     d = bases.minimal_blocks(alpha)
     try:
@@ -325,8 +302,7 @@ def _run_theorem1_case(param: str) -> VerificationCase:
     )
 
 
-def _run_talpha_case(param: str) -> VerificationCase:
-    family = "talpha_props"
+def _run_talpha_case(family: str, param: str, cfg: dict) -> VerificationCase:
     alpha = perms.parse_composition(param)
     t = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
@@ -349,6 +325,19 @@ def _run_talpha_case(param: str) -> VerificationCase:
     )
 
 
+_CASE_RUNNERS = {
+    **dict.fromkeys(_CLOSURE_CASES, _run_closure_case),
+    **dict.fromkeys(_PAIR_CASES, _run_pair_case),
+    "theorem1": _run_theorem1_case,
+    "talpha_props": _run_talpha_case,
+}
+
+
+def _run_case(task: tuple) -> VerificationCase:
+    family, param, cfg = task
+    return _CASE_RUNNERS[family](family, param, cfg)
+
+
 # ---------------------------------------------------------------------------
 # sweep drivers
 
@@ -366,149 +355,162 @@ def compositions_upto(max_weight: int, max_parts: int) -> list[Composition]:
     return sorted(found, key=lambda a: (sum(a), len(a), a))
 
 
-def _execute(tasks: list[tuple], jobs: int) -> list[VerificationCase]:
-    if jobs <= 1 or len(tasks) <= 1:
+def _comp_params(bounds: dict) -> list[str]:
+    return [
+        perms.format_composition(a)
+        for a in compositions_upto(bounds["max_weight"], bounds["max_parts"])
+    ]
+
+
+def _perm_params(bounds: dict) -> list[str]:
+    return sorted(
+        (perms.format_permutation(w) for w in perms.all_permutations(bounds["n"])),
+        key=lambda s: (len(s), s),
+    )
+
+
+# _perm_params holds and sorts all n! permutations in memory: 8! = 40320.
+MAX_N = 8
+
+
+@dataclass(frozen=True)
+class SweepFamily:
+    """One ``kohnert verify`` family: (case family, parameter generator)
+    pairs, the bound names the generators read with their defaults, and
+    whether the cases build diagram closures, which alone take a closure cap
+    and a polynomial cache."""
+
+    cases: tuple[tuple[str, Callable[[dict], list[str]]], ...]
+    bounds: dict[str, int]
+    closure: bool = False
+
+
+SWEEPS = {
+    # the skyline ghost closure at b = -1 against the omega polynomial
+    "conj1": SweepFamily(
+        (("conj1", _comp_params),), {"max_weight": 7, "max_parts": 4}, closure=True
+    ),
+    # the Rothe ghost closure at b = -1 against the Grothendieck polynomial
+    "conj2": SweepFamily((("conj2", _perm_params),), {"n": 5}, closure=True),
+    # the b = 0 slices of both closures against key and Schubert polynomials
+    "kohnert": SweepFamily(
+        (("kohnert_key", _comp_params), ("kohnert_schubert", _perm_params)),
+        {"max_weight": 7, "max_parts": 4, "n": 5},
+        closure=True,
+    ),
+    # three routes to the key splitting coefficients agree, all non-negative
+    "theorem1": SweepFamily((("theorem1", _comp_params),), {"max_weight": 6, "max_parts": 4}),
+    # the compatible-pair generating function against the Schubert polynomial
+    "bjs": SweepFamily((("bjs", _perm_params),), {"n": 5}),
+    # the insertion-fiber formula against the key polynomial
+    "theorem4": SweepFamily((("theorem4", _comp_params),), {"max_weight": 6, "max_parts": 4}),
+    # shape, reading word, reinsertion and nil left key of the peeling tableau
+    "talpha_props": SweepFamily(
+        (("talpha_props", _comp_params),), {"max_weight": 7, "max_parts": 4}
+    ),
+}
+
+
+class SweepInputError(ValueError):
+    """A sweep was asked for with settings it cannot run; raised before any
+    case runs."""
+
+
+def _checked_config(
+    family: str,
+    jobs: int = 1,
+    cache_dir: str | None = None,
+    cap: int | None = None,
+    **bounds: int,
+) -> dict:
+    """The report config of a sweep, with defaults filled in, after checking
+    every setting.  Raises SweepInputError; runs nothing."""
+    spec = SWEEPS.get(family)
+    if spec is None:
+        raise SweepInputError(f"unknown sweep family {family!r}")
+    unknown = sorted(set(bounds) - set(spec.bounds))
+    if not spec.closure:
+        settings = {"cap": cap, "cache": cache_dir}
+        unknown += [name for name, value in settings.items() if value is not None]
+    if unknown:
+        raise SweepInputError(f"{family} does not take {', '.join(unknown)}")
+    if jobs < 1:
+        raise SweepInputError(f"jobs must be at least 1, got {jobs}")
+    if cap is not None and cap < 1:
+        raise SweepInputError(f"cap must be at least 1, got {cap}")
+    bounds = {**spec.bounds, **bounds}
+    for name, value in bounds.items():
+        if value < 0:
+            raise SweepInputError(f"{name} must not be negative, got {value}")
+    if bounds.get("n", 0) > MAX_N:
+        raise SweepInputError(f"n must be at most {MAX_N}, got {bounds['n']}")
+    config = {"family": family, **bounds}
+    if spec.closure:
+        config["cap"] = diagrams.DEFAULT_CLOSURE_CAP if cap is None else cap
+    config["version"] = __version__
+    return config
+
+
+def clamp_jobs(jobs: int, cases: int, cpus: int) -> int:
+    """Worker processes worth starting: no more than the CPUs or the cases,
+    and at least one."""
+    return max(1, min(jobs, cpus, cases))
+
+
+def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
+    if workers <= 1:
         return [_run_case(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_case, tasks, chunksize=1))
 
 
-def _sweep(
-    families_params: list[tuple[str, str]],
-    config: dict,
-    jobs: int,
-    cap: int,
-    cache_dir: str | None,
+def verify(
+    family: str,
+    *,
+    jobs: int = 1,
+    cache_dir: str | None = None,
+    cap: int | None = None,
+    **bounds: int,
 ) -> SweepReport:
-    cfg = {"cap": cap, "cache_dir": cache_dir}
-    tasks = [(family, param, cfg) for family, param in families_params]
+    """Run one sweep family of ``SWEEPS`` over the cases within its bounds
+    (defaults from the registry).  Every setting is checked before any case
+    runs; ``cap`` and ``cache_dir`` apply only to closure sweeps."""
+    config = _checked_config(family, jobs, cache_dir, cap, **bounds)
+    cfg = {"cap": config.get("cap"), "cache_dir": cache_dir}
+    tasks = [
+        (case_family, param, cfg)
+        for case_family, params in SWEEPS[family].cases
+        for param in params(config)
+    ]
+    workers = clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     started = time.time()
-    cases = _execute(tasks, jobs)
+    cases = _execute(tasks, workers)
     report = SweepReport(config=config, cases=cases)
     report.meta = {
         "jobs": jobs,
+        "workers": workers,
         "wall_time_s": round(time.time() - started, 3),
         "cache_dir": cache_dir,
     }
     return report
 
 
-def _comp_params(max_weight: int, max_parts: int) -> list[str]:
-    return [
-        perms.format_composition(a) for a in compositions_upto(max_weight, max_parts)
-    ]
+def _sweep_function(family: str) -> Callable[..., SweepReport]:
+    names = tuple(SWEEPS[family].bounds)
+
+    def run(*args: int, **kwargs) -> SweepReport:
+        if len(args) > len(names):
+            raise TypeError(f"{family} takes at most {len(names)} positional bounds")
+        return verify(family, **dict(zip(names, args)), **kwargs)
+
+    run.__doc__ = f"verify({family!r}, ...), taking {', '.join(names)} positionally too."
+    return run
 
 
-def _perm_params(n: int) -> list[str]:
-    return sorted(
-        (perms.format_permutation(w) for w in perms.all_permutations(n)),
-        key=lambda s: (len(s), s),
-    )
-
-
-def verify_conjecture1(
-    max_weight: int = 7,
-    max_parts: int = 4,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    cap: int = diagrams.DEFAULT_CLOSURE_CAP,
-) -> SweepReport:
-    """Ghost-weighted skyline sum at b = -1 versus the twisted-operator
-    polynomial, for every composition within the bounds."""
-    params = _comp_params(max_weight, max_parts)
-    config = {
-        "family": "conj1",
-        "max_weight": max_weight,
-        "max_parts": max_parts,
-        "cap": cap,
-        "version": __version__,
-    }
-    return _sweep([("conj1", p) for p in params], config, jobs, cap, cache_dir)
-
-
-def verify_conjecture2(
-    n: int = 5,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    cap: int = diagrams.DEFAULT_CLOSURE_CAP,
-) -> SweepReport:
-    """Ghost-weighted Rothe sum at b = -1 versus the Grothendieck
-    polynomial, over all of S_n."""
-    config = {"family": "conj2", "n": n, "cap": cap, "version": __version__}
-    return _sweep([("conj2", p) for p in _perm_params(n)], config, jobs, cap, cache_dir)
-
-
-def verify_kohnert(
-    max_weight: int = 7,
-    max_parts: int = 4,
-    n: int = 5,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    cap: int = diagrams.DEFAULT_CLOSURE_CAP,
-) -> SweepReport:
-    """Ghost-free slices: the b = 0 evaluations equal the key polynomial
-    (skyline starts) and the Schubert polynomial (Rothe starts)."""
-    pairs = [("kohnert_key", p) for p in _comp_params(max_weight, max_parts)]
-    pairs += [("kohnert_schubert", p) for p in _perm_params(n)]
-    config = {
-        "family": "kohnert",
-        "max_weight": max_weight,
-        "max_parts": max_parts,
-        "n": n,
-        "cap": cap,
-        "version": __version__,
-    }
-    return _sweep(pairs, config, jobs, cap, cache_dir)
-
-
-def verify_theorem1(
-    max_weight: int = 6,
-    max_parts: int = 4,
-    jobs: int = 1,
-) -> SweepReport:
-    """Key splitting coefficients: greedy Schur extraction, word-splitting
-    tableau count, and the compatible-pair route must agree and be
-    non-negative."""
-    params = _comp_params(max_weight, max_parts)
-    config = {
-        "family": "theorem1",
-        "max_weight": max_weight,
-        "max_parts": max_parts,
-        "version": __version__,
-    }
-    return _sweep([("theorem1", p) for p in params], config, jobs, 0, None)
-
-
-def verify_bjs(n: int = 5, jobs: int = 1) -> SweepReport:
-    """Compatible-pair generating function equals the Schubert polynomial."""
-    config = {"family": "bjs", "n": n, "version": __version__}
-    return _sweep([("bjs", p) for p in _perm_params(n)], config, jobs, 0, None)
-
-
-def verify_theorem4(
-    max_weight: int = 6, max_parts: int = 4, jobs: int = 1
-) -> SweepReport:
-    """Insertion-fiber formula equals the key polynomial."""
-    params = _comp_params(max_weight, max_parts)
-    config = {
-        "family": "theorem4",
-        "max_weight": max_weight,
-        "max_parts": max_parts,
-        "version": __version__,
-    }
-    return _sweep([("theorem4", p) for p in params], config, jobs, 0, None)
-
-
-def verify_talpha_props(
-    max_weight: int = 7, max_parts: int = 4, jobs: int = 1
-) -> SweepReport:
-    """Shape, reduced reading word, reinsertion fixed point and nil-left-key
-    content of the peeling tableau."""
-    params = _comp_params(max_weight, max_parts)
-    config = {
-        "family": "talpha_props",
-        "max_weight": max_weight,
-        "max_parts": max_parts,
-        "version": __version__,
-    }
-    return _sweep([("talpha_props", p) for p in params], config, jobs, 0, None)
+verify_conjecture1 = _sweep_function("conj1")
+verify_conjecture2 = _sweep_function("conj2")
+verify_kohnert = _sweep_function("kohnert")
+verify_theorem1 = _sweep_function("theorem1")
+verify_bjs = _sweep_function("bjs")
+verify_theorem4 = _sweep_function("theorem4")
+verify_talpha_props = _sweep_function("talpha_props")

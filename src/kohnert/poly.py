@@ -83,6 +83,20 @@ class Polynomial:
             return cls()
         return cls({trim(exps): {beta_deg: coeff}})
 
+    @classmethod
+    def from_counts(cls, counts: Mapping[tuple[Iterable[int], int], int]) -> "Polynomial":
+        """Sum of count * b^deg * x^exps over ``{(exps, deg): count}``.
+
+        Exponent tuples need not be trimmed; keys that become equal after
+        trimming are merged, and zero totals dropped.  Building the sum in
+        one pass avoids the quadratic copying of repeated ``+``.
+        """
+        terms: dict[Exponent, BetaCoeff] = {}
+        for (exps, deg), count in counts.items():
+            acc = terms.setdefault(trim(exps), {})
+            acc[deg] = acc.get(deg, 0) + count
+        return cls(terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -1,6 +1,8 @@
 import json
 
-from kohnert import bases
+import pytest
+
+from kohnert import bases, harness
 from kohnert.cli import main
 from kohnert.poly import Polynomial
 
@@ -195,3 +197,82 @@ class TestVerify:
     def test_usage(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2
         assert run(capsys)[0] == 2
+
+
+def no_cases(tasks, workers):
+    raise AssertionError("a case ran")
+
+
+def passing_cases(tasks, workers):
+    return [harness.VerificationCase(family, param, "pass") for family, param, _ in tasks]
+
+
+class TestVerifyInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conj2", "--jobs", "0"],
+            ["conj2", "--jobs", "-3"],
+            ["conj2", "--cap", "0"],
+            ["conj1", "--max-weight", "-1"],
+            ["theorem1", "--max-parts", "-2"],
+            ["bjs", "--n", str(harness.MAX_N + 1)],
+            ["conj2", "--n", "-1"],
+            ["conj1", "--n", "6"],
+            ["theorem4", "--n", "3"],
+            ["bjs", "--cap", "5"],
+            ["bjs", "--max-weight", "3"],
+            ["talpha_props", "--cache", "somewhere"],
+        ],
+    )
+    def test_rejected_before_any_case(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(harness, "_execute", no_cases)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert "usage error" in err and not out
+
+    def test_cache_env_ignored_by_sweeps_without_cache(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("KOHNERT_CACHE", str(tmp_path))
+        monkeypatch.setattr(harness, "_execute", passing_cases)
+        code, _, _ = run(capsys, "verify", "bjs", "--n", "3")
+        assert code == 0
+        assert not list(tmp_path.iterdir())
+
+    def test_jobs_clamp(self):
+        assert harness.clamp_jobs(8, 100, 2) == 2
+        assert harness.clamp_jobs(8, 3, 16) == 3
+        assert harness.clamp_jobs(2, 100, 16) == 2
+        assert harness.clamp_jobs(4, 0, 16) == 1
+        assert harness.clamp_jobs(1, 100, 16) == 1
+
+
+SMALL_BOUNDS = {"max_weight": 3, "max_parts": 3, "n": 3}
+
+
+class TestVerifyRegistry:
+    @pytest.mark.parametrize("family", list(harness.SWEEPS))
+    def test_cli_report_equals_library(self, capsys, tmp_path, family):
+        bounds = {k: SMALL_BOUNDS[k] for k in harness.SWEEPS[family].bounds}
+        path = tmp_path / "report.json"
+        argv = ["verify", family, "--report", str(path)]
+        for name, value in bounds.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        code, _, _ = run(capsys, *argv)
+        obj = json.loads(path.read_text())
+        obj.pop("meta")
+        expected = harness.verify(family, **bounds)
+        assert json.dumps(obj, sort_keys=True) == expected.deterministic_json()
+        assert code == (1 if expected.failed() else 0)
+
+    @pytest.mark.parametrize("family", list(harness.SWEEPS))
+    def test_cli_and_library_share_defaults(self, capsys, tmp_path, monkeypatch, family):
+        monkeypatch.setattr(harness, "_execute", passing_cases)
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", family, "--report", str(path))
+        assert code == 0
+        obj = json.loads(path.read_text())
+        obj.pop("meta")
+        library = harness.verify(family)
+        assert json.dumps(obj, sort_keys=True) == library.deterministic_json()
+        for name, default in harness.SWEEPS[family].bounds.items():
+            assert obj["config"][name] == default

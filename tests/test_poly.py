@@ -57,6 +57,34 @@ class TestArithmetic:
         assert f - f == ZERO
 
 
+class TestFromCounts:
+    # Short exponent tuples with trailing zeros, so that distinct keys such
+    # as (1,), (1, 0) and (1, 0, 0) merge after trimming.
+    counted = st.dictionaries(
+        st.tuples(
+            st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(tuple),
+            st.integers(min_value=0, max_value=2),
+        ),
+        st.integers(min_value=-3, max_value=3),
+        max_size=12,
+    )
+
+    @given(counted)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fold_of_monomials(self, counts):
+        folded = Polynomial()
+        for (exps, deg), count in counts.items():
+            folded = folded + Polynomial.monomial(exps, count, deg)
+        assert Polynomial.from_counts(counts) == folded
+
+    def test_trims_merges_and_cancels(self):
+        f = Polynomial.from_counts(
+            {((1, 0), 0): 2, ((1,), 0): -2, ((0, 1, 0), 1): 3, ((0, 1), 1): 1}
+        )
+        assert f.terms == {(0, 1): {1: 4}}
+        assert Polynomial.from_counts({((2, 0), 0): 1, ((2,), 0): -1}).is_zero()
+
+
 class TestDividedDifference:
     def test_hand_values(self):
         assert divided_difference(1, x(1) * x(1)) == x(1) + x(2)

@@ -1,0 +1,59 @@
+"""Report pinning: the SHA-256 of every registry family's deterministic
+report body, with the code version dropped, at small bounds.
+
+The digests were taken from the sweeps as first written, before the sweep
+families were gathered into one registry, so any change to a case list, a
+case outcome or the bytes of a failure or skip detail shows here.  conj1 at
+weight <= 5 in <= 4 parts has 6 failing cases, which pins the term diffs.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kohnert import harness
+
+PINS = [
+    ("conj1", {"max_weight": 5, "max_parts": 4},
+     "1143534b11854d9d276c189a37d3fd1bf1ae4f23efd06ee8457286e2c6791882"),
+    ("conj2", {"n": 4},
+     "575c7174b6a0cccf03ab86dd058c625cd7bcafcec4c447bbd8ddd9dd7bc75bac"),
+    ("kohnert", {"max_weight": 3, "max_parts": 3, "n": 4},
+     "a32f33d64c7421e34786b882b2ad1009905b7f1acaea5d5cb89b35e543bfc23e"),
+    ("theorem1", {"max_weight": 5, "max_parts": 3},
+     "1d257d2a283290881f48b4e89056393e7b0a2c47b3e394d8c8721bc201074add"),
+    ("bjs", {"n": 4},
+     "42cb2f82f9787a64a6eba76fe397b3881c040a66fbf4cf9968aeaf2d66e9f3ac"),
+    ("theorem4", {"max_weight": 5, "max_parts": 3},
+     "e8ee73ad0ae8bb1226d372e46cc01e31e07010372b2789ac25408287272bfc7a"),
+    ("talpha_props", {"max_weight": 5, "max_parts": 4},
+     "0b0666984bf8999b64d0c839330371e5597ba1ce626db3db90e496743da3894d"),
+    # capped closures: the skip reasons are pinned too
+    ("conj1", {"max_weight": 3, "max_parts": 3, "cap": 2},
+     "e9aa85a70cc3b98ff70c34ac0a8f0796ec060313fe78c5d5b1d4991581725986"),
+    ("conj2", {"n": 4, "cap": 3},
+     "c25f2447cf56f2b7115430416f41379d542b4e15bf4bd3ca65ed72ae08a5b105"),
+]
+
+
+def pinned_digest(report: harness.SweepReport) -> str:
+    obj = json.loads(report.deterministic_json())
+    del obj["config"]["version"]
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_every_registry_family_is_pinned():
+    assert {family for family, _, _ in PINS} == set(harness.SWEEPS)
+
+
+@pytest.mark.parametrize("family,bounds,digest", PINS)
+def test_report_digest(family, bounds, digest):
+    assert pinned_digest(harness.verify(family, **bounds)) == digest
+
+
+def test_report_digest_with_two_workers():
+    family, bounds, digest = PINS[0]
+    report = harness.verify(family, jobs=2, **bounds)
+    assert report.totals["fail"] == 6
+    assert pinned_digest(report) == digest
