@@ -55,7 +55,6 @@ from .bases import (
     grothendieck,
     key_by_insertion_fiber,
     key_polynomial,
-    key_split_count,
     key_split_expansion,
     omega_polynomial,
     schubert,

@@ -265,8 +265,10 @@ def key_split_expansion(
 ) -> dict[LambdaTuple, tuple[int, list[tuple[Tableau, ...]]]]:
     """Block-Schur coefficients of the key polynomial with their witnesses.
 
-    Enumerates reduced words in the insertion-fiber of the peeling tableau,
-    splits them into consecutive blocks that are verbatim reading words, and
+    Reaches the insertion fiber of the peeling tableau as the Coxeter-Knuth
+    class of its reading word (``tableaux.coxeter_knuth_class``), so no
+    other reduced word is enumerated and there is no length bound; splits
+    the words into consecutive blocks that are verbatim reading words, and
     groups the resulting tableau tuples by shape.
     """
     alpha = perms.composition(alpha)
@@ -284,14 +286,6 @@ def key_split_expansion(
         count, wits = out.get(lams, (0, []))
         out[lams] = (count + 1, wits + [tup])
     return out
-
-
-def key_split_count(
-    alpha: Composition, d: Sequence[int], lams: LambdaTuple
-) -> tuple[int, list[tuple[Tableau, ...]]]:
-    """Coefficient of one shape tuple in ``key_split_expansion``."""
-    lams = tuple(tuple(l) for l in lams)
-    return key_split_expansion(alpha, d).get(lams, (0, []))
 
 
 def schubert_split_expansion(
@@ -317,16 +311,16 @@ def key_split_expansion_via_pairs(
 ) -> dict[LambdaTuple, int]:
     """Independent route to the key splitting coefficients: push the
     compatible pairs in the insertion fiber of the peeling tableau through
-    the block-splitting map and count distinct insertion-tableau tuples."""
+    the block-splitting map and count distinct insertion-tableau tuples.
+    The fiber is found by inserting every reduced word, so this route
+    refuses lengths past ``perms.MAX_WORD_LENGTH``."""
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     tuples: set[tuple[Tableau, ...]] = set()
-    for word, marks in tableaux.compatible_pairs(w):
-        if tableaux.insertion_tableau(word) != t_ref:
-            continue
-        parts = tableaux.split_compatible_pair((word, marks), d)
+    for pair in tableaux.compatible_pairs(w, t_ref):
+        parts = tableaux.split_compatible_pair(pair, d)
         tuples.add(tuple(p for p, _ in parts))
     out: dict[LambdaTuple, int] = {}
     for tup in tuples:
@@ -357,13 +351,8 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
     alpha = perms.composition(alpha)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
-    return Polynomial.from_counts(
-        Counter(
-            (_mark_exponent(marks), 0)
-            for word, marks in tableaux.compatible_pairs(w)
-            if tableaux.insertion_tableau(word) == t_ref
-        )
-    )
+    pairs = tableaux.compatible_pairs(w, t_ref)
+    return Polynomial.from_counts(Counter((_mark_exponent(marks), 0) for _, marks in pairs))
 
 
 # ---------------------------------------------------------------------------

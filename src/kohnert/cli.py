@@ -68,6 +68,8 @@ def _cmd_poly(args) -> int:
 def _cmd_diagrams(args) -> int:
     if (args.alpha is None) == (args.perm is None):
         raise UsageError("provide exactly one of --alpha or --perm")
+    if args.cap < 1:
+        raise UsageError(f"cap must be at least 1, got {args.cap}")
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         start = diagrams.skyline(alpha)

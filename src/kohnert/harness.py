@@ -188,11 +188,11 @@ class PolynomialCache:
 
 
 def _cached(
-    cache_dir: str | None, family: str, param: str, compute: Callable[[], Polynomial]
+    cache: PolynomialCache | None, family: str, param: str, compute: Callable[[], Polynomial]
 ) -> Polynomial:
-    if cache_dir is None:
+    if cache is None:
         return compute()
-    return PolynomialCache(cache_dir).get_or_compute(family, param, compute)
+    return cache.get_or_compute(family, param, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +243,14 @@ _CLOSURE_CASES = {
 
 def _run_closure_case(family: str, param: str, cfg: dict) -> VerificationCase:
     parse, diagram_tag, diagram_side, b, operator_tag, operator_side = _CLOSURE_CASES[family]
-    arg, cap, cache_dir = parse(param), cfg["cap"], cfg["cache_dir"]
+    arg, cap, cache = parse(param), cfg["cap"], cfg["cache"]
     try:
         lhs = _cached(
-            cache_dir, diagram_tag, param, lambda: getattr(diagrams, diagram_side)(arg, cap)
+            cache, diagram_tag, param, lambda: getattr(diagrams, diagram_side)(arg, cap)
         )
     except diagrams.ClosureCapError as exc:
         return _skip(family, param, exc)
-    rhs = _cached(cache_dir, operator_tag, param, lambda: getattr(bases, operator_side)(arg))
+    rhs = _cached(cache, operator_tag, param, lambda: getattr(bases, operator_side)(arg))
     return _compare_case(family, param, lhs.substitute_beta(b), rhs)
 
 
@@ -476,7 +476,9 @@ def verify(
     (defaults from the registry).  Every setting is checked before any case
     runs; ``cap`` and ``cache_dir`` apply only to closure sweeps."""
     config = _checked_config(family, jobs, cache_dir, cap, **bounds)
-    cfg = {"cap": config.get("cap"), "cache_dir": cache_dir}
+    # One cache object per sweep; a worker process gets a copy with each task.
+    cache = None if cache_dir is None else PolynomialCache(cache_dir)
+    cfg = {"cap": config.get("cap"), "cache": cache}
     tasks = [
         (case_family, param, cfg)
         for case_family, params in SWEEPS[family].cases

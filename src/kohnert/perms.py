@@ -231,17 +231,22 @@ def _reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def reduced_words(w: Permutation, max_length: int = 12) -> frozenset[tuple[int, ...]]:
+# Longest permutation whose reduced words are enumerated; their number can
+# grow factorially with the length.
+MAX_WORD_LENGTH = 12
+
+
+def reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
     """All reduced words of w (sequences a with s_{a_1}...s_{a_l} = w, l = length).
 
-    Refuses when the length exceeds ``max_length``; the count can grow
-    factorially and the error carries the crude l! estimate.
+    Refuses when the length exceeds ``MAX_WORD_LENGTH``; the error carries
+    the crude l! estimate.
     """
     w = permutation(w)
     ell = perm_length(w)
-    if ell > max_length:
+    if ell > MAX_WORD_LENGTH:
         raise BoundExceededError(
-            f"length {ell} exceeds bound {max_length}; "
+            f"length {ell} exceeds bound {MAX_WORD_LENGTH}; "
             f"up to {math.factorial(ell)} reduced words"
         )
     return _reduced_words(w)

@@ -205,10 +205,6 @@ class Polynomial:
         """Largest variable index occurring (0 for constants)."""
         return max((len(e) for e in self.terms), default=0)
 
-    def total_degree(self) -> int:
-        """Maximum x-degree over terms (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
-
     def lowest_degree_part(self) -> "Polynomial":
         """Homogeneous component of minimal x-degree."""
         if not self.terms:

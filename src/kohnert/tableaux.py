@@ -135,10 +135,6 @@ def content(t: Tableau) -> Composition:
     return perms.composition(counts.get(i, 0) for i in range(1, top + 1))
 
 
-def min_entry(t: Tableau) -> int | None:
-    return min((v for row in t.rows for v in row), default=None)
-
-
 def _insert_letter(cols: list[list[int]], v: int) -> tuple[int, int]:
     """Walk v through the columns; return the (row, col) of the new box.
 
@@ -326,21 +322,25 @@ def word_class_closure(word: Sequence[int]) -> frozenset[tuple[int, ...]]:
 
 
 def coxeter_knuth_class(
-    t: Tableau, w: Permutation | None = None, max_length: int = 12
+    t: Tableau, w: Permutation | None = None
 ) -> frozenset[tuple[int, ...]]:
     """All reduced words of w whose insertion tableau is t.
 
-    ``w`` defaults to the permutation of the reading word of t.  Agrees with
-    ``word_class_closure(row_word(t))``.
+    An increasing tableau is the insertion tableau of its reading word, and
+    the words with one insertion tableau form one class under the
+    elementary moves (Edelman-Greene), so this is
+    ``word_class_closure(row_word(t))``.  No other reduced word of w is
+    visited and there is no length bound.  ``w`` defaults to the permutation
+    of the reading word of t.
     """
+    if not t.is_increasing():
+        raise ValueError(f"{t!r} is not increasing")
     word = row_word(t)
     if w is None:
         w = perms.word_to_perm(word)
     if not perms.is_reduced(word) or perms.word_to_perm(word) != perms.permutation(w):
         raise NonReducedWordError(f"reading word {word} is not reduced for {w}")
-    return frozenset(
-        a for a in perms.reduced_words(w, max_length) if insertion_tableau(a) == t
-    )
+    return word_class_closure(word)
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +367,26 @@ def _mark_choices(word: tuple[int, ...], cap_rule) -> Iterator[tuple[int, ...]]:
     yield from extend([], 0)
 
 
-def compatible_pairs(w: Permutation, max_length: int = 12) -> list[CompatiblePair]:
+def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[CompatiblePair]:
     """All (word, marks) with marks weakly increasing, strictly increasing
-    across ascents of the word, and bounded above by the letters."""
+    across ascents of the word, and bounded above by the letters.
+
+    With ``t`` given, only the pairs whose word inserts to t, in the same
+    order; a word is inserted once, and only if it has some marks.
+    """
     out = []
-    for word in sorted(perms.reduced_words(w, max_length)):
-        for marks in _mark_choices(word, lambda j: word[j]):
-            out.append((word, marks))
+    for word in sorted(perms.reduced_words(w)):
+        pairs = [(word, marks) for marks in _mark_choices(word, lambda j: word[j])]
+        if pairs and (t is None or insertion_tableau(word) == t):
+            out.extend(pairs)
     return out
 
 
-def stable_compatible_pairs(
-    w: Permutation, max_mark: int, max_length: int = 12
-) -> list[CompatiblePair]:
+def stable_compatible_pairs(w: Permutation, max_mark: int) -> list[CompatiblePair]:
     """Like ``compatible_pairs`` but with the per-letter bound replaced by a
     uniform cap on the marks."""
     out = []
-    for word in sorted(perms.reduced_words(w, max_length)):
+    for word in sorted(perms.reduced_words(w)):
         for marks in _mark_choices(word, lambda j: max_mark):
             out.append((word, marks))
     return out

@@ -10,7 +10,6 @@ from kohnert.bases import (
     grothendieck,
     key_by_insertion_fiber,
     key_polynomial,
-    key_split_count,
     key_split_expansion,
     key_split_expansion_via_pairs,
     minimal_blocks,
@@ -220,10 +219,20 @@ class TestSplittingRoutes:
             assert count == 1 and wits == [wit]
 
     def test_count_api(self):
-        count, wits = key_split_count(EXAMPLE_ALPHA, (2, 5, 6), ((3, 2), (2, 1), (1,)))
+        expansion = key_split_expansion(EXAMPLE_ALPHA, (2, 5, 6))
+        count, wits = expansion[((3, 2), (2, 1), (1,))]
         assert count == 1 and len(wits) == 1
-        count, wits = key_split_count(EXAMPLE_ALPHA, (2, 5, 6), ((9,), (), ()))
-        assert count == 0 and wits == []
+        assert ((9,), (), ()) not in expansion
+
+    def test_closure_route_has_no_length_bound(self):
+        # length 13: the tableau-tuple route answers, the enumerating
+        # compatible-pair routes still refuse
+        one_row = (Tableau([list(range(1, 14))]),)
+        assert key_split_expansion((13,)) == {((13,),): (1, [one_row])}
+        with pytest.raises(perms.BoundExceededError):
+            key_split_expansion_via_pairs((13,))
+        with pytest.raises(perms.BoundExceededError):
+            key_by_insertion_fiber((13,))
 
     def test_requires_strict_descents_covered(self):
         with pytest.raises(ValueError, match="strict descent"):

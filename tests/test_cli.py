@@ -80,6 +80,12 @@ class TestDiagrams:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_refused(self, capsys, cap):
+        code, out, err = run(capsys, "diagrams", "kkohnert", "--alpha", "1", "--cap", cap)
+        assert code == 2
+        assert out == "" and "cap must be at least 1" in err
+
     def test_empty_composition(self, capsys):
         code, out, _ = run(capsys, "diagrams", "kkohnert", "--alpha", "0")
         assert code == 0

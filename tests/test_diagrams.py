@@ -146,6 +146,30 @@ class TestClosure:
             closure(skyline((1, 0, 2)), K_KOHNERT, cap=5)
         assert exc.value.partial_count == 5
 
+    def test_invariants_on_every_successor_edge(self):
+        # Moves go left, keep the '+' count, never remove a ghost and stay
+        # inside the start's bounding box; the '+' column sum strictly drops,
+        # which is why a closure terminates.
+        from kohnert import perms
+        from kohnert.harness import compositions_upto
+
+        def plus_measure(d):
+            return sum(c for (c, _), m in d.cells.items() if m == PLUS)
+
+        starts = [skyline(a) for a in compositions_upto(5, 4)]
+        starts += [rothe(w) for w in perms.all_permutations(5)]
+        edges = 0
+        for start in starts:
+            max_col, max_row = start.max_col(), start.max_row()
+            for current in closure(start, K_KOHNERT):
+                for nxt in k_kohnert_successors(current):
+                    assert plus_measure(nxt) < plus_measure(current)
+                    assert nxt.plus_count() == current.plus_count()
+                    assert nxt.ghost_count() >= current.ghost_count()
+                    assert nxt.max_col() <= max_col and nxt.max_row() <= max_row
+                    edges += 1
+        assert edges > 0
+
     def test_weights_sum_to_key_polynomial(self):
         total = ghost_weighted_sum(closure(skyline((3, 1)), KOHNERT))
         assert total == bases.key_polynomial((3, 1))

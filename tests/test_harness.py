@@ -167,6 +167,22 @@ class TestCache:
         )
         assert len(list(tmp_path.iterdir())) > 0
 
+    def test_one_cache_object_per_sweep(self, tmp_path, monkeypatch):
+        created = []
+        original = PolynomialCache.__init__
+
+        def counting(self, *args, **kwargs):
+            created.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolynomialCache, "__init__", counting)
+        report = verify_conjecture2(3, cache_dir=str(tmp_path))
+        assert report.totals["total"] == 6
+        assert len(created) == 1
+        verify_conjecture2(3, cache_dir=str(tmp_path))
+        assert len(created) == 2
+        assert created[1].hits == 12 and created[1].misses == 0
+
     def test_mixed_hit_miss_sweep(self, tmp_path):
         verify_conjecture2(2, cache_dir=str(tmp_path))
         mixed = verify_conjecture2(3, cache_dir=str(tmp_path))

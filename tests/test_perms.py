@@ -112,8 +112,10 @@ class TestReducedWords:
             assert all(perms.word_to_perm(a) == w for a in words)
 
     def test_bound_refusal(self):
-        with pytest.raises(perms.BoundExceededError, match="exceeds bound"):
-            perms.reduced_words(perms.longest_element(4), max_length=2)
+        w0 = perms.longest_element(6)
+        assert perms.perm_length(w0) == 15 > perms.MAX_WORD_LENGTH
+        with pytest.raises(perms.BoundExceededError, match="length 15 exceeds bound 12"):
+            perms.reduced_words(w0)
 
     def test_is_reduced(self):
         assert perms.is_reduced((1, 2, 1))

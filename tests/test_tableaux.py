@@ -12,7 +12,6 @@ from kohnert.tableaux import (
     coxeter_knuth_class,
     egls_insert,
     insertion_tableau,
-    min_entry,
     nil_left_key,
     peeling_tableau,
     row_word,
@@ -48,11 +47,9 @@ class TestTableauBasics:
         assert row_word(Tableau([[5]])) == (5,)
         assert row_word(Tableau([[1, 3]])) == (3, 1)
 
-    def test_content_and_min(self):
+    def test_content(self):
         assert content(Tableau([[1, 1, 1], [2, 2], [4]])) == (3, 2, 0, 1)
         assert content(EMPTY_TABLEAU) == ()
-        assert min_entry(T_BIG) == 1
-        assert min_entry(EMPTY_TABLEAU) is None
 
     def test_render_and_json(self):
         assert Tableau([[1, 2], [3]]).render() == "1 2\n3"
@@ -165,19 +162,64 @@ class TestCoxeterKnuth:
         assert (4, 3, 1, 5, 2, 6, 4, 5, 6) in cls
 
     def test_relation_closure_matches_insertion_fibers(self):
-        for w in perms.all_permutations(4):
+        # The reference fibers insert every reduced word of w.
+        from kohnert.harness import compositions_upto
+
+        for w in perms.all_permutations(5):
             fibers = {}
             for word in perms.reduced_words(w):
                 fibers.setdefault(insertion_tableau(word), set()).add(word)
             for t, words in fibers.items():
                 assert word_class_closure(row_word(t)) == frozenset(words)
                 assert coxeter_knuth_class(t, w) == frozenset(words)
+        alphas = compositions_upto(7, 4)
+        assert len(alphas) == 330
+        for alpha in alphas:
+            t = peeling_tableau(alpha)
+            w = perms.perm_from_code(alpha)
+            words = {a for a in perms.reduced_words(w) if insertion_tableau(a) == t}
+            assert coxeter_knuth_class(t, w) == frozenset(words)
+
+    def test_refuses_bad_tableaux(self):
+        with pytest.raises(ValueError, match="not increasing"):
+            coxeter_knuth_class(Tableau([[2, 1]]))
+        with pytest.raises(NonReducedWordError):
+            coxeter_knuth_class(Tableau([[1, 2], [2]]), (2, 1))
 
 
 class TestCompatiblePairs:
     def test_simple_cases(self):
         assert compatible_pairs((2, 1)) == [((1,), (1,))]
         assert compatible_pairs((1, 3, 2)) == [((2,), (1,)), ((2,), (2,))]
+
+    def test_fiber_filter_matches_filtered_list(self):
+        for w in perms.all_permutations(5):
+            unfiltered = compatible_pairs(w)
+            fibers = {insertion_tableau(a) for a in perms.reduced_words(w)}
+            for t in fibers:
+                assert compatible_pairs(w, t) == [
+                    (a, i) for a, i in unfiltered if insertion_tableau(a) == t
+                ]
+            assert compatible_pairs(w, Tableau([[9]])) == []
+
+    def test_fiber_filter_inserts_each_marked_word_once(self, monkeypatch):
+        from kohnert import tableaux
+
+        inserted = []
+        original = tableaux.egls_insert
+
+        def counting(word, marks=None):
+            inserted.append(tuple(word))
+            return original(word, marks)
+
+        monkeypatch.setattr(tableaux, "egls_insert", counting)
+        for w in perms.all_permutations(4):
+            marked = sorted({a for a, _ in compatible_pairs(w)})
+            t = insertion_tableau(min(perms.reduced_words(w)))
+            inserted.clear()
+            compatible_pairs(w, t)
+            # every word with some marks, each once; (1, 2, 1) has none
+            assert sorted(inserted) == marked
 
     def test_marks_bounded_by_letters(self):
         for word, marks in compatible_pairs((3, 1, 4, 2)):
