@@ -32,11 +32,10 @@ from .diagrams import (
     closure,
     diagram_weight,
     j_polynomial,
-    k_kohnert_successors,
     k_polynomial,
-    kohnert_successors,
     rothe,
     skyline,
+    successors,
 )
 from .tableaux import (
     Tableau,

@@ -208,23 +208,30 @@ def minimal_blocks(alpha: Composition) -> tuple[int, ...]:
     return tuple(sorted(perms.strict_descents(alpha)))
 
 
-def _is_row_word_tableau(block: tuple[int, ...]) -> Tableau | None:
-    """The increasing tableau whose reading word is ``block`` verbatim, if any."""
+def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau | None:
+    """The increasing tableau whose reading word is ``block`` verbatim, if it
+    exists, has entries above ``lower`` and has at most ``max_rows`` rows.
+
+    A reading word descends within a row and ascends across a row boundary,
+    so the rows are the block's maximal strictly decreasing runs, reversed.
+    The blocks are factors of reduced words, and an increasing tableau with a
+    reduced reading word is that word's insertion tableau (Edelman-Greene),
+    so no insertion is needed.
+    """
     if not block:
         return EMPTY_TABLEAU
-    t = tableaux.insertion_tableau(block)
-    return t if tableaux.row_word(t) == block else None
-
-
-def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau | None:
-    if block and min(block) <= lower:
+    if min(block) <= lower:
         return None
-    t = _is_row_word_tableau(block)
-    if t is None or len(t.rows) > max_rows:
+    cuts = [i for i in range(1, len(block)) if block[i] >= block[i - 1]]
+    rows = [block[a:b][::-1] for a, b in zip([0] + cuts, cuts + [len(block)])]
+    if len(rows) > max_rows:
         # More rows than the block has variables: the block Schur polynomial
         # vanishes, so the tuple indexes no basis element.
         return None
-    return t
+    if any(len(rows[i]) < len(rows[i + 1]) for i in range(len(rows) - 1)):
+        return None
+    t = Tableau(rows)
+    return t if t.is_increasing() else None
 
 
 def _word_split_tuples(

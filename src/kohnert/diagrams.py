@@ -2,14 +2,19 @@
 
 A diagram is a finite set of cells in the positive quadrant, each labelled
 '+' (a movable marker) or 'g' (a ghost).  Columns are indexed from 1 going
-right, rows from 1 going up, so the southwest corner is (1, 1).  Text
-rendering prints the top row first.
+right, rows from 1 going up, so the southwest corner is (1, 1).  A diagram
+is stored as its rows: one string per row, bottom row first, with '.' at an
+empty position and no trailing '.' or trailing empty row, so equal diagrams
+have equal rows.  Cells given from outside are checked once, on the way in;
+a move builds its successor's rows by slicing.  Text rendering prints the
+top row first.
 
 A '+' may move when no occupied cell (of either kind) lies above it in its
 column; it goes to the rightmost unoccupied position strictly to its left in
 its row.  The plain rule relocates the '+'.  The ghost variant additionally
 allows it to relocate while writing a 'g' at the vacated cell; ghosts never
-move and block like any occupied cell.  Two diagrams with the same occupied
+move and block like any occupied cell.  Both rules are modes of the one
+move function, ``successors``.  Two diagrams with the same occupied
 positions but different '+'/'g' labels are distinct.
 
 The column weight of a diagram counts occupied cells (both kinds) per
@@ -19,14 +24,15 @@ the generating polynomials this construction is defined by.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .perms import Composition, Permutation, composition, perm_inverse, permutation
-from .poly import Exponent, Polynomial, trim
+from .poly import Exponent, Polynomial
 
 PLUS = "+"
 GHOST = "g"
+EMPTY = "."
 
 KOHNERT = "kohnert"
 K_KOHNERT = "k_kohnert"
@@ -48,20 +54,23 @@ class ClosureCapError(RuntimeError):
 
 
 class Diagram:
-    """Immutable labelled cell set; equality and hashing use the full labels."""
+    """Immutable labelled cell set; ``rows`` (see the module docstring) is
+    its one field, and equality and hashing use it."""
 
-    __slots__ = ("cells", "_key")
+    __slots__ = ("rows",)
 
     def __init__(self, cells: Mapping[tuple[int, int], str] | None = None):
-        store: dict[tuple[int, int], str] = {}
+        lines: dict[int, dict[int, str]] = {}
         for (col, row), marker in (cells or {}).items():
-            if col < 1 or row < 1:
+            if not (isinstance(col, int) and isinstance(row, int)) or col < 1 or row < 1:
                 raise ValueError(f"cell ({col}, {row}) outside the positive quadrant")
             if marker not in (PLUS, GHOST):
                 raise ValueError(f"bad marker {marker!r}")
-            store[(col, row)] = marker
-        self.cells = store
-        self._key = tuple(sorted(store.items()))
+            lines.setdefault(row, {})[col] = marker
+        self.rows = tuple(
+            "".join(line.get(c, EMPTY) for c in range(1, max(line, default=0) + 1))
+            for line in (lines.get(r, {}) for r in range(1, max(lines, default=0) + 1))
+        )
 
     @classmethod
     def from_cells(cls, cells: Iterable[tuple[int, int, str]]) -> "Diagram":
@@ -72,28 +81,35 @@ class Diagram:
             out[(col, row)] = marker
         return cls(out)
 
+    @property
+    def cells(self) -> dict[tuple[int, int], str]:
+        """The occupied positions, {(col, row): marker}."""
+        rows = enumerate(self.rows, start=1)
+        return {(c, r): m for r, line in rows for c, m in enumerate(line, start=1) if m != EMPTY}
+
     def key(self) -> tuple:
-        return self._key
+        """The cells sorted by (col, row), the order of ``diagrams --list``."""
+        return tuple(sorted(self.cells.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self._key == other._key
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.rows)
 
     def plus_count(self) -> int:
-        return sum(1 for m in self.cells.values() if m == PLUS)
+        return sum(line.count(PLUS) for line in self.rows)
 
     def ghost_count(self) -> int:
-        return sum(1 for m in self.cells.values() if m == GHOST)
+        return sum(line.count(GHOST) for line in self.rows)
 
     def max_col(self) -> int:
-        return max((c for c, _ in self.cells), default=0)
+        return max(map(len, self.rows), default=0)
 
     def max_row(self) -> int:
-        return max((r for _, r in self.cells), default=0)
+        return len(self.rows)
 
     def render(self, cols: int | None = None, rows: int | None = None) -> str:
         """One line per row, top row first; '.' marks an empty position."""
@@ -101,20 +117,18 @@ class Diagram:
         rows = rows if rows is not None else self.max_row()
         if cols == 0 or rows == 0:
             return ""
-        lines = []
-        for r in range(rows, 0, -1):
-            lines.append("".join(self.cells.get((c, r), ".") for c in range(1, cols + 1)))
-        return "\n".join(lines)
+        padded = self.rows[:rows] + ("",) * (rows - len(self.rows))
+        return "\n".join(line[:cols].ljust(cols, EMPTY) for line in reversed(padded))
 
     def to_json_obj(self) -> dict:
-        return {"cells": [[c, r, m] for (c, r), m in sorted(self.cells.items())]}
+        return {"cells": [[c, r, m] for (c, r), m in self.key()]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Diagram":
         return cls.from_cells((int(c), int(r), m) for c, r, m in obj["cells"])
 
     def __repr__(self) -> str:
-        return f"Diagram({sorted(self.cells.items())})"
+        return f"Diagram({list(self.key())})"
 
 
 def skyline(alpha: Composition) -> Diagram:
@@ -136,46 +150,34 @@ def rothe(w: Permutation) -> Diagram:
     return Diagram(cells)
 
 
-def _moves(diagram: Diagram) -> list[tuple[int, int, int]]:
-    """All legal moves as (col, row, dest_col) for the moving '+'."""
-    cells = diagram.cells
-    tops: dict[int, int] = {}
-    for col, row in cells:
-        if row > tops.get(col, 0):
-            tops[col] = row
-    out = []
-    for col, row in sorted(tops.items()):
-        if cells[(col, row)] != PLUS:
-            continue
-        for dest in range(col - 1, 0, -1):
-            if (dest, row) not in cells:
-                out.append((col, row, dest))
-                break
-    return out
-
-
-def kohnert_successors(diagram: Diagram) -> set[Diagram]:
-    """One successor per movable '+': the marker relocated to its destination."""
+def successors(diagram: Diagram, mode: str = KOHNERT) -> set[Diagram]:
+    """The diagrams one move away: per movable '+', the marker relocated
+    and, in the ghost mode, also relocated leaving a ghost."""
+    if mode == KOHNERT:
+        left_behind = (EMPTY,)
+    elif mode == K_KOHNERT:
+        left_behind = (EMPTY, GHOST)
+    else:
+        raise ValueError(f"unknown move mode {mode!r}")
+    rows = diagram.rows
     out = set()
-    for col, row, dest in _moves(diagram):
-        cells = dict(diagram.cells)
-        del cells[(col, row)]
-        cells[(dest, row)] = PLUS
-        out.add(Diagram(cells))
-    return out
-
-
-def k_kohnert_successors(diagram: Diagram) -> set[Diagram]:
-    """Two successors per movable '+': relocated, and relocated leaving a ghost."""
-    out = set()
-    for col, row, dest in _moves(diagram):
-        cells = dict(diagram.cells)
-        del cells[(col, row)]
-        cells[(dest, row)] = PLUS
-        out.add(Diagram(cells))
-        ghost_cells = dict(cells)
-        ghost_cells[(col, row)] = GHOST
-        out.add(Diagram(ghost_cells))
+    covered: set[int] = set()  # columns with a cell in a higher row
+    for r in range(len(rows) - 1, -1, -1):
+        line = rows[r]
+        for c, marker in enumerate(line):
+            if marker == EMPTY or c in covered:
+                continue
+            covered.add(c)
+            dest = line.rfind(EMPTY, 0, c) if marker == PLUS else -1
+            if dest < 0:
+                continue
+            head = line[:dest] + PLUS + line[dest + 1 : c]
+            for left in left_behind:
+                nxt = Diagram.__new__(Diagram)
+                # Only a vacated last cell can leave a trailing '.'.
+                moved = (head + left + line[c + 1 :]).rstrip(EMPTY)
+                nxt.rows = rows[:r] + (moved,) + rows[r + 1 :]
+                out.add(nxt)
     return out
 
 
@@ -186,38 +188,32 @@ def closure(
 ) -> frozenset[Diagram]:
     """All diagrams reachable from ``start`` (inclusive), deduplicated.
 
-    Breadth-first with canonical-key deduplication.  Raises ClosureCapError
-    when more than ``cap`` distinct diagrams appear.
+    Depth-first with an explicit stack.  Raises ClosureCapError when more
+    than ``cap`` distinct diagrams appear.
     """
-    if mode == KOHNERT:
-        successors = kohnert_successors
-    elif mode == K_KOHNERT:
-        successors = k_kohnert_successors
-    else:
-        raise ValueError(f"unknown move mode {mode!r}")
     seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
+    stack = [start]
+    while stack:
         # Moves only go left and stay inside the start's bounding box; the
         # '+' column sum strictly drops, which forces termination (the
         # closure tests check this on every successor edge).
-        for nxt in successors(current):
+        for nxt in successors(stack.pop(), mode):
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise ClosureCapError(cap, len(seen))
                 seen.add(nxt)
-                queue.append(nxt)
+                stack.append(nxt)
     return frozenset(seen)
 
 
 def diagram_weight(diagram: Diagram) -> Exponent:
     """Occupied-cell count per column ('+' and 'g' alike)."""
-    counts: dict[int, int] = {}
-    for col, _ in diagram.cells:
-        counts[col] = counts.get(col, 0) + 1
-    width = max(counts, default=0)
-    return trim(counts.get(c, 0) for c in range(1, width + 1))
+    counts = [0] * diagram.max_col()
+    for line in diagram.rows:
+        for c, marker in enumerate(line):
+            if marker != EMPTY:
+                counts[c] += 1
+    return tuple(counts)
 
 
 def ghost_weighted_sum(diagrams: Iterable[Diagram]) -> Polynomial:

@@ -22,7 +22,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations
 from typing import Callable
 
 from . import __version__, bases, diagrams, perms, tableaux
@@ -344,15 +344,19 @@ def _run_case(task: tuple) -> VerificationCase:
 
 def compositions_upto(max_weight: int, max_parts: int) -> list[Composition]:
     """Canonical compositions of weight <= max_weight with <= max_parts
-    parts, in graded order (weight, part count, entries)."""
-    found = set()
-    for nparts in range(max_parts + 1):
-        for parts in product(range(max_weight + 1), repeat=nparts):
-            if parts and parts[-1] == 0:
-                continue
-            if sum(parts) <= max_weight:
-                found.add(parts)
-    return sorted(found, key=lambda a: (sum(a), len(a), a))
+    parts, in graded order (weight, part count, entries).  By stars and
+    bars, the compositions of ``total`` into ``n`` parts ending in a non-zero
+    part are the choices of n - 1 bars among the first total + n - 2 of
+    total + n - 1 slots, in the same lexicographic order."""
+    found = [()] if max_weight >= 0 else []
+    for total in range(1, max_weight + 1):
+        for n in range(1, max_parts + 1):
+            slots = total + n - 1
+            found += (
+                tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                for bars in combinations(range(slots - 1), n - 1)
+            )
+    return found
 
 
 def _comp_params(bounds: dict) -> list[str]:

@@ -59,10 +59,6 @@ def format_composition(alpha: Composition) -> str:
     return ",".join(map(str, alpha)) if alpha else "0"
 
 
-def weight(alpha: Composition) -> int:
-    return sum(alpha)
-
-
 def sort_decreasing(alpha: Composition) -> Partition:
     """The partition obtained by sorting the parts in weakly decreasing order."""
     return tuple(sorted((p for p in alpha if p), reverse=True))

@@ -56,9 +56,6 @@ class Tableau:
     def shape(self) -> Partition:
         return tuple(len(r) for r in self.rows)
 
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def columns(self) -> list[list[int]]:
         ncols = len(self.rows[0]) if self.rows else 0
         return [
@@ -213,7 +210,6 @@ def egls_insert(
         if cols
         else []
     )
-    assert p.is_increasing() and q.is_semistandard()
     return p, q
 
 

@@ -87,7 +87,7 @@ def test_criterion_2_one_step_successors():
             (1, 2, PLUS), (3, 2, GHOST), (4, 2, PLUS),
             (2, 1, PLUS), (3, 1, PLUS), (4, 1, PLUS), (5, 1, PLUS),
         ])
-        got = sorted(d.render(5, 2) for d in diagrams.k_kohnert_successors(start))
+        got = sorted(d.render(5, 2) for d in diagrams.successors(start, diagrams.K_KOHNERT))
         expected = sorted([
             "+.g+.\n+.+++",
             "+.g+.\n+g+++",

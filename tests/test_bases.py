@@ -234,6 +234,31 @@ class TestSplittingRoutes:
         with pytest.raises(perms.BoundExceededError):
             key_by_insertion_fiber((13,))
 
+    def test_block_acceptance_matches_insertion(self):
+        # The reference inserts each block and keeps it when the insertion
+        # tableau reads back the block verbatim.
+        from kohnert.harness import compositions_upto
+
+        words = set()
+        for w in perms.all_permutations(5):
+            words |= perms.reduced_words(w)
+        for alpha in compositions_upto(7, 4):
+            t = tableaux.peeling_tableau(alpha)
+            words |= tableaux.coxeter_knuth_class(t, perms.perm_from_code(alpha))
+        blocks = {a[i:j] for a in words for i in range(len(a) + 1) for j in range(i, len(a) + 1)}
+        accepted = 0
+        for block in blocks:
+            t = tableaux.insertion_tableau(block) if block else Tableau()
+            verbatim = tableaux.row_word(t) == block
+            for lower in (0, 1, 2):
+                for max_rows in (1, 2, 3, 9):
+                    ok = verbatim and len(t.rows) <= max_rows
+                    ok = ok and not (block and min(block) <= lower)
+                    got = bases._accept_block(block, lower, max_rows)
+                    assert got == (t if ok else None), (block, lower, max_rows)
+                    accepted += ok
+        assert len(blocks) > 5000 and accepted > 1000
+
     def test_requires_strict_descents_covered(self):
         with pytest.raises(ValueError, match="strict descent"):
             key_split_expansion((1, 3, 0, 2, 2, 1), (2, 5))

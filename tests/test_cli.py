@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,21 @@ class TestDiagrams:
         code, out, err = run(capsys, "diagrams", "kkohnert", "--alpha", "1", "--cap", cap)
         assert code == 2
         assert out == "" and "cap must be at least 1" in err
+
+    # SHA-256 of the whole output, taken while a diagram still stored a cell
+    # dict and a sorted tuple: the listing order and rendering are pinned.
+    @pytest.mark.parametrize("argv,digest", [
+        ("kkohnert --alpha 1,0,2",
+         "1f997d092e4f3285747c8f81cd5d66e7bdf0866773e860014db1e86ebcbf4b18"),
+        ("kkohnert --perm 31542",
+         "b6b145950c7c1df3b857785c4b242a9e5bb25363deb2e066cdaa3155102bc663"),
+        ("kohnert --alpha 0,2,1,3",
+         "9ee1f73efcc5abc859c1235f73b96bf357883e6d65ab94e7176ea22bec89d43b"),
+    ])
+    def test_list_output_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "diagrams", *argv.split(), "--list")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_empty_composition(self, capsys):
         code, out, _ = run(capsys, "diagrams", "kkohnert", "--alpha", "0")

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnert import bases
 from kohnert.diagrams import (
@@ -14,17 +16,57 @@ from kohnert.diagrams import (
     diagram_weight,
     ghost_weighted_sum,
     j_polynomial,
-    k_kohnert_successors,
     k_polynomial,
-    kohnert_successors,
     rothe,
     skyline,
+    successors,
 )
 from kohnert.poly import Polynomial
 
 
 def diag(*cells):
     return Diagram.from_cells(cells)
+
+
+def closure_starts():
+    """Skylines of the compositions of weight <= 5 in <= 4 parts and the
+    Rothe diagrams of S_5."""
+    from kohnert import perms
+    from kohnert.harness import compositions_upto
+
+    starts = [skyline(a) for a in compositions_upto(5, 4)]
+    return starts + [rothe(w) for w in perms.all_permutations(5)]
+
+
+def reference_successors(diagram, mode):
+    """The move rule on a cell dict, as first written: the top cell of each
+    column, if a '+', goes to the rightmost empty position to its left,
+    and in the ghost mode may also leave a ghost behind."""
+    cells = diagram.cells
+    tops = {}
+    for col, row in cells:
+        if row > tops.get(col, 0):
+            tops[col] = row
+    out = set()
+    for col, row in sorted(tops.items()):
+        if cells[(col, row)] != PLUS:
+            continue
+        for dest in range(col - 1, 0, -1):
+            if (dest, row) not in cells:
+                moved = dict(cells)
+                del moved[(col, row)]
+                moved[(dest, row)] = PLUS
+                out.add(Diagram(moved))
+                if mode == K_KOHNERT:
+                    out.add(Diagram({**moved, (col, row): GHOST}))
+                break
+    return out
+
+
+cell_maps = st.dictionaries(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)), st.sampled_from([PLUS, GHOST]),
+    max_size=20,
+)
 
 
 class TestConstructors:
@@ -59,19 +101,54 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Diagram.from_cells([(1, 1, PLUS), (1, 1, GHOST)])
 
+    def test_rows_are_the_stored_form(self):
+        assert skyline((1, 0, 2)).rows == ("+.+", "..+")
+        assert diag((2, 2, GHOST)).rows == ("", ".g")
+        assert Diagram().rows == ()
+        assert Diagram.__slots__ == ("rows",)
+
+    def test_cells_from_outside_are_checked(self):
+        for bad in [{(0, 1): PLUS}, {(1, 0): PLUS}, {(1.5, 1): PLUS}, {(1, 1): "."}]:
+            with pytest.raises(ValueError):
+                Diagram(bad)
+        with pytest.raises(ValueError):
+            Diagram.from_json_obj({"cells": [[1, 1, "+"], [1, 1, "+"]]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_maps)
+    def test_rows_hold_the_cells(self, cells):
+        d = Diagram(cells)
+        assert d.cells == cells
+        assert all(line[-1:] != "." for line in d.rows)
+        assert not d.rows or d.rows[-1]
+        same = Diagram(dict(reversed(list(cells.items()))))
+        assert same == d and same.rows == d.rows and hash(same) == hash(d)
+        back = Diagram.from_json_obj(d.to_json_obj())
+        assert back == d and back.rows == d.rows
+        # the readers of rows agree with their definitions on cells
+        cols = [c for c, _ in cells]
+        assert d.max_col() == max(cols, default=0)
+        assert d.max_row() == max((r for _, r in cells), default=0)
+        assert d.plus_count() == list(cells.values()).count(PLUS)
+        assert d.ghost_count() == list(cells.values()).count(GHOST)
+        assert diagram_weight(d) == tuple(cols.count(c) for c in range(1, d.max_col() + 1))
+        assert d.render(4, 3) == "\n".join(
+            "".join(cells.get((c, r), ".") for c in range(1, 5)) for r in range(3, 0, -1)
+        )
+
 
 class TestMoves:
     def test_skyline_102_single_move(self):
-        succ = kohnert_successors(skyline((1, 0, 2)))
+        succ = successors(skyline((1, 0, 2)), KOHNERT)
         assert succ == {diag((1, 1, PLUS), (3, 1, PLUS), (2, 2, PLUS))}
 
     def test_dominant_skylines_are_frozen(self):
-        assert kohnert_successors(skyline((2, 1))) == set()
-        assert kohnert_successors(skyline(())) == set()
-        assert k_kohnert_successors(skyline((2, 1))) == set()
+        assert successors(skyline((2, 1)), KOHNERT) == set()
+        assert successors(skyline(()), KOHNERT) == set()
+        assert successors(skyline((2, 1)), K_KOHNERT) == set()
 
     def test_single_plus_both_variants(self):
-        succ = k_kohnert_successors(diag((2, 1, PLUS)))
+        succ = successors(diag((2, 1, PLUS)), K_KOHNERT)
         assert succ == {
             diag((1, 1, PLUS)),
             diag((1, 1, PLUS), (2, 1, GHOST)),
@@ -80,10 +157,10 @@ class TestMoves:
     def test_ghosts_block_movement_and_landing(self):
         # the + under a ghost cannot move; the ghost cell is not open
         d = diag((1, 1, PLUS), (1, 2, GHOST))
-        assert k_kohnert_successors(d) == set()
+        assert successors(d, K_KOHNERT) == set()
         d2 = diag((1, 1, GHOST), (2, 1, PLUS), (3, 1, PLUS))
         # (2,1) has no open cell left of it; (3,1) cannot move either
-        assert kohnert_successors(d2) == set()
+        assert successors(d2, KOHNERT) == set()
 
     def test_six_successors_of_ghosted_two_row_diagram(self):
         start = diag(
@@ -104,7 +181,22 @@ class TestMoves:
             diag((1, 2, PLUS), (3, 2, GHOST), (4, 2, PLUS),
                  (1, 1, PLUS), (2, 1, PLUS), (3, 1, PLUS), (4, 1, PLUS), (5, 1, GHOST)),
         }
-        assert k_kohnert_successors(start) == expected
+        assert successors(start, K_KOHNERT) == expected
+
+    def test_matches_reference_rule_on_closures(self):
+        checked = 0
+        for start in closure_starts():
+            for current in closure(start, K_KOHNERT):
+                for mode in (KOHNERT, K_KOHNERT):
+                    assert successors(current, mode) == reference_successors(current, mode)
+                checked += 1
+        assert checked == 9158
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown move mode"):
+            successors(skyline((0, 1)), "ghostly")
+        with pytest.raises(ValueError, match="unknown move mode"):
+            closure(skyline(()), "ghostly")
 
     def test_successor_rendering_matches_fixture(self):
         start = diag(
@@ -112,7 +204,7 @@ class TestMoves:
             (2, 1, PLUS), (3, 1, PLUS), (4, 1, PLUS), (5, 1, PLUS),
         )
         rendered = sorted(
-            d.render(5, 2) for d in k_kohnert_successors(start)
+            d.render(5, 2) for d in successors(start, K_KOHNERT)
         )
         assert rendered == sorted([
             "+.g+.\n+.+++",
@@ -145,24 +237,24 @@ class TestClosure:
         with pytest.raises(ClosureCapError) as exc:
             closure(skyline((1, 0, 2)), K_KOHNERT, cap=5)
         assert exc.value.partial_count == 5
+        for cap in range(1, 13):
+            with pytest.raises(ClosureCapError) as exc:
+                closure(skyline((1, 0, 2)), K_KOHNERT, cap=cap)
+            assert exc.value.partial_count == cap
+        assert len(closure(skyline((1, 0, 2)), K_KOHNERT, cap=13)) == 13
 
     def test_invariants_on_every_successor_edge(self):
         # Moves go left, keep the '+' count, never remove a ghost and stay
         # inside the start's bounding box; the '+' column sum strictly drops,
         # which is why a closure terminates.
-        from kohnert import perms
-        from kohnert.harness import compositions_upto
-
         def plus_measure(d):
             return sum(c for (c, _), m in d.cells.items() if m == PLUS)
 
-        starts = [skyline(a) for a in compositions_upto(5, 4)]
-        starts += [rothe(w) for w in perms.all_permutations(5)]
         edges = 0
-        for start in starts:
+        for start in closure_starts():
             max_col, max_row = start.max_col(), start.max_row()
             for current in closure(start, K_KOHNERT):
-                for nxt in k_kohnert_successors(current):
+                for nxt in successors(current, K_KOHNERT):
                     assert plus_measure(nxt) < plus_measure(current)
                     assert nxt.plus_count() == current.plus_count()
                     assert nxt.ghost_count() >= current.ghost_count()

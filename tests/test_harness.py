@@ -28,6 +28,24 @@ class TestCaseEnumeration:
     def test_composition_count(self):
         # weight <= 7 in <= 4 parts
         assert len(compositions_upto(7, 4)) == 330
+        # C(17, 10): the product over (w + 1)^p tuples would visit 8^10
+        assert len(compositions_upto(7, 10)) == 19448
+
+    def test_compositions_match_product_definition(self):
+        # The reference filters all (w + 1)^p tuples of each length.
+        from itertools import product
+
+        def reference(max_weight, max_parts):
+            found = set()
+            for nparts in range(max_parts + 1):
+                for parts in product(range(max_weight + 1), repeat=nparts):
+                    if (not parts or parts[-1] != 0) and sum(parts) <= max_weight:
+                        found.add(parts)
+            return sorted(found, key=lambda a: (sum(a), len(a), a))
+
+        for w in range(6):
+            for p in range(6):
+                assert compositions_upto(w, p) == reference(w, p), (w, p)
 
 
 class TestPolyDiff:

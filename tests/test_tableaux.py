@@ -86,6 +86,19 @@ class TestInsertion:
         with pytest.raises(ValueError):
             egls_insert((1, 2), (1, 1))  # must rise across an ascent
 
+    def test_insertion_and_recording_tableaux_are_well_formed(self):
+        # P is increasing and Q semistandard of P's shape, for every reduced
+        # word of S_5 with default marks and every compatible pair of S_5.
+        inputs = []
+        for w in perms.all_permutations(5):
+            inputs += [(word, None) for word in perms.reduced_words(w)]
+            inputs += compatible_pairs(w)
+        for word, marks in inputs:
+            p, q = egls_insert(word, marks)
+            assert p.is_increasing() and q.is_semistandard(), (word, marks)
+            assert q.shape() == p.shape()
+        assert len(inputs) > 3061
+
     def test_reinsertion_fixes_small_increasing_tableaux(self):
         # every increasing tableau on letters <= 4 with reduced reading word
         # is recovered from its own reading word
