@@ -30,6 +30,7 @@ from .poly import (
 from .diagrams import (
     Diagram,
     closure,
+    closure_polynomial,
     diagram_weight,
     j_polynomial,
     k_polynomial,

@@ -291,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cache directory for closure sweeps (default ${harness.CACHE_ENV})",
     )
     p.add_argument(
-        "--cap", type=int, help=f"closure cap (default {diagrams.DEFAULT_CLOSURE_CAP})"
+        "--cap",
+        type=int,
+        help="largest closure a case may walk; the cap counts the closure the family "
+        "walks, which is the plain one for kohnert and the ghost one for conj1 and "
+        f"conj2 (default {diagrams.DEFAULT_CLOSURE_CAP})",
     )
     p.set_defaults(run=_cmd_verify)
     return parser

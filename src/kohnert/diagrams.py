@@ -5,21 +5,31 @@ A diagram is a finite set of cells in the positive quadrant, each labelled
 right, rows from 1 going up, so the southwest corner is (1, 1).  A diagram
 is stored as its rows: one string per row, bottom row first, with '.' at an
 empty position and no trailing '.' or trailing empty row, so equal diagrams
-have equal rows.  Cells given from outside are checked once, on the way in;
-a move builds its successor's rows by slicing.  Text rendering prints the
-top row first.
+have equal rows.  Cells given from outside are checked once, on the way in.
+Text rendering prints the top row first.
 
 A '+' may move when no occupied cell (of either kind) lies above it in its
 column; it goes to the rightmost unoccupied position strictly to its left in
 its row.  The plain rule relocates the '+'.  The ghost variant additionally
 allows it to relocate while writing a 'g' at the vacated cell; ghosts never
-move and block like any occupied cell.  Both rules are modes of the one
-move function, ``successors``.  Two diagrams with the same occupied
+move and block like any occupied cell.  Two diagrams with the same occupied
 positions but different '+'/'g' labels are distinct.
+
+Moves are made on integer masks: each row becomes a (plus mask, ghost mask)
+pair with bit c - 1 for column c, and ``_moves`` is the one implementation
+of the rule for both modes.  The columns with a cell in a higher row are
+one int, and a '+' at ``bit`` lands on the top set bit of
+``~occupied & (bit - 1)``.  ``successors`` and ``closure`` convert a
+diagram to masks once on the way in and back to rows at the boundary.
 
 The column weight of a diagram counts occupied cells (both kinds) per
 column.  Ghosts contribute to the weight; dropping them would not reproduce
 the generating polynomials this construction is defined by.
+``closure_polynomial`` sums b^(ghost count) * x^(column weight) over a
+closure without building a Diagram per node: the depth-first walk carries
+each node's weight and ghost count, a plain move moving one unit of weight
+from its source column to its destination and a ghost move adding one at
+the destination and one ghost.
 """
 
 from __future__ import annotations
@@ -150,35 +160,100 @@ def rothe(w: Permutation) -> Diagram:
     return Diagram(cells)
 
 
+def _mode_ghosts(mode: str) -> bool:
+    """Whether a move in ``mode`` may leave a ghost behind."""
+    if mode not in (KOHNERT, K_KOHNERT):
+        raise ValueError(f"unknown move mode {mode!r}")
+    return mode == K_KOHNERT
+
+
+def _masks(diagram: Diagram) -> tuple[tuple[int, int], ...]:
+    """The rows as (plus mask, ghost mask) pairs, bit c - 1 for column c."""
+    return tuple(
+        (
+            sum(1 << c for c, m in enumerate(line) if m == PLUS),
+            sum(1 << c for c, m in enumerate(line) if m == GHOST),
+        )
+        for line in diagram.rows
+    )
+
+
+def _diagram(masks: tuple[tuple[int, int], ...]) -> Diagram:
+    """The diagram with these row masks.  No move empties a row, so masks
+    reached from a diagram have no trailing empty row."""
+    d = Diagram.__new__(Diagram)
+    d.rows = tuple(
+        "".join(
+            PLUS if plus >> c & 1 else GHOST if ghost >> c & 1 else EMPTY
+            for c in range((plus | ghost).bit_length())
+        )
+        for plus, ghost in masks
+    )
+    return d
+
+
+def _moves(masks: tuple[tuple[int, int], ...], ghost_moves: bool):
+    """Every move from the diagram with these row masks, as (successor
+    masks, source column, destination column, whether a ghost was left),
+    columns counted from 0.  This is the one place the move rule lives."""
+    covered = 0  # columns with a cell in a higher row
+    for r in range(len(masks) - 1, -1, -1):
+        plus, ghost = masks[r]
+        occupied = plus | ghost
+        movable = plus & ~covered
+        covered |= occupied
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            free = ~occupied & (bit - 1)
+            if not free:
+                continue
+            dest = free.bit_length() - 1
+            moved = plus ^ bit | 1 << dest
+            head, tail, c = masks[:r], masks[r + 1 :], bit.bit_length() - 1
+            yield head + ((moved, ghost),) + tail, c, dest, False
+            if ghost_moves:
+                yield head + ((moved, ghost | bit),) + tail, c, dest, True
+
+
 def successors(diagram: Diagram, mode: str = KOHNERT) -> set[Diagram]:
     """The diagrams one move away: per movable '+', the marker relocated
     and, in the ghost mode, also relocated leaving a ghost."""
-    if mode == KOHNERT:
-        left_behind = (EMPTY,)
-    elif mode == K_KOHNERT:
-        left_behind = (EMPTY, GHOST)
-    else:
-        raise ValueError(f"unknown move mode {mode!r}")
-    rows = diagram.rows
-    out = set()
-    covered: set[int] = set()  # columns with a cell in a higher row
-    for r in range(len(rows) - 1, -1, -1):
-        line = rows[r]
-        for c, marker in enumerate(line):
-            if marker == EMPTY or c in covered:
+    ghost_moves = _mode_ghosts(mode)
+    return {_diagram(nxt) for nxt, _, _, _ in _moves(_masks(diagram), ghost_moves)}
+
+
+def _walk(start: Diagram, mode: str, cap: int):
+    """Yield (masks, column weight, ghost count) once for every diagram
+    reachable from ``start`` (inclusive), depth-first with an explicit
+    stack.  The weight is carried through each move rather than read off
+    the reached diagram.  Raises ClosureCapError when more than ``cap``
+    distinct diagrams appear."""
+    ghost_moves = _mode_ghosts(mode)
+    node = (_masks(start), diagram_weight(start), start.ghost_count())
+    seen = {node[0]}
+    stack = [node]
+    yield node
+    while stack:
+        masks, weight, ghosts = stack.pop()
+        # Moves only go left and stay inside the start's bounding box; the
+        # '+' column sum strictly drops, which forces termination (the
+        # closure tests check this on every successor edge).
+        for nxt, c, dest, ghosted in _moves(masks, ghost_moves):
+            if nxt in seen:
                 continue
-            covered.add(c)
-            dest = line.rfind(EMPTY, 0, c) if marker == PLUS else -1
-            if dest < 0:
-                continue
-            head = line[:dest] + PLUS + line[dest + 1 : c]
-            for left in left_behind:
-                nxt = Diagram.__new__(Diagram)
-                # Only a vacated last cell can leave a trailing '.'.
-                moved = (head + left + line[c + 1 :]).rstrip(EMPTY)
-                nxt.rows = rows[:r] + (moved,) + rows[r + 1 :]
-                out.add(nxt)
-    return out
+            if len(seen) >= cap:
+                raise ClosureCapError(cap, len(seen))
+            seen.add(nxt)
+            moved = list(weight)
+            moved[dest] += 1
+            if ghosted:
+                node = (nxt, tuple(moved), ghosts + 1)
+            else:
+                moved[c] -= 1
+                node = (nxt, tuple(moved), ghosts)
+            stack.append(node)
+            yield node
 
 
 def closure(
@@ -188,22 +263,20 @@ def closure(
 ) -> frozenset[Diagram]:
     """All diagrams reachable from ``start`` (inclusive), deduplicated.
 
-    Depth-first with an explicit stack.  Raises ClosureCapError when more
-    than ``cap`` distinct diagrams appear.
+    Raises ClosureCapError when more than ``cap`` distinct diagrams appear.
     """
-    seen = {start}
-    stack = [start]
-    while stack:
-        # Moves only go left and stay inside the start's bounding box; the
-        # '+' column sum strictly drops, which forces termination (the
-        # closure tests check this on every successor edge).
-        for nxt in successors(stack.pop(), mode):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapError(cap, len(seen))
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+    return frozenset(_diagram(masks) for masks, _, _ in _walk(start, mode, cap))
+
+
+def closure_polynomial(
+    start: Diagram,
+    mode: str = KOHNERT,
+    cap: int = DEFAULT_CLOSURE_CAP,
+) -> Polynomial:
+    """``ghost_weighted_sum(closure(start, mode, cap))``, counted during the
+    walk without building a Diagram per node; same ClosureCapError."""
+    counts = Counter((weight, ghosts) for _, weight, ghosts in _walk(start, mode, cap))
+    return Polynomial.from_counts(counts)
 
 
 def diagram_weight(diagram: Diagram) -> Exponent:
@@ -229,7 +302,7 @@ def j_polynomial(alpha: Composition, cap: int = DEFAULT_CLOSURE_CAP) -> Polynomi
     Setting b = 0 leaves the ghost-free slice, the key polynomial of alpha;
     b = -1 gives the sign-by-ghost-count evaluation.
     """
-    return ghost_weighted_sum(closure(skyline(alpha), K_KOHNERT, cap))
+    return closure_polynomial(skyline(alpha), K_KOHNERT, cap)
 
 
 def k_polynomial(w: Permutation, cap: int = DEFAULT_CLOSURE_CAP) -> Polynomial:
@@ -237,4 +310,4 @@ def k_polynomial(w: Permutation, cap: int = DEFAULT_CLOSURE_CAP) -> Polynomial:
 
     Setting b = 0 leaves the Schubert polynomial of w.
     """
-    return ghost_weighted_sum(closure(rothe(w), K_KOHNERT, cap))
+    return closure_polynomial(rothe(w), K_KOHNERT, cap)

@@ -229,25 +229,41 @@ def _skip(family: str, param: str, exc: Exception) -> VerificationCase:
 
 
 # Closure-versus-operator case families: the parameter parser; the diagram
-# side's cache tag, its function in ``diagrams`` and the b it is evaluated
-# at; the operator side's cache tag and its function in ``bases``.
-# Functions are looked up by name when a case runs, so a wrapper installed
-# on the module after import is the one called.
+# side's cache tag, its start diagram (a function in ``diagrams``), the move
+# mode whose closure it sums and the b it is evaluated at; the operator
+# side's cache tag and its function in ``bases``.  The kohnert families
+# walk the plain closure, whose polynomial is J or K at b = 0.  Functions
+# are looked up by name when a case runs, so a wrapper installed on the
+# module after import is the one called.
 _CLOSURE_CASES = {
-    "conj1": (perms.parse_composition, "J", "j_polynomial", -1, "omega", "omega_polynomial"),
-    "kohnert_key": (perms.parse_composition, "J", "j_polynomial", 0, "key", "key_polynomial"),
-    "conj2": (perms.parse_permutation, "K", "k_polynomial", -1, "grothendieck", "grothendieck"),
-    "kohnert_schubert": (perms.parse_permutation, "K", "k_polynomial", 0, "schubert", "schubert"),
+    "conj1": (
+        perms.parse_composition, "J", "skyline", diagrams.K_KOHNERT, -1,
+        "omega", "omega_polynomial",
+    ),
+    "kohnert_key": (
+        perms.parse_composition, "J0", "skyline", diagrams.KOHNERT, 0,
+        "key", "key_polynomial",
+    ),
+    "conj2": (
+        perms.parse_permutation, "K", "rothe", diagrams.K_KOHNERT, -1,
+        "grothendieck", "grothendieck",
+    ),
+    "kohnert_schubert": (
+        perms.parse_permutation, "K0", "rothe", diagrams.KOHNERT, 0,
+        "schubert", "schubert",
+    ),
 }
 
 
 def _run_closure_case(family: str, param: str, cfg: dict) -> VerificationCase:
-    parse, diagram_tag, diagram_side, b, operator_tag, operator_side = _CLOSURE_CASES[family]
+    parse, diagram_tag, start, mode, b, operator_tag, operator_side = _CLOSURE_CASES[family]
     arg, cap, cache = parse(param), cfg["cap"], cfg["cache"]
+
+    def walk() -> Polynomial:
+        return diagrams.closure_polynomial(getattr(diagrams, start)(arg), mode, cap)
+
     try:
-        lhs = _cached(
-            cache, diagram_tag, param, lambda: getattr(diagrams, diagram_side)(arg, cap)
-        )
+        lhs = _cached(cache, diagram_tag, param, walk)
     except diagrams.ClosureCapError as exc:
         return _skip(family, param, exc)
     rhs = _cached(cache, operator_tag, param, lambda: getattr(bases, operator_side)(arg))
@@ -396,7 +412,8 @@ SWEEPS = {
     ),
     # the Rothe ghost closure at b = -1 against the Grothendieck polynomial
     "conj2": SweepFamily((("conj2", _perm_params),), {"n": 5}, closure=True),
-    # the b = 0 slices of both closures against key and Schubert polynomials
+    # plain Kohnert closures of skylines and Rothe diagrams against key and
+    # Schubert polynomials
     "kohnert": SweepFamily(
         (("kohnert_key", _comp_params), ("kohnert_schubert", _perm_params)),
         {"max_weight": 7, "max_parts": 4, "n": 5},

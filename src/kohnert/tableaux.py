@@ -345,7 +345,7 @@ def coxeter_knuth_class(
 CompatiblePair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _mark_choices(word: tuple[int, ...], cap_rule) -> Iterator[tuple[int, ...]]:
+def _mark_choices(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     m = len(word)
 
     def extend(prefix: list[int], j: int) -> Iterator[tuple[int, ...]]:
@@ -355,7 +355,7 @@ def _mark_choices(word: tuple[int, ...], cap_rule) -> Iterator[tuple[int, ...]]:
         lo = 1
         if prefix:
             lo = prefix[-1] + (1 if word[j - 1] < word[j] else 0)
-        for v in range(lo, cap_rule(j) + 1):
+        for v in range(lo, word[j] + 1):
             prefix.append(v)
             yield from extend(prefix, j + 1)
             prefix.pop()
@@ -372,19 +372,9 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     """
     out = []
     for word in sorted(perms.reduced_words(w)):
-        pairs = [(word, marks) for marks in _mark_choices(word, lambda j: word[j])]
+        pairs = [(word, marks) for marks in _mark_choices(word)]
         if pairs and (t is None or insertion_tableau(word) == t):
             out.extend(pairs)
-    return out
-
-
-def stable_compatible_pairs(w: Permutation, max_mark: int) -> list[CompatiblePair]:
-    """Like ``compatible_pairs`` but with the per-letter bound replaced by a
-    uniform cap on the marks."""
-    out = []
-    for word in sorted(perms.reduced_words(w)):
-        for marks in _mark_choices(word, lambda j: max_mark):
-            out.append((word, marks))
     return out
 
 

@@ -13,6 +13,7 @@ from kohnert.diagrams import (
     ClosureCapError,
     Diagram,
     closure,
+    closure_polynomial,
     diagram_weight,
     ghost_weighted_sum,
     j_polynomial,
@@ -228,10 +229,19 @@ class TestClosure:
         assert len(found) == 3
 
     def test_kohnert_closure_is_ghost_free_slice(self):
-        for alpha in [(1, 0, 2), (3, 1), (0, 2, 1), (1, 1, 2)]:
-            pure = closure(skyline(alpha), KOHNERT)
-            ghosty = closure(skyline(alpha), K_KOHNERT)
+        # Ghosts are never removed, so the ghost-free diagrams of the ghost
+        # closure are the plain closure; the kohnert sweep relies on this.
+        from kohnert import perms
+        from kohnert.harness import compositions_upto
+
+        cases = [(skyline(a), j_polynomial(a)) for a in compositions_upto(7, 4)]
+        cases += [(rothe(w), k_polynomial(w)) for w in perms.all_permutations(5)]
+        assert len(cases) == 330 + 120
+        for start, generating in cases:
+            pure = closure(start, KOHNERT)
+            ghosty = closure(start, K_KOHNERT)
             assert pure == frozenset(d for d in ghosty if d.ghost_count() == 0)
+            assert generating.substitute_beta(0) == closure_polynomial(start, KOHNERT)
 
     def test_cap(self):
         with pytest.raises(ClosureCapError) as exc:
@@ -242,6 +252,14 @@ class TestClosure:
                 closure(skyline((1, 0, 2)), K_KOHNERT, cap=cap)
             assert exc.value.partial_count == cap
         assert len(closure(skyline((1, 0, 2)), K_KOHNERT, cap=13)) == 13
+
+    def test_counted_walk_cap_matches_closure(self):
+        for cap in range(1, 13):
+            with pytest.raises(ClosureCapError) as exc:
+                closure_polynomial(skyline((1, 0, 2)), K_KOHNERT, cap=cap)
+            assert exc.value.partial_count == cap
+        counted = closure_polynomial(skyline((1, 0, 2)), K_KOHNERT, cap=13)
+        assert counted == j_polynomial((1, 0, 2))
 
     def test_invariants_on_every_successor_edge(self):
         # Moves go left, keep the '+' count, never remove a ghost and stay
@@ -261,6 +279,16 @@ class TestClosure:
                     assert nxt.max_col() <= max_col and nxt.max_row() <= max_row
                     edges += 1
         assert edges > 0
+
+    def test_counted_walk_matches_diagram_sum(self):
+        # The per-diagram sum stays the reference for the weight carried
+        # through each move.
+        for start in closure_starts():
+            for mode in (KOHNERT, K_KOHNERT):
+                reference = ghost_weighted_sum(closure(start, mode))
+                assert closure_polynomial(start, mode) == reference
+        with pytest.raises(ValueError, match="unknown move mode"):
+            closure_polynomial(skyline(()), "ghostly")
 
     def test_weights_sum_to_key_polynomial(self):
         total = ghost_weighted_sum(closure(skyline((3, 1)), KOHNERT))

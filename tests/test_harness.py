@@ -110,6 +110,36 @@ class TestSweeps:
             "skipped"
         ] == report.totals["total"]
 
+    def test_capped_kohnert_counts_the_plain_closure(self):
+        # The kohnert family walks the plain closure, so the cap counts it:
+        # a case is skipped iff its plain closure is over the cap, which
+        # only happens when its ghost closure is over the cap too.
+        from kohnert import diagrams, perms
+
+        starts = {
+            "kohnert_key": lambda p: diagrams.skyline(perms.parse_composition(p)),
+            "kohnert_schubert": lambda p: diagrams.rothe(perms.parse_permutation(p)),
+        }
+        fewer = 0
+        for cap in (1, 2, 3, 5, 8):
+            report = harness.verify("kohnert", max_weight=3, max_parts=3, n=4, cap=cap)
+            assert report.failed() == 0
+            skipped, over_plain, over_ghost = set(), set(), set()
+            for case in report.cases:
+                key = (case.family, case.param)
+                start = starts[case.family](case.param)
+                if case.status == "skipped":
+                    assert case.detail["reason"].startswith(f"closure exceeded cap {cap} ")
+                    skipped.add(key)
+                if len(diagrams.closure(start, diagrams.KOHNERT)) > cap:
+                    over_plain.add(key)
+                if len(diagrams.closure(start, diagrams.K_KOHNERT)) > cap:
+                    over_ghost.add(key)
+            assert skipped == over_plain
+            assert skipped <= over_ghost
+            fewer += len(over_ghost - skipped)
+        assert fewer > 0
+
     def test_reports_identical_across_jobs(self):
         sequential = verify_conjecture2(3, jobs=1)
         parallel = verify_conjecture2(3, jobs=3)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -17,9 +18,19 @@ from kohnert.tableaux import (
     row_word,
     semistandard_tableaux,
     split_compatible_pair,
-    stable_compatible_pairs,
     word_class_closure,
 )
+
+def stable_compatible_pairs(w, max_mark):
+    """Every (reduced word of w, marks) with marks in 1..max_mark, weakly
+    increasing, and strictly increasing across the ascents of the word."""
+    return [
+        (word, marks)
+        for word in sorted(perms.reduced_words(w))
+        for marks in combinations_with_replacement(range(1, max_mark + 1), len(word))
+        if all(m < n for a, b, m, n in zip(word, word[1:], marks, marks[1:]) if a < b)
+    ]
+
 
 T_BIG = Tableau([[1, 3, 4], [2, 5], [4, 6], [5], [6]])
 
