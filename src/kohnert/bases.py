@@ -240,9 +240,11 @@ def _word_split_tuples(
     """Tuples (T_1, ..., T_k) of increasing tableaux whose concatenated
     reading words run over ``words``, with each block a verbatim reading
     word, min T_j exceeding the previous block bound, and at most as many
-    rows as the block has variables."""
+    rows as the block has variables.  Raises ValueError unless the block
+    bounds are strictly increasing from 1."""
     k = len(d)
     bounds = [0] + list(d)
+    widths = [len(block) for block in block_variables(d)]
     out: set[tuple[Tableau, ...]] = set()
     for word in words:
         m = len(word)
@@ -252,14 +254,13 @@ def _word_split_tuples(
             continue
 
         def rec(start: int, j: int, acc: list[Tableau]) -> None:
-            width = bounds[j + 1] - bounds[j]
             if j == k - 1:
-                t = _accept_block(word[start:], bounds[j], width)
+                t = _accept_block(word[start:], bounds[j], widths[j])
                 if t is not None:
                     out.add(tuple(acc + [t]))
                 return
             for end in range(start, m + 1):
-                t = _accept_block(word[start:end], bounds[j], width)
+                t = _accept_block(word[start:end], bounds[j], widths[j])
                 if t is not None:
                     rec(end, j + 1, acc + [t])
 

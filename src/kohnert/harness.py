@@ -199,9 +199,13 @@ def _cached(
 # case execution (module level so worker processes can run them)
 
 
+def _fault_injected(family: str, param: str) -> bool:
+    """Whether KOHNERT_FAULT_INJECT names this case."""
+    return os.environ.get(FAULT_ENV) == f"{family}:{param}"
+
+
 def _maybe_fault(family: str, param: str, poly: Polynomial) -> Polynomial:
-    target = os.environ.get(FAULT_ENV)
-    if target == f"{family}:{param}":
+    if _fault_injected(family, param):
         return poly + Polynomial.monomial((1,))
     return poly
 
@@ -298,7 +302,7 @@ def _run_theorem1_case(family: str, param: str, cfg: dict) -> VerificationCase:
         via_pairs = bases.key_split_expansion_via_pairs(alpha, d)
     except perms.BoundExceededError as exc:
         return _skip(family, param, exc)
-    if os.environ.get(FAULT_ENV) == f"{family}:{param}" and extracted:
+    if _fault_injected(family, param) and extracted:
         first = min(extracted)
         extracted = {**extracted, first: extracted[first] + 1}
     negatives = {k: v for k, v in extracted.items() if v < 0}
@@ -332,7 +336,7 @@ def _run_talpha_case(family: str, param: str, cfg: dict) -> VerificationCase:
         problems.append("not fixed by reinsertion of its reading word")
     if tableaux.content(tableaux.nil_left_key(t)) != alpha:
         problems.append("nil left key content differs from the composition")
-    if os.environ.get(FAULT_ENV) == f"{family}:{param}":
+    if _fault_injected(family, param):
         problems.append("injected fault")
     if not problems:
         return VerificationCase(family, param, "pass")

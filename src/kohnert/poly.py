@@ -18,7 +18,6 @@ lists exponents in descending monomial order.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -292,51 +291,30 @@ def render_text(f: Polynomial) -> str:
 
 
 def divided_difference(i: int, f: Polynomial) -> Polynomial:
-    """Divided difference: (f - s_i f) / (x_i - x_{i+1}).
+    """Divided difference: (f - s_i f) / (x_i - x_{i+1}), term by term.
 
-    The numerator is always divisible; division is performed by schoolbook
-    long division against x_i - x_{i+1} and a non-exact step raises, which
-    would indicate an internal arithmetic bug.
+    On a monomial whose exponents of x_i and x_{i+1} are p and q, the image
+    is the sum of x_i^k x_{i+1}^(p+q-1-k) over q <= k < p when p > q, minus
+    the same sum over p <= k < q when p < q, and 0 when p == q; the other
+    exponents and the coefficient in b ride along.
+
+    >>> print(divided_difference(1, Polynomial.monomial((3, 1))))
+    x1*x2^2 + x1^2*x2
+    >>> print(divided_difference(1, Polynomial.monomial((1, 3))))
+    -x1*x2^2 - x1^2*x2
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    g = f - f.apply_transposition(i)
-    if g.is_zero():
-        return ZERO
-    width = max(max(len(e) for e in g.terms), i + 1)
-    work: dict[Exponent, BetaCoeff] = {
-        e + (0,) * (width - len(e)): dict(c) for e, c in g.terms.items()
-    }
-    # Max-heap on plain lex order via negated fixed-width tuples; the leading
-    # term of the divisor is x_i, so each reduction step strictly lex-decreases.
-    heap = [tuple(-v for v in e) for e in work]
-    heapq.heapify(heap)
-    quot: dict[Exponent, BetaCoeff] = {}
-    while heap:
-        e = tuple(-v for v in heapq.heappop(heap))
-        c = work.pop(e, None)
-        if not c:
-            continue
-        if e[i - 1] == 0:
-            raise ArithmeticError(
-                f"non-exact division by x{i} - x{i+1}: stray term {e}"
-            )
-        q = e[: i - 1] + (e[i - 1] - 1,) + e[i:]
-        acc = quot.setdefault(trim(q), {})
-        _coeff_add(acc, c)
-        if not acc:
-            del quot[trim(q)]
-        e2 = q[:i] + (q[i] + 1,) + q[i + 1 :]
-        if e2 in work:
-            _coeff_add(work[e2], c)
-            if not work[e2]:
-                del work[e2]
-        else:
-            work[e2] = dict(c)
-            heapq.heappush(heap, tuple(-v for v in e2))
-    res = Polynomial.__new__(Polynomial)
-    res.terms = quot
-    return res
+    counts: dict[tuple[Exponent, int], int] = {}
+    for e, c in f.terms.items():
+        e += (0,) * (i + 1 - len(e))
+        p, q = e[i - 1], e[i]
+        lo, hi, sign = (q, p, 1) if p > q else (p, q, -1)
+        for k in range(lo, hi):
+            image = e[: i - 1] + (k, p + q - 1 - k) + e[i + 1 :]
+            for deg, v in c.items():
+                counts[image, deg] = counts.get((image, deg), 0) + sign * v
+    return Polynomial.from_counts(counts)
 
 
 def demazure(i: int, f: Polynomial) -> Polynomial:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -138,6 +140,27 @@ class TestSchubertGrothendieck:
             schubert((3, 1, 4, 2), 3)
 
 
+# SHA-256 of the operator outputs below, taken before divided differences
+# moved from long division to their closed form on monomials, so a change
+# to any operator recursion shows in the bytes and not only in pass/fail.
+OPERATOR_DIGEST = "d973eeaca52499ab282b49a305b2c9b861d5e01bf24de6bbf4c7b5ea657ff24e"
+
+
+def test_operator_outputs_are_pinned():
+    from kohnert.harness import compositions_upto
+
+    comps = compositions_upto(5, 4)
+    s5 = list(perms.all_permutations(5))
+    outputs = {
+        "key": [key_polynomial(a).to_json_obj() for a in comps],
+        "omega": [omega_polynomial(a).to_json_obj() for a in comps],
+        "schubert": [schubert(w).to_json_obj() for w in s5],
+        "grothendieck": [grothendieck(w).to_json_obj() for w in s5],
+    }
+    text = json.dumps(outputs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_DIGEST
+
+
 class TestSchurBlocks:
     def test_single_variable(self):
         assert schur_block((1,), 3, (2, 5, 6)) == x(6)
@@ -262,6 +285,15 @@ class TestSplittingRoutes:
     def test_requires_strict_descents_covered(self):
         with pytest.raises(ValueError, match="strict descent"):
             key_split_expansion((1, 3, 0, 2, 2, 1), (2, 5))
+
+    def test_rejects_bounds_not_increasing(self):
+        # each list covers the strict descents, but is no list of block bounds
+        with pytest.raises(ValueError, match="strictly increasing"):
+            key_split_expansion((2, 1), (2, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            key_split_expansion((1, 0, 2), (3, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            schubert_split_expansion((1, 3, 2), (2, 1))
 
     def test_three_routes_agree(self):
         from kohnert.harness import compositions_upto

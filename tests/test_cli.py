@@ -127,6 +127,13 @@ class TestSplit:
     def test_invalid_blocks(self, capsys):
         assert run(capsys, "split", "--alpha", "1,3,0,2,2,1", "--descents", "2,5")[0] == 2
 
+    @pytest.mark.parametrize("descents", ["3,1", "1,3,3", "0,1,3"])
+    def test_blocks_not_increasing_are_usage_errors(self, capsys, descents):
+        # each list covers the strict descents 1 and 3 of 1,0,2
+        code, _, err = run(capsys, "split", "--alpha", "1,0,2", "--descents", descents)
+        assert code == 2
+        assert "strictly increasing" in err
+
 
 class TestEgls:
     def test_contiguous_word(self, capsys):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kohnert import harness
 from kohnert.harness import (
     PolynomialCache,
@@ -167,6 +169,19 @@ class TestFaultInjection:
 
     def test_clean_rerun_passes(self):
         assert verify_conjecture2(3).failed() == 0
+
+    @pytest.mark.parametrize("family", sorted(harness.SWEEPS))
+    def test_every_family_fails_exactly_the_injected_case(self, monkeypatch, family):
+        small = {"max_weight": 3, "max_parts": 3, "n": 3}
+        bounds = {name: small[name] for name in harness.SWEEPS[family].bounds}
+        clean = harness.verify(family, **bounds)
+        assert clean.failed() == 0
+        first = clean.cases[0]
+        monkeypatch.setenv(harness.FAULT_ENV, f"{first.family}:{first.param}")
+        report = harness.verify(family, **bounds)
+        failing = [(c.family, c.param) for c in report.cases if c.status == "fail"]
+        assert failing == [(first.family, first.param)]
+        assert report.failed() == 1
 
 
 class TestCache:

@@ -23,14 +23,15 @@ def poly_terms(max_vars=4, max_deg=4):
         st.integers(min_value=0, max_value=max_deg), min_size=0, max_size=max_vars
     )
     coeff = st.integers(min_value=-5, max_value=5)
-    return st.lists(st.tuples(exponent, coeff), min_size=0, max_size=6)
+    beta_deg = st.integers(min_value=0, max_value=2)
+    return st.lists(st.tuples(exponent, coeff, beta_deg), min_size=0, max_size=6)
 
 
 def build(terms):
     total = Polynomial()
-    for exps, c in terms:
+    for exps, c, deg in terms:
         if sum(exps) <= 4:
-            total = total + Polynomial.monomial(exps, c)
+            total = total + Polynomial.monomial(exps, c, deg)
     return total
 
 
@@ -90,6 +91,16 @@ class TestDividedDifference:
         assert divided_difference(1, x(1) * x(1)) == x(1) + x(2)
         assert divided_difference(1, x(1) * x(2)).is_zero()
         assert divided_difference(1, x(1) * x(1) * x(2)) == x(1) * x(2)
+        # a larger exponent on x_{i+1} flips the sign
+        assert divided_difference(1, Polynomial.monomial((1, 3))) == (
+            -Polynomial.monomial((1, 2)) - Polynomial.monomial((2, 1))
+        )
+        # equal exponents on x_i and x_{i+1}
+        assert divided_difference(1, Polynomial.monomial((2, 2, 1))).is_zero()
+        # an index past the support
+        assert divided_difference(3, x(1) * x(1)).is_zero()
+        with pytest.raises(ValueError):
+            divided_difference(0, x(1))
 
     @given(small_polys, st.integers(min_value=1, max_value=3))
     @settings(max_examples=80, deadline=None)
