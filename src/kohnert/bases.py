@@ -144,7 +144,7 @@ def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
             for v in row:
                 exps[variables[v - 1] - 1] += 1
         counts[tuple(exps), 0] += 1
-    return Polynomial.from_counts(counts)
+    return Polynomial(counts)
 
 
 def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomial:
@@ -194,13 +194,12 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
                 )
             lams.append(trim(reversed(seg)))
         lams_t = tuple(lams)
-        c = g.coefficient(m).get(0, 0)
-        out[lams_t] = out.get(lams_t, 0) + c
+        c = out[lams_t] = g.coefficient(m)[0]
         prod = ONE
         for j, lam in enumerate(lams_t, start=1):
             prod = prod * schur_block(lam, j, d)
         g = g - c * prod
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def minimal_blocks(alpha: Composition) -> tuple[int, ...]:
@@ -348,7 +347,7 @@ def _mark_exponent(marks: Sequence[int]) -> tuple[int, ...]:
 def schubert_from_compatible_pairs(w: Permutation) -> Polynomial:
     """Schubert polynomial as the mark generating function of compatible
     pairs."""
-    return Polynomial.from_counts(
+    return Polynomial(
         Counter((_mark_exponent(marks), 0) for _, marks in tableaux.compatible_pairs(w))
     )
 
@@ -360,7 +359,7 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     pairs = tableaux.compatible_pairs(w, t_ref)
-    return Polynomial.from_counts(Counter((_mark_exponent(marks), 0) for _, marks in pairs))
+    return Polynomial(Counter((_mark_exponent(marks), 0) for _, marks in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +409,7 @@ def expand_in_basis(
         b_theta = generator(theta)
         lead = b_theta.coefficient(theta)
         assert lead == {0: 1} and b_theta.leading_monomial() == theta
-        c = g.coefficient(theta)
-        acc = out.setdefault(theta, {})
-        for deg, v in c.items():
-            acc[deg] = acc.get(deg, 0) + v
-            if not acc[deg]:
-                del acc[deg]
-        if not acc:
-            del out[theta]
+        c = out[theta] = g.coefficient(theta)
         g = g - b_theta.scale(c)
         steps += 1
     return out

@@ -276,7 +276,7 @@ def closure_polynomial(
     """``ghost_weighted_sum(closure(start, mode, cap))``, counted during the
     walk without building a Diagram per node; same ClosureCapError."""
     counts = Counter((weight, ghosts) for _, weight, ghosts in _walk(start, mode, cap))
-    return Polynomial.from_counts(counts)
+    return Polynomial(counts)
 
 
 def diagram_weight(diagram: Diagram) -> Exponent:
@@ -291,9 +291,7 @@ def diagram_weight(diagram: Diagram) -> Exponent:
 
 def ghost_weighted_sum(diagrams: Iterable[Diagram]) -> Polynomial:
     """Sum of b^(ghost count) * x^(column weight) over the diagrams."""
-    return Polynomial.from_counts(
-        Counter((diagram_weight(d), d.ghost_count()) for d in diagrams)
-    )
+    return Polynomial(Counter((diagram_weight(d), d.ghost_count()) for d in diagrams))
 
 
 def j_polynomial(alpha: Composition, cap: int = DEFAULT_CLOSURE_CAP) -> Polynomial:

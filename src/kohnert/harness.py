@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -90,11 +91,11 @@ def poly_diff(lhs: Polynomial, rhs: Polynomial) -> dict | None:
     if lhs == rhs:
         return None
     diffs = []
-    for e in sorted(set(lhs.terms) | set(rhs.terms)):
-        cl = sorted(lhs.terms.get(e, {}).items())
-        cr = sorted(rhs.terms.get(e, {}).items())
-        if cl != cr:
-            diffs.append([list(e), cl, cr])
+    # the exponents of the (exponent, b-degree, count) entries on one side only
+    for e in sorted({e for (e, _), _ in lhs.terms.items() ^ rhs.terms.items()}):
+        cl = sorted(lhs.coefficient(e).items())
+        cr = sorted(rhs.coefficient(e).items())
+        diffs.append([list(e), cl, cr])
     return {"terms": diffs}
 
 
@@ -369,7 +370,8 @@ def compositions_upto(max_weight: int, max_parts: int) -> list[Composition]:
     part are the choices of n - 1 bars among the first total + n - 2 of
     total + n - 1 slots, in the same lexicographic order."""
     found = [()] if max_weight >= 0 else []
-    for total in range(1, max_weight + 1):
+    # with no parts there is no composition of positive weight to look for
+    for total in range(1, max_weight + 1 if max_parts else 1):
         for n in range(1, max_parts + 1):
             slots = total + n - 1
             found += (
@@ -395,6 +397,22 @@ def _perm_params(bounds: dict) -> list[str]:
 
 # _perm_params holds and sorts all n! permutations in memory: 8! = 40320.
 MAX_N = 8
+# No case list may be longer than the longest permutation list.
+MAX_CASES = math.factorial(MAX_N)
+
+
+def _composition_count(max_weight: int, max_parts: int) -> int:
+    """len(compositions_upto(max_weight, max_parts)), which is
+    C(max_weight + max_parts, max_parts), or MAX_CASES + 1 once it passes
+    MAX_CASES.  The product runs over the smaller bound and at least doubles
+    each step, so it stops after a few steps and builds no huge integer."""
+    small, large = sorted((max_weight, max_parts))
+    count = 1
+    for k in range(1, small + 1):
+        count = count * (large + k) // k
+        if count > MAX_CASES:
+            return MAX_CASES + 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -467,8 +485,15 @@ def _checked_config(
     for name, value in bounds.items():
         if value < 0:
             raise SweepInputError(f"{name} must not be negative, got {value}")
+    # n <= MAX_N keeps the n! permutation cases within MAX_CASES.
     if bounds.get("n", 0) > MAX_N:
         raise SweepInputError(f"n must be at most {MAX_N}, got {bounds['n']}")
+    if "max_weight" in bounds:
+        weight, parts = bounds["max_weight"], bounds["max_parts"]
+        if _composition_count(weight, parts) > MAX_CASES:
+            raise SweepInputError(
+                f"weight <= {weight} in <= {parts} parts gives more than {MAX_CASES} cases"
+            )
     config = {"family": family, **bounds}
     if spec.closure:
         config["cap"] = diagrams.DEFAULT_CLOSURE_CAP if cap is None else cap

@@ -1,106 +1,90 @@
 """Sparse exact polynomials in x1, x2, ... with integer coefficients in b.
 
-A polynomial is a finite map from exponent tuples to coefficients.  The
-coefficient ring is Z[b] for a distinguished formal parameter b, stored as a
-map from b-degree to a nonzero integer.  All arithmetic is exact; Python
-integers never overflow.
+The coefficient ring is Z[b] for a distinguished formal parameter b.  A
+polynomial is one flat map from (exponent tuple, b-degree) to a nonzero
+integer: the entry ``(e, d): c`` is the term c * b^d * x^e.  All arithmetic
+is exact; Python integers never overflow.
 
 Exponent tuples are canonical: trailing zeros are trimmed, so ``(1, 0, 2)``
-means x1*x3^2 and ``()`` means the constant monomial 1.
+means x1*x3^2 and ``()`` means the constant monomial 1.  ``Polynomial(counts)``
+is the one constructor from counted monomials ``{(exps, deg): count}``: it
+trims the exponents, merges the keys that become equal and drops zero totals.
+
+>>> f = Polynomial({((1, 0), 0): 2, ((1,), 0): 1, ((0, 1), 1): -1, ((2,), 1): 0})
+>>> f.terms
+{((1,), 0): 3, ((0, 1), 1): -1}
+>>> print(f)
+-b*x2 + 3*x1
 
 The total order on monomials used throughout compares exponent vectors at the
 first index where they differ, and the *smaller* entry wins.  Equivalently,
 the largest monomial is the one whose exponent tuple is lexicographically
 least.  For canonical (trimmed) tuples this coincides with Python's tuple
-comparison, so ``min(terms)`` is the leading exponent and ``sorted(terms)``
-lists exponents in descending monomial order.
+comparison, so ``min(terms)[0]`` is the leading exponent and ``sorted(terms)``
+lists the terms in descending monomial order, b-degrees ascending within a
+monomial.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
+Term = tuple[Exponent, int]
 BetaCoeff = dict[int, int]
 
 
 def trim(seq: Iterable[int]) -> tuple[int, ...]:
     """Drop trailing zeros: trim((1, 2, 0)) == (1, 2)."""
-    out = list(seq)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    out = tuple(seq)
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    return out[:end]
 
 
-def _coeff_add(acc: BetaCoeff, other: Mapping[int, int], scale: int = 1) -> None:
-    """In-place acc += scale * other, dropping zeros."""
-    for d, c in other.items():
-        v = acc.get(d, 0) + scale * c
-        if v:
-            acc[d] = v
-        else:
-            acc.pop(d, None)
+def _of(terms: dict[Term, int]) -> "Polynomial":
+    """The polynomial whose term map is ``terms`` itself, for results that
+    are canonical by construction: trimmed exponents, nonzero counts."""
+    res = Polynomial.__new__(Polynomial)
+    res.terms = terms
+    return res
 
 
-def _coeff_mul(a: Mapping[int, int], b: Mapping[int, int]) -> BetaCoeff:
-    out: BetaCoeff = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            v = out.get(d, 0) + ca * cb
-            if v:
-                out[d] = v
-            else:
-                out.pop(d, None)
-    return out
+def _json_int(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer in polynomial JSON, got {value!r}")
+    return value
 
 
 class Polynomial:
     """Immutable sparse polynomial over Z[b].
 
-    ``terms`` maps canonical exponent tuples to nonzero coefficient dicts
-    (b-degree -> nonzero int).  Instances must not be mutated after
-    construction; all operations return new polynomials.
+    ``terms`` maps (trimmed exponent tuple, b-degree) to a nonzero int; see
+    the module docstring for the constructor.  Instances must not be mutated
+    after construction; all operations return new polynomials.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Mapping[int, int]] | None = None):
-        canon: dict[Exponent, BetaCoeff] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                e = trim(exps)
-                acc = canon.setdefault(e, {})
-                _coeff_add(acc, coeff)
-                if not acc:
-                    del canon[e]
-        self.terms = canon
+    def __init__(self, counts: Mapping[tuple[Iterable[int], int], int] | None = None):
+        terms: dict[Term, int] = {}
+        if counts:
+            for (exps, deg), count in counts.items():
+                key = (trim(exps), deg)
+                terms[key] = terms.get(key, 0) + count
+        self.terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1, beta_deg: int = 0) -> "Polynomial":
-        if coeff == 0:
-            return cls()
-        return cls({trim(exps): {beta_deg: coeff}})
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[tuple[Iterable[int], int], int]) -> "Polynomial":
-        """Sum of count * b^deg * x^exps over ``{(exps, deg): count}``.
-
-        Exponent tuples need not be trimmed; keys that become equal after
-        trimming are merged, and zero totals dropped.  Building the sum in
-        one pass avoids the quadratic copying of repeated ``+``.
-        """
-        terms: dict[Exponent, BetaCoeff] = {}
-        for (exps, deg), count in counts.items():
-            acc = terms.setdefault(trim(exps), {})
-            acc[deg] = acc.get(deg, 0) + count
-        return cls(terms)
+        return cls({(tuple(exps), beta_deg): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_beta_free(self) -> bool:
-        return all(set(c) <= {0} for c in self.terms.values())
+        return not any(deg for _, deg in self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -110,129 +94,110 @@ class Polynomial:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = {e: dict(c) for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            acc = out.setdefault(e, {})
-            _coeff_add(acc, c)
-            if not acc:
-                del out[e]
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = out.get(key, 0) + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return _of(out)
 
     def __neg__(self) -> "Polynomial":
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {e: {d: -v for d, v in c.items()} for e, c in self.terms.items()}
-        return res
+        return _of({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Exponent, BetaCoeff] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                la, lb = len(ea), len(eb)
-                if la < lb:
-                    e = tuple(eb[i] + (ea[i] if i < la else 0) for i in range(lb))
-                else:
-                    e = tuple(ea[i] + (eb[i] if i < lb else 0) for i in range(la))
-                acc = out.setdefault(e, {})
-                _coeff_add(acc, _coeff_mul(ca, cb))
-                if not acc:
-                    del out[e]
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
+        out: dict[Term, int] = {}
+        for (ea, da), ca in self.terms.items():
+            for (eb, db), cb in other.terms.items():
+                # the sum of two trimmed tuples, the longer one's tail kept
+                key = (tuple(map(add, ea, eb)) + (ea[len(eb) :] or eb[len(ea) :]), da + db)
+                out[key] = out.get(key, 0) + ca * cb
+        return _of({key: c for key, c in out.items() if c})
 
     def __rmul__(self, other: int) -> "Polynomial":
         if not isinstance(other, int):
             return NotImplemented
         if other == 0:
             return Polynomial()
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {e: {d: other * v for d, v in c.items()} for e, c in self.terms.items()}
-        return res
+        return _of({key: other * c for key, c in self.terms.items()})
 
     def scale(self, coeff: Mapping[int, int]) -> "Polynomial":
         """Multiply by an element of Z[b] given as a coefficient dict."""
-        out: dict[Exponent, BetaCoeff] = {}
-        for e, c in self.terms.items():
-            v = _coeff_mul(c, coeff)
-            if v:
-                out[e] = v
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
+        return self * Polynomial({((), deg): c for deg, c in coeff.items()})
 
     def coefficient(self, exps: Iterable[int]) -> BetaCoeff:
-        return dict(self.terms.get(trim(exps), {}))
+        """The coefficient of x^exps in Z[b], as b-degree -> nonzero int."""
+        e = trim(exps)
+        return {deg: c for (f, deg), c in self.terms.items() if f == e}
 
     def apply_transposition(self, i: int) -> "Polynomial":
         """Swap the variables x_i and x_{i+1} (1-indexed)."""
         if i < 1:
             raise ValueError("variable index must be >= 1")
-        out: dict[Exponent, BetaCoeff] = {}
-        for e, c in self.terms.items():
-            ee = list(e) + [0] * max(0, i + 1 - len(e))
-            ee[i - 1], ee[i] = ee[i], ee[i - 1]
-            k = trim(ee)
-            acc = out.setdefault(k, {})
-            _coeff_add(acc, c)
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {e: c for e, c in out.items() if c}
-        return res
+        out: dict[Term, int] = {}
+        for (e, deg), c in self.terms.items():
+            e += (0,) * (i + 1 - len(e))
+            # a bijection on exponents, so no two terms meet
+            out[trim(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :]), deg] = c
+        return _of(out)
 
     def substitute_beta(self, value: int) -> "Polynomial":
         """Evaluate b at an integer, collecting terms."""
-        out: dict[Exponent, BetaCoeff] = {}
-        for e, c in self.terms.items():
-            total = sum(v * value**d for d, v in c.items())
-            if total:
-                out[e] = {0: total}
-        res = Polynomial.__new__(Polynomial)
-        res.terms = out
-        return res
+        out: dict[Term, int] = {}
+        for (e, deg), c in self.terms.items():
+            out[e, 0] = out.get((e, 0), 0) + c * value**deg
+        return _of({key: c for key, c in out.items() if c})
 
     def leading_monomial(self) -> Exponent:
         """The largest exponent in the monomial order (see module docstring)."""
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return min(self.terms)
+        return min(self.terms)[0]
 
     def max_variable(self) -> int:
         """Largest variable index occurring (0 for constants)."""
-        return max((len(e) for e in self.terms), default=0)
+        return max((len(e) for e, _ in self.terms), default=0)
 
     def lowest_degree_part(self) -> "Polynomial":
         """Homogeneous component of minimal x-degree."""
         if not self.terms:
             return Polynomial()
-        dmin = min(sum(e) for e in self.terms)
-        res = Polynomial.__new__(Polynomial)
-        res.terms = {e: dict(c) for e, c in self.terms.items() if sum(e) == dmin}
-        return res
+        dmin = min(sum(e) for e, _ in self.terms)
+        return _of({key: c for key, c in self.terms.items() if sum(key[0]) == dmin})
 
     def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": sorted(self.terms[e].items()), "exps": list(e)}
-                for e in sorted(self.terms)
-            ]
-        }
+        """One entry per exponent in descending monomial order, with its
+        [b-degree, count] pairs by ascending b-degree."""
+        grouped: dict[Exponent, list[tuple[int, int]]] = {}
+        for (e, deg), c in sorted(self.terms.items()):
+            grouped.setdefault(e, []).append((deg, c))
+        return {"terms": [{"coeff": coeff, "exps": list(e)} for e, coeff in grouped.items()]}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Polynomial":
-        terms: dict[Exponent, BetaCoeff] = {}
+        """Read ``to_json_obj`` output.  Raises ValueError on a number that
+        is not an integer, a negative exponent or b-degree, and an exponent
+        or a b-degree of one exponent given twice."""
+        counts: dict[Term, int] = {}
+        seen: set[Exponent] = set()
         for t in obj["terms"]:
-            e = trim(int(v) for v in t["exps"])
-            coeff = {int(d): int(c) for d, c in t["coeff"]}
-            if e in terms:
+            e = trim(_json_int(v) for v in t["exps"])
+            if e in seen:
                 raise ValueError(f"duplicate exponent {e} in polynomial JSON")
             if any(v < 0 for v in e):
                 raise ValueError("negative exponent in polynomial JSON")
-            terms[e] = coeff
-        return cls(terms)
+            seen.add(e)
+            for deg, c in t["coeff"]:
+                if _json_int(deg) < 0:
+                    raise ValueError("negative b-degree in polynomial JSON")
+                if (e, deg) in counts:
+                    raise ValueError(f"duplicate b-degree {deg} of exponent {e} in polynomial JSON")
+                counts[e, deg] = _json_int(c)
+        return cls(counts)
 
     def __str__(self) -> str:
         return render_text(self)
@@ -276,14 +241,10 @@ def render_text(f: Polynomial) -> str:
     """Render in descending monomial order, e.g. ``x1^2*x3 - b*x1*x2``."""
     if f.is_zero():
         return "0"
-    flat = []
-    for e in sorted(f.terms):
-        for d in sorted(f.terms[e]):
-            flat.append((e, d, f.terms[e][d]))
     out = []
-    for idx, (e, d, c) in enumerate(flat):
-        body = _monomial_text(e, d, abs(c))
-        if idx == 0:
+    for (e, deg), c in sorted(f.terms.items()):
+        body = _monomial_text(e, deg, abs(c))
+        if not out:
             out.append(body if c > 0 else "-" + body)
         else:
             out.append((" + " if c > 0 else " - ") + body)
@@ -305,16 +266,15 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    counts: dict[tuple[Exponent, int], int] = {}
-    for e, c in f.terms.items():
+    counts: dict[Term, int] = {}
+    for (e, deg), c in f.terms.items():
         e += (0,) * (i + 1 - len(e))
         p, q = e[i - 1], e[i]
-        lo, hi, sign = (q, p, 1) if p > q else (p, q, -1)
+        lo, hi, signed = (q, p, c) if p > q else (p, q, -c)
         for k in range(lo, hi):
-            image = e[: i - 1] + (k, p + q - 1 - k) + e[i + 1 :]
-            for deg, v in c.items():
-                counts[image, deg] = counts.get((image, deg), 0) + sign * v
-    return Polynomial.from_counts(counts)
+            key = (e[: i - 1] + (k, p + q - 1 - k) + e[i + 1 :], deg)
+            counts[key] = counts.get(key, 0) + signed
+    return Polynomial(counts)
 
 
 def demazure(i: int, f: Polynomial) -> Polynomial:

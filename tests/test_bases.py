@@ -123,7 +123,7 @@ class TestSchubertGrothendieck:
         for w in perms.all_permutations(4):
             poly = schubert(w)
             ell = perms.perm_length(w)
-            assert all(sum(e) == ell for e in poly.terms)
+            assert all(sum(e) == ell for e, _ in poly.terms)
             assert poly.leading_monomial() == perms.lehmer_code(w)
 
     def test_grothendieck_lowest_part_is_schubert(self):

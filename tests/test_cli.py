@@ -181,6 +181,21 @@ class TestExpand:
     def test_missing_file(self, capsys):
         assert run(capsys, "expand", "--basis", "key", "--input", "/nope.json")[0] == 2
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"coeff": [[0, 1], [0, 2]], "exps": [1]},
+            {"coeff": [[-1, 1]], "exps": [1]},
+            {"coeff": [[0, 1]], "exps": [1.9]},
+        ],
+    )
+    def test_malformed_terms_are_usage_errors(self, tmp_path, capsys, term):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({"terms": [term]}))
+        code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
+        assert code == 2
+        assert "bad polynomial file" in err and not out
+
 
 class TestVerify:
     def test_passing_family_exit_zero(self, capsys, tmp_path):
@@ -252,6 +267,8 @@ class TestVerifyInput:
             ["bjs", "--cap", "5"],
             ["bjs", "--max-weight", "3"],
             ["talpha_props", "--cache", "somewhere"],
+            ["talpha_props", "--max-weight", "40", "--max-parts", "40"],
+            ["theorem1", "--max-weight", "1000000000", "--max-parts", "1000000000"],
         ],
     )
     def test_rejected_before_any_case(self, capsys, monkeypatch, argv):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -49,6 +51,31 @@ class TestCaseEnumeration:
             for p in range(6):
                 assert compositions_upto(w, p) == reference(w, p), (w, p)
 
+    def test_cases_counted_before_enumerating(self):
+        for w in range(8):
+            for p in range(8):
+                count = harness._composition_count(w, p)
+                assert count == len(compositions_upto(w, p)) == math.comb(w + p, p), (w, p)
+        over = harness.MAX_CASES + 1
+        assert harness._composition_count(40, 40) == over
+        assert harness._composition_count(10**9, 10**9) == over
+        assert harness._composition_count(10**9, 1) == over
+        assert harness._composition_count(10**9, 0) == 1
+        assert compositions_upto(10**9, 0) == [()]
+
+    def test_case_limit(self):
+        assert harness.MAX_CASES == math.factorial(harness.MAX_N) == 40320
+        for family, bounds in [
+            ("talpha_props", {"max_weight": 40, "max_parts": 40}),
+            ("theorem1", {"max_weight": 9, "max_parts": 9}),  # C(18, 9) = 48620
+            ("kohnert", {"max_weight": 10**9, "max_parts": 10**9, "n": 3}),
+        ]:
+            with pytest.raises(harness.SweepInputError, match="more than 40320 cases"):
+                harness._checked_config(family, **bounds)
+        # at the limit: C(16, 8) = 12870 compositions, 8! = 40320 permutations
+        harness._checked_config("theorem1", max_weight=8, max_parts=8)
+        harness._checked_config("kohnert", n=harness.MAX_N)
+
 
 class TestPolyDiff:
     def test_equal_is_none(self):
@@ -59,6 +86,20 @@ class TestPolyDiff:
         rhs = x(1) + Polynomial.monomial((0, 1), 2)
         diff = poly_diff(lhs, rhs)
         assert diff == {"terms": [[[0, 1], [(0, 1)], [(0, 2)]]]}
+
+    def test_diff_over_beta(self):
+        # equal exponents drop out; a differing one shows its whole Z[b]
+        # coefficient on both sides, empty where the exponent is absent
+        b_x1 = Polynomial.monomial((1,), 1, 1)
+        lhs = x(1) + b_x1 + x(2) + x(4)
+        rhs = x(1) + 2 * b_x1 + x(3) + x(4)
+        assert poly_diff(lhs, rhs) == {
+            "terms": [
+                [[0, 0, 1], [], [(0, 1)]],
+                [[0, 1], [(0, 1)], []],
+                [[1], [(0, 1), (1, 1)], [(0, 1), (1, 2)]],
+            ]
+        }
 
 
 class TestSweeps:
@@ -245,6 +286,22 @@ class TestCache:
         verify_conjecture2(3, cache_dir=str(tmp_path))
         assert len(created) == 2
         assert created[1].hits == 12 and created[1].misses == 0
+
+    def test_cache_files_are_pinned(self, tmp_path):
+        # SHA-256 over the sorted (file name, bytes) pairs that a fill by
+        # `verify conj2 --n 4 --cache DIR` writes.  The digest was taken while
+        # a polynomial was still stored as nested exponent -> {b-degree ->
+        # int} maps, so it pins the on-disk format across that change.  File
+        # names hash the package version, so a version bump moves the digest.
+        verify_conjecture2(4, cache_dir=str(tmp_path))
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == 48
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == (
+            "4e97a4df40a0b5366d673a0036683ed15e1327e7278a0f323cfd721da8bb0763"
+        )
 
     def test_mixed_hit_miss_sweep(self, tmp_path):
         verify_conjecture2(2, cache_dir=str(tmp_path))

@@ -76,14 +76,29 @@ class TestFromCounts:
         folded = Polynomial()
         for (exps, deg), count in counts.items():
             folded = folded + Polynomial.monomial(exps, count, deg)
-        assert Polynomial.from_counts(counts) == folded
+        assert Polynomial(counts) == folded
+
+    @given(counted)
+    @settings(max_examples=200, deadline=None)
+    def test_json_matches_nested_reference(self, counts):
+        # The reference: exponent -> {b-degree -> count}, built from the same
+        # counts, zeros dropped, and written in sorted order.
+        nested = {}
+        for (exps, deg), count in counts.items():
+            coeff = nested.setdefault(trim(exps), {})
+            coeff[deg] = coeff.get(deg, 0) + count
+        expected = [
+            {"coeff": sorted((d, c) for d, c in nested[e].items() if c), "exps": list(e)}
+            for e in sorted(nested)
+            if any(nested[e].values())
+        ]
+        obj = Polynomial(counts).to_json_obj()
+        assert json.dumps(obj) == json.dumps({"terms": expected})
 
     def test_trims_merges_and_cancels(self):
-        f = Polynomial.from_counts(
-            {((1, 0), 0): 2, ((1,), 0): -2, ((0, 1, 0), 1): 3, ((0, 1), 1): 1}
-        )
-        assert f.terms == {(0, 1): {1: 4}}
-        assert Polynomial.from_counts({((2, 0), 0): 1, ((2,), 0): -1}).is_zero()
+        f = Polynomial({((1, 0), 0): 2, ((1,), 0): -2, ((0, 1, 0), 1): 3, ((0, 1), 1): 1})
+        assert f.terms == {((0, 1), 1): 4}
+        assert Polynomial({((2, 0), 0): 1, ((2,), 0): -1}).is_zero()
 
 
 class TestDividedDifference:
@@ -240,3 +255,29 @@ class TestBetaAndFormats:
             Polynomial.from_json_obj(
                 {"terms": [{"coeff": [[0, 1]], "exps": [1]}, {"coeff": [[0, 2]], "exps": [1, 0]}]}
             )
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"coeff": [[0, 1], [0, 2]], "exps": [1]},  # a b-degree given twice
+            {"coeff": [[-1, 1]], "exps": [1]},  # a negative b-degree
+            {"coeff": [[0, 1]], "exps": [1.9]},
+            {"coeff": [[0, 1]], "exps": [1.0]},
+            {"coeff": [[0.5, 1]], "exps": [1]},
+            {"coeff": [[0, 2.5]], "exps": [1]},
+            {"coeff": [[0, "1"]], "exps": [1]},
+            {"coeff": [[0, True]], "exps": [1]},
+            {"coeff": [[0, 1]], "exps": [0, -1]},
+        ],
+    )
+    def test_json_rejects_malformed_terms(self, term):
+        with pytest.raises(ValueError):
+            Polynomial.from_json_obj({"terms": [term]})
+
+    def test_json_reads_every_written_form(self):
+        f = Polynomial({((2, 0, 1), 0): 3, ((2, 0, 1), 2): -1, ((), 1): 5, ((0, 4), 0): 1})
+        assert Polynomial.from_json_obj(json.loads(json.dumps(f.to_json_obj()))) == f
+        assert Polynomial.from_json_obj({"terms": []}) == ZERO
+        # a zero count and an untrimmed exponent are still read
+        obj = {"terms": [{"coeff": [[0, 0], [1, 2]], "exps": [0, 1, 0]}]}
+        assert Polynomial.from_json_obj(obj) == Polynomial.monomial((0, 1), 2, 1)

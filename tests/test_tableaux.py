@@ -357,8 +357,8 @@ class TestSemistandardEnumeration:
                 poly = bases.schur_in_variables(lam, list(range(1, nvars + 1)))
                 for values in [(1, 2, 3)[:nvars], (2, 3, 5)[:nvars]]:
                     got = 0
-                    for e, c in poly.terms.items():
-                        term = c[0]
+                    for (e, deg), term in poly.terms.items():
+                        assert deg == 0
                         for i, q in enumerate(e):
                             term *= values[i] ** q
                         got += term
