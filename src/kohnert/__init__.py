@@ -48,6 +48,7 @@ from .tableaux import (
     nil_left_key,
     peeling_tableau,
     row_word,
+    split_blocks,
     split_compatible_pair,
 )
 from .bases import (

@@ -319,16 +319,24 @@ def key_split_expansion_via_pairs(
     """Independent route to the key splitting coefficients: push the
     compatible pairs in the insertion fiber of the peeling tableau through
     the block-splitting map and count distinct insertion-tableau tuples.
-    The fiber is found by inserting every reduced word, so this route
-    refuses lengths past ``perms.MAX_WORD_LENGTH``."""
+
+    The P tableau of a block depends only on its word, so each distinct
+    non-empty block word is column-inserted once per call.  The fiber is
+    found by inserting every reduced word, so this route refuses lengths
+    past ``perms.MAX_WORD_LENGTH``."""
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
+    inserted: dict[tuple[int, ...], Tableau] = {(): EMPTY_TABLEAU}
     tuples: set[tuple[Tableau, ...]] = set()
     for pair in tableaux.compatible_pairs(w, t_ref):
-        parts = tableaux.split_compatible_pair(pair, d)
-        tuples.add(tuple(p for p, _ in parts))
+        parts = []
+        for block_word, _ in tableaux.split_blocks(pair, d):
+            if block_word not in inserted:
+                inserted[block_word] = tableaux.insertion_tableau(block_word)
+            parts.append(inserted[block_word])
+        tuples.add(tuple(parts))
     out: dict[LambdaTuple, int] = {}
     for tup in tuples:
         lams = tuple(t.shape() for t in tup)

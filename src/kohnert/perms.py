@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations as _all_windows
+from itertools import combinations, permutations as _all_windows
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -146,8 +146,7 @@ def perm_length(w: Permutation) -> int:
     >>> perm_length((3, 2, 1))
     3
     """
-    w = tuple(w)
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+    return sum(1 for a, b in combinations(w, 2) if a > b)
 
 
 def perm_descents(w: Permutation) -> set[int]:
@@ -249,11 +248,25 @@ def reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
 
 
 def word_to_perm(word: Iterable[int]) -> Permutation:
-    """Product s_{a_1} s_{a_2} ... s_{a_m} in one-line notation."""
-    w = identity()
+    """Product s_{a_1} s_{a_2} ... s_{a_m} in one-line notation.
+
+    Each letter a swaps the entries at positions a and a + 1 of one list,
+    which grows by fixed points as needed; the result is canonicalised once,
+    so this equals folding ``multiply_s`` over the word from the identity.
+
+    >>> word_to_perm((1, 2, 1))
+    (3, 2, 1)
+    >>> word_to_perm((3, 3))
+    (1,)
+    """
+    v: list[int] = []
     for a in word:
-        w = multiply_s(w, a)
-    return w
+        if a < 1:
+            raise ValueError("transposition index must be >= 1")
+        if a >= len(v):
+            v.extend(range(len(v) + 1, a + 2))
+        v[a - 1], v[a] = v[a], v[a - 1]
+    return permutation(v)
 
 
 def is_reduced(word: tuple[int, ...]) -> bool:

@@ -179,24 +179,30 @@ class Polynomial:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Polynomial":
-        """Read ``to_json_obj`` output.  Raises ValueError on a number that
-        is not an integer, a negative exponent or b-degree, and an exponent
-        or a b-degree of one exponent given twice."""
+        """Read ``to_json_obj`` output.  Raises ValueError on JSON of another
+        shape, a number that is not an integer, a negative exponent or
+        b-degree, and an exponent or a b-degree of one exponent given
+        twice."""
         counts: dict[Term, int] = {}
         seen: set[Exponent] = set()
-        for t in obj["terms"]:
-            e = trim(_json_int(v) for v in t["exps"])
-            if e in seen:
-                raise ValueError(f"duplicate exponent {e} in polynomial JSON")
-            if any(v < 0 for v in e):
-                raise ValueError("negative exponent in polynomial JSON")
-            seen.add(e)
-            for deg, c in t["coeff"]:
-                if _json_int(deg) < 0:
-                    raise ValueError("negative b-degree in polynomial JSON")
-                if (e, deg) in counts:
-                    raise ValueError(f"duplicate b-degree {deg} of exponent {e} in polynomial JSON")
-                counts[e, deg] = _json_int(c)
+        try:
+            for t in obj["terms"]:
+                e = trim(_json_int(v) for v in t["exps"])
+                if e in seen:
+                    raise ValueError(f"duplicate exponent {e} in polynomial JSON")
+                if any(v < 0 for v in e):
+                    raise ValueError("negative exponent in polynomial JSON")
+                seen.add(e)
+                for deg, c in t["coeff"]:
+                    if _json_int(deg) < 0:
+                        raise ValueError("negative b-degree in polynomial JSON")
+                    if (e, deg) in counts:
+                        raise ValueError(f"duplicate b-degree {deg} of exponent {e} in polynomial JSON")
+                    counts[e, deg] = _json_int(c)
+        except TypeError as exc:
+            # Indexing, iterating or unpacking a value of the wrong JSON type;
+            # the numbers are type-checked by _json_int.
+            raise ValueError(f"polynomial JSON of the wrong shape: {exc}") from None
         return cls(counts)
 
     def __str__(self) -> str:

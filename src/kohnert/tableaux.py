@@ -378,16 +378,17 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     return out
 
 
-def split_compatible_pair(
-    pair: CompatiblePair, d: Sequence[int]
-) -> list[tuple[Tableau, Tableau]]:
-    """Split a compatible pair into blocks by mark range and insert each block.
+def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
+    """Split a compatible pair into its blocks by mark range, uninserted.
 
-    Block j takes the consecutive entries whose marks lie in
-    (d_{j-1}, d_j], with d_0 = 0; the split is unique because the marks
-    weakly increase.  Returns the list of (P_j, Q_j); empty blocks give empty
-    tableaux.  The descent set of the word's permutation must be contained in
-    d.
+    Block j is the (word, marks) factor of the consecutive entries whose
+    marks lie in (d_{j-1}, d_j], with d_0 = 0; the split is unique because
+    the marks weakly increase, and the blocks concatenate to the pair.
+    Raises ValueError unless the bounds strictly increase from 1 and contain
+    the descents of the word's permutation, every mark is at most its letter
+    and the last bound, and every non-empty block is a reduced word
+    (NonReducedWordError) with stable marks -- the refusals of
+    ``split_compatible_pair``, in its order.
     """
     word, marks = pair
     d = list(d)
@@ -400,6 +401,9 @@ def split_compatible_pair(
         raise ValueError("marks exceed their letters; pair is not compatible")
     if marks and (not d or marks[-1] > d[-1]):
         raise ValueError(f"marks {marks} exceed the last block bound")
+    # Every factor of a reduced word is reduced, so the blocks need their own
+    # check only when the whole word is not.
+    reduced = perms.perm_length(w) == len(word)
     out = []
     pos = 0
     prev = 0
@@ -410,10 +414,31 @@ def split_compatible_pair(
         block_word, block_marks = word[pos:end], marks[pos:end]
         if any(m <= prev for m in block_marks):
             raise ValueError("marks are not weakly increasing")
-        out.append(egls_insert(block_word, block_marks) if block_word else (EMPTY_TABLEAU, EMPTY_TABLEAU))
+        if block_word:
+            if not reduced and not perms.is_reduced(block_word):
+                raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
+            _check_stable_marks(block_word, block_marks)
+        out.append((block_word, block_marks))
         pos = end
         prev = bound
     return out
+
+
+def split_compatible_pair(
+    pair: CompatiblePair, d: Sequence[int]
+) -> list[tuple[Tableau, Tableau]]:
+    """Split a compatible pair into blocks by mark range (``split_blocks``)
+    and insert each block.
+
+    Returns the list of (P_j, Q_j); empty blocks give empty tableaux.  The
+    descent set of the word's permutation must be contained in d.
+    """
+    return [
+        egls_insert(block_word, block_marks)
+        if block_word
+        else (EMPTY_TABLEAU, EMPTY_TABLEAU)
+        for block_word, block_marks in split_blocks(pair, d)
+    ]
 
 
 # ---------------------------------------------------------------------------

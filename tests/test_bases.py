@@ -306,6 +306,57 @@ class TestSplittingRoutes:
             assert extracted == counted == paired
             assert all(v > 0 for v in extracted.values())
 
+    @staticmethod
+    def pairs_reference(alpha, d):
+        """Route 3 as one insertion per pair: the P tuples of
+        ``split_compatible_pair`` over the fiber, counted by shape."""
+        t_ref = tableaux.peeling_tableau(alpha)
+        pairs = tableaux.compatible_pairs(perms.perm_from_code(alpha), t_ref)
+        tuples = {tuple(p for p, _ in tableaux.split_compatible_pair(pair, d)) for pair in pairs}
+        out = {}
+        for tup in tuples:
+            lams = tuple(t.shape() for t in tup)
+            out[lams] = out.get(lams, 0) + 1
+        return out
+
+    def test_pairs_route_matches_per_pair_insertion(self):
+        from kohnert.harness import compositions_upto
+
+        alphas = compositions_upto(7, 4)
+        assert len(alphas) == 330
+        for alpha in alphas:
+            d = minimal_blocks(alpha)
+            for blocks in (d, d + (max(d, default=0) + 1,)):
+                assert key_split_expansion_via_pairs(alpha, blocks) == (
+                    self.pairs_reference(alpha, blocks)
+                ), (alpha, blocks)
+
+    def test_pairs_route_inserts_each_block_word_once(self, monkeypatch):
+        from kohnert.harness import compositions_upto
+
+        original_pairs = tableaux.compatible_pairs
+        original_insert = tableaux.egls_insert
+        inserted = []
+
+        def counting(word, marks=None):
+            inserted.append(tuple(word))
+            return original_insert(word, marks)
+
+        for alpha in compositions_upto(6, 3):
+            d = minimal_blocks(alpha)
+            for blocks in (d, d + (max(d, default=0) + 1,)):
+                t_ref = tableaux.peeling_tableau(alpha)
+                pairs = original_pairs(perms.perm_from_code(alpha), t_ref)
+                block_words = {
+                    bw for pair in pairs for bw, _ in tableaux.split_blocks(pair, blocks) if bw
+                }
+                monkeypatch.setattr(tableaux, "compatible_pairs", lambda w, t: pairs)
+                monkeypatch.setattr(tableaux, "egls_insert", counting)
+                inserted.clear()
+                key_split_expansion_via_pairs(alpha, blocks)
+                monkeypatch.undo()
+                assert sorted(inserted) == sorted(block_words), (alpha, blocks)
+
     def test_schubert_splitting_all_valid_blocks_s4(self):
         from itertools import combinations
 

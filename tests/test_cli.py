@@ -181,17 +181,23 @@ class TestExpand:
     def test_missing_file(self, capsys):
         assert run(capsys, "expand", "--basis", "key", "--input", "/nope.json")[0] == 2
 
+    MALFORMED = [
+        {"terms": [{"coeff": [[0, 1], [0, 2]], "exps": [1]}]},
+        {"terms": [{"coeff": [[-1, 1]], "exps": [1]}]},
+        {"terms": [{"coeff": [[0, 1]], "exps": [1.9]}]},
+        # JSON of the wrong shape
+        {"terms": [{"exps": [1], "coeff": [5]}]},
+        {"terms": [[1]]},
+        {"terms": 5},
+        [1],
+    ]
+
     @pytest.mark.parametrize(
-        "term",
-        [
-            {"coeff": [[0, 1], [0, 2]], "exps": [1]},
-            {"coeff": [[-1, 1]], "exps": [1]},
-            {"coeff": [[0, 1]], "exps": [1.9]},
-        ],
+        "doc", MALFORMED, ids=[f"term{i}" for i in range(len(MALFORMED))]
     )
-    def test_malformed_terms_are_usage_errors(self, tmp_path, capsys, term):
+    def test_malformed_terms_are_usage_errors(self, tmp_path, capsys, doc):
         path = tmp_path / "poly.json"
-        path.write_text(json.dumps({"terms": [term]}))
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
         assert code == 2
         assert "bad polynomial file" in err and not out

@@ -122,6 +122,26 @@ class TestReducedWords:
         assert not perms.is_reduced((1, 1))
 
 
+class TestWordToPerm:
+    @given(st.lists(st.integers(min_value=1, max_value=9), max_size=12))
+    @settings(max_examples=300)
+    def test_equals_fold_of_transpositions(self, word):
+        w = perms.identity()
+        for a in word:
+            w = perms.multiply_s(w, a)
+        got = perms.word_to_perm(word)
+        assert got == w
+        assert perms.permutation(got) == got
+        assert perms.word_to_perm(iter(word)) == w
+
+    @pytest.mark.parametrize("word", [(0,), (2, 1, -1), (3, 0, 3)])
+    def test_letter_below_one(self, word):
+        with pytest.raises(ValueError, match=r"^transposition index must be >= 1$"):
+            perms.word_to_perm(word)
+        with pytest.raises(ValueError, match=r"^transposition index must be >= 1$"):
+            perms.multiply_s(perms.identity(), min(word))
+
+
 class TestDescentLemma:
     def test_perm_descents_within_composition_descents(self):
         # descents of the coded permutation lie inside the strict descent

@@ -274,6 +274,22 @@ class TestBetaAndFormats:
         with pytest.raises(ValueError):
             Polynomial.from_json_obj({"terms": [term]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"terms": [{"exps": [1], "coeff": [5]}]},
+            {"terms": [{"exps": [1], "coeff": [[0, 1, 2]]}]},
+            {"terms": [{"exps": 1, "coeff": [[0, 1]]}]},
+            {"terms": [[1]]},
+            {"terms": 5},
+            {"terms": "ab"},
+            [1],
+        ],
+    )
+    def test_json_rejects_wrong_shapes(self, doc):
+        with pytest.raises(ValueError):
+            Polynomial.from_json_obj(doc)
+
     def test_json_reads_every_written_form(self):
         f = Polynomial({((2, 0, 1), 0): 3, ((2, 0, 1), 2): -1, ((), 1): 5, ((0, 4), 0): 1})
         assert Polynomial.from_json_obj(json.loads(json.dumps(f.to_json_obj()))) == f

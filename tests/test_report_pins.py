@@ -10,7 +10,9 @@ splitting route still enumerated reduced words; their one skipped case,
 13, pins the skip reason of the routes that still do.  The closure sweeps
 of the benchmark's closure workload were pinned before the closure walk
 carried each diagram's weight, and before the kohnert family moved from the
-ghost closure to the plain one.
+ghost closure to the plain one.  The theorem1 sweeps of the split workload
+were pinned before the compatible-pair route inserted each distinct block
+word once.
 
 No capped kohnert sweep is pinned from before that move: the cap counts the
 closure a family walks, so such a sweep skips fewer cases now (see
@@ -56,6 +58,11 @@ PINS = [
      "453cbefaad344ad3a5d67947887097844247ec4887e556a89a312be7e209db35"),
     ("conj2", {"n": 6},
      "aa4fe2100d5b231356bfbaf353dad222af447e31e699081de9d763d81403d067"),
+    # the theorem1 sweeps of the benchmark's split workload
+    ("theorem1", {"max_weight": 7, "max_parts": 4},
+     "0011f5fdd9beb23647539aabf38d634eca749b49b32e28fc5b05955734c654df"),
+    ("theorem1", {"max_weight": 4, "max_parts": 7},
+     "99f54cddfd338e6156a5bc0245624c5dcdf15a74c5edcc57930f874287115d88"),
 ]
 
 

@@ -17,6 +17,7 @@ from kohnert.tableaux import (
     peeling_tableau,
     row_word,
     semistandard_tableaux,
+    split_blocks,
     split_compatible_pair,
     word_class_closure,
 )
@@ -30,6 +31,45 @@ def stable_compatible_pairs(w, max_mark):
         for marks in combinations_with_replacement(range(1, max_mark + 1), len(word))
         if all(m < n for a, b, m, n in zip(word, word[1:], marks, marks[1:]) if a < b)
     ]
+
+
+def reference_split(pair, d):
+    """The block-splitting map as one function that checks, cuts and
+    inserts block by block: the reference for ``split_blocks`` and
+    ``split_compatible_pair``."""
+    word, marks = pair
+    d = list(d)
+    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
+        raise ValueError(f"block bounds must be strictly increasing: {d}")
+    w = perms.word_to_perm(word)
+    if not perms.perm_descents(w) <= set(d):
+        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    if any(m > a for m, a in zip(marks, word)):
+        raise ValueError("marks exceed their letters; pair is not compatible")
+    if marks and (not d or marks[-1] > d[-1]):
+        raise ValueError(f"marks {marks} exceed the last block bound")
+    out = []
+    pos = 0
+    prev = 0
+    for bound in d:
+        end = pos
+        while end < len(marks) and marks[end] <= bound:
+            end += 1
+        block_word, block_marks = word[pos:end], marks[pos:end]
+        if any(m <= prev for m in block_marks):
+            raise ValueError("marks are not weakly increasing")
+        out.append(egls_insert(block_word, block_marks) if block_word else (EMPTY_TABLEAU, EMPTY_TABLEAU))
+        pos = end
+        prev = bound
+    return out
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and message of its error."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 T_BIG = Tableau([[1, 3, 4], [2, 5], [4, 6], [5], [6]])
@@ -274,6 +314,61 @@ class TestCompatiblePairs:
             split_compatible_pair(((2,), (1,)), (1,))  # descent 2 not covered
         with pytest.raises(ValueError):
             split_compatible_pair(((2,), (3,)), (2, 3))  # mark above letter
+
+    BAD_SPLITS = [
+        (((2,), (1,)), (1,)),  # descent 2 not covered
+        (((2,), (3,)), (2, 3)),  # mark above letter
+        (((2,), (1,)), (2, 2)),  # bounds not strictly increasing
+        (((1,), (1,)), (0, 1)),  # a bound below 1
+        (((3, 3), (1, 2)), (1,)),  # mark above the last bound
+        (((3, 3), (1, 1)), ()),  # marks and no bound
+        (((3, 1), (3, 1)), (1, 3)),  # marks decrease across blocks
+        (((3, 2), (2, 1)), (2, 3)),  # marks decrease within a block
+        (((1, 2), (1, 1)), (2,)),  # equal marks across an ascent
+        (((2, 2), (1, 2)), (2,)),  # a non-reduced block
+        (((1, 1, 2), (1, 1, 1)), (2,)),  # non-reduced and unstable marks
+        (((2, 2, 3, 4), (1, 1, 3, 3)), (2, 4)),  # unstable after non-reduced
+        (((1,), (0,)), (1,)),  # a mark below 1
+        (((0,), (1,)), (1,)),  # a letter below 1
+    ]
+
+    @pytest.mark.parametrize("pair,d", BAD_SPLITS)
+    def test_split_blocks_refuses_as_split_compatible_pair(self, pair, d):
+        expected = outcome(reference_split, pair, d)
+        assert isinstance(expected, tuple) and issubclass(expected[0], ValueError)
+        assert outcome(split_blocks, pair, d) == expected
+        assert outcome(split_compatible_pair, pair, d) == expected
+
+    def test_split_accepts_what_the_reference_accepts(self):
+        # a non-reduced word whose blocks are each reduced is split, as before
+        pair, d = ((2, 2), (1, 2)), (1, 2)
+        assert split_blocks(pair, d) == [((2,), (1,)), ((2,), (2,))]
+        assert split_compatible_pair(pair, d) == reference_split(pair, d)
+
+    def test_split_blocks_concatenate_and_insert_to_the_reference(self):
+        checked = 0
+        for w in perms.all_permutations(5):
+            ds = set(perms.perm_descents(w))
+            top = max(ds, default=0)
+            choices = {
+                tuple(sorted(ds)),
+                tuple(sorted(ds | {top + 1})),
+                tuple(sorted(ds | {4})),
+                (1, 2, 3, 4),
+            }
+            for pair in compatible_pairs(w):
+                for d in sorted(choices):
+                    expected = outcome(reference_split, pair, d)
+                    assert outcome(split_compatible_pair, pair, d) == expected
+                    blocks = outcome(split_blocks, pair, d)
+                    if isinstance(expected, list):
+                        assert len(blocks) == len(d)
+                        assert tuple(a for bw, _ in blocks for a in bw) == pair[0]
+                        assert tuple(m for _, bm in blocks for m in bm) == pair[1]
+                        checked += 1
+                    else:
+                        assert blocks == expected
+        assert checked > 1000
 
     def test_split_bijection_by_counting(self):
         # weight-preserving bijectivity onto same-shape tuples of increasing
