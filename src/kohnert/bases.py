@@ -1,12 +1,15 @@
 """The polynomial bases and their splitting/expansion rules.
 
-Key and Omega polynomials are built by operator recursion from the dominant
-monomial; Schubert and Grothendieck polynomials descend from the staircase
-monomial of the longest element.  A choice of block bounds d_1 < ... < d_k
-splits the variables into consecutive alphabets X_1, ..., X_k, and any
-polynomial symmetric in each alphabet expands uniquely into products of
-Schur polynomials of the blocks; ``split_extract`` computes that expansion
-greedily from leading monomials.
+All four bases come from one memoised operator recursion: an operator
+applied across the first ascent of a composition, down to the dominant
+monomial.  Key and omega polynomials start at alpha; Schubert and
+Grothendieck polynomials start at (w(1) - 1, ..., w(n) - 1), whose dominant
+monomial is the staircase of the longest element of S_n.  A choice of block
+bounds d_1 < ... < d_k splits the variables into consecutive alphabets
+X_1, ..., X_k, and any polynomial symmetric in each alphabet expands
+uniquely into products of Schur polynomials of the blocks;
+``split_extract`` computes that expansion greedily from leading monomials,
+and refuses an input that is not block-symmetric on the way.
 
 For key polynomials the block-Schur coefficients are counted by tuples of
 increasing tableaux whose concatenated reading words insert to the peeling
@@ -52,7 +55,7 @@ def _first_ascent(alpha: Composition) -> int | None:
     return None
 
 
-# The operator is an argument of each recursion and part of its memo key.
+# The operator is an argument of the recursion and part of its memo key.
 # The public functions look it up in this module when they are called.
 @lru_cache(maxsize=None)
 def _from_dominant(op, alpha: Composition) -> Polynomial:
@@ -79,35 +82,38 @@ def omega_polynomial(alpha: Composition) -> Polynomial:
     return _from_dominant(twisted_demazure, perms.composition(alpha))
 
 
-@lru_cache(maxsize=None)
-def _from_staircase(op, w: Permutation, n: int) -> Polynomial:
-    """``op`` applied across the first ascent of w within S_n, recursively,
-    down to the staircase monomial of the longest element."""
-    if w == perms.longest_element(n):
-        return Polynomial.monomial(tuple(range(n - 1, 0, -1)))
-    i = perms.perm_ascents_within(w, n)[0]
-    return op(i, _from_staircase(op, perms.multiply_s(w, i), n))
+def _in_symmetric_group(w: Permutation, n: int | None) -> Composition:
+    """The composition (w(1) - 1, ..., w(n) - 1) of w in S_n, trimmed; n
+    defaults to the window size.  It has the ascents of w, swapping entries
+    i and i + 1 is w -> w s_i, and the longest element gives the staircase.
 
-
-def _in_symmetric_group(w: Permutation, n: int | None) -> tuple[Permutation, int]:
+    >>> _in_symmetric_group((1, 3, 2), None)
+    (0, 2, 1)
+    >>> _in_symmetric_group((3, 2, 1), 4)
+    (2, 1, 0, 3)
+    """
     w = perms.permutation(w)
     n = max(len(w), 2) if n is None else n
     if len(w) > n:
         raise ValueError(f"{w} does not lie in S_{n}")
-    return w, n
+    return trim(v - 1 for v in w + tuple(range(len(w) + 1, n + 1)))
 
 
 def schubert(w: Permutation, n: int | None = None) -> Polynomial:
     """Schubert polynomial, by divided differences down from the staircase
-    monomial of the longest element of S_n (n defaults to the window size;
-    the result does not depend on it)."""
-    return _from_staircase(divided_difference, *_in_symmetric_group(w, n))
+    monomial of the longest element of S_n, through the recursion of
+    ``key_polynomial`` (the result does not depend on n).
+
+    >>> print(schubert((1, 3, 2)))
+    x2 + x1
+    """
+    return _from_dominant(divided_difference, _in_symmetric_group(w, n))
 
 
 def grothendieck(w: Permutation, n: int | None = None) -> Polynomial:
     """Grothendieck polynomial, by isobaric operators down from the staircase
     monomial; its lowest-degree component is the Schubert polynomial."""
-    return _from_staircase(isobaric, *_in_symmetric_group(w, n))
+    return _from_dominant(isobaric, _in_symmetric_group(w, n))
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +159,17 @@ def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomia
     return schur_in_variables(lam, blocks[block_index - 1])
 
 
-def _check_block_symmetry(f: Polynomial, d: Sequence[int]) -> None:
-    blocks = block_variables(d)
-    for j, block in enumerate(blocks, start=1):
-        for i in block[:-1]:
-            if f.apply_transposition(i) != f:
-                raise BlockSymmetryError(
-                    f"not symmetric in x{i}, x{i+1} (block {j})"
-                )
-
-
 def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     """Expand a block-symmetric polynomial into products of block Schur
     polynomials by repeatedly peeling the leading monomial.
 
-    The polynomial must be free of the b parameter, involve no variable past
-    the last block bound, and be symmetric within every block (checked up
-    front).  The expansion is exact and unique; coefficients are integers.
+    The polynomial must be free of the b parameter and involve no variable
+    past the last block bound.  The expansion is exact and unique;
+    coefficients are integers.  The peel is its own symmetry check: the
+    leading monomial strictly drops among finitely many, and a peel that
+    ends at 0 writes f as a sum of block-symmetric products, so an input
+    that is not block-symmetric reaches a leading monomial that is not
+    weakly increasing in some block, and BlockSymmetryError is raised there.
     """
     d = list(d)
     if not f.is_beta_free():
@@ -178,7 +178,7 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
         raise ValueError(
             f"polynomial involves x{f.max_variable()}, past the last block bound"
         )
-    _check_block_symmetry(f, d)
+    blocks = block_variables(d)
     bounds = [0] + d
     out: dict[LambdaTuple, int] = {}
     g = f
@@ -196,8 +196,8 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
         lams_t = tuple(lams)
         c = out[lams_t] = g.coefficient(m)[0]
         prod = ONE
-        for j, lam in enumerate(lams_t, start=1):
-            prod = prod * schur_block(lam, j, d)
+        for lam, block in zip(lams_t, blocks):
+            prod = prod * schur_in_variables(lam, block)
         g = g - c * prod
     return out
 

@@ -90,12 +90,15 @@ def poly_diff(lhs: Polynomial, rhs: Polynomial) -> dict | None:
     [exponents, coeff-on-lhs, coeff-on-rhs] for a differing exponent."""
     if lhs == rhs:
         return None
+    left: dict[tuple[int, ...], list] = {}
+    right: dict[tuple[int, ...], list] = {}
+    for f, grouped in ((lhs, left), (rhs, right)):
+        for (e, deg), c in f.terms.items():
+            grouped.setdefault(e, []).append((deg, c))
     diffs = []
     # the exponents of the (exponent, b-degree, count) entries on one side only
     for e in sorted({e for (e, _), _ in lhs.terms.items() ^ rhs.terms.items()}):
-        cl = sorted(lhs.coefficient(e).items())
-        cr = sorted(rhs.coefficient(e).items())
-        diffs.append([list(e), cl, cr])
+        diffs.append([list(e), sorted(left.get(e, [])), sorted(right.get(e, []))])
     return {"terms": diffs}
 
 

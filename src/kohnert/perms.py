@@ -128,11 +128,6 @@ def format_permutation(w: Permutation) -> str:
     return ",".join(map(str, w))
 
 
-def perm_apply(w: Permutation, i: int) -> int:
-    """Value w(i), treating indices beyond the window as fixed points."""
-    return w[i - 1] if i <= len(w) else i
-
-
 def perm_inverse(w: Permutation) -> Permutation:
     inv = [0] * len(w)
     for i, v in enumerate(w, start=1):
@@ -157,11 +152,6 @@ def perm_descents(w: Permutation) -> set[int]:
     """
     w = permutation(w)
     return {j for j in range(1, len(w)) if w[j - 1] > w[j]}
-
-
-def perm_ascents_within(w: Permutation, n: int) -> list[int]:
-    """Indices j < n with w(j) < w(j+1), reading w inside S_n."""
-    return [j for j in range(1, n) if perm_apply(w, j) < perm_apply(w, j + 1)]
 
 
 def multiply_s(w: Permutation, i: int) -> Permutation:

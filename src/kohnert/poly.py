@@ -203,7 +203,9 @@ class Polynomial:
             # Indexing, iterating or unpacking a value of the wrong JSON type;
             # the numbers are type-checked by _json_int.
             raise ValueError(f"polynomial JSON of the wrong shape: {exc}") from None
-        return cls(counts)
+        # Canonical already: each exponent is trimmed and no key is repeated,
+        # so dropping zero counts is all that is left to do.
+        return _of({key: c for key, c in counts.items() if c})
 
     def __str__(self) -> str:
         return render_text(self)

@@ -132,16 +132,16 @@ def content(t: Tableau) -> Composition:
     return perms.composition(counts.get(i, 0) for i in range(1, top + 1))
 
 
-def _insert_letter(cols: list[list[int]], v: int) -> tuple[int, int]:
-    """Walk v through the columns; return the (row, col) of the new box.
-
-    Indices in the result are 0-based.  Columns are mutated in place.
+def _insert_letter(cols: list[list[int]], v: int) -> int:
+    """Walk v through the columns; return the 0-based index of the column
+    that gained a box.  The new box is always the last entry of its column.
+    Columns are mutated in place.
     """
     c = 0
     while True:
         if c == len(cols):
             cols.append([v])
-            return 0, c
+            return c
         col = cols[c]
         larger = [z for z in col if z > v]
         if not larger:
@@ -150,7 +150,7 @@ def _insert_letter(cols: list[list[int]], v: int) -> tuple[int, int]:
                     f"insertion would duplicate {v}; word is not reduced"
                 )
             col.append(v)
-            return len(col) - 1, c
+            return c
         z = min(larger)
         if z == v + 1 and v in col:
             v = v + 1
@@ -197,20 +197,15 @@ def egls_insert(
         marks = tuple(int(m) for m in marks)
         _check_stable_marks(word, marks)
     cols: list[list[int]] = []
-    recording: dict[tuple[int, int], int] = {}
+    # Q's columns grow in step with P's: each mark goes to the bottom of the
+    # column that gained a box.
+    marks_cols: list[list[int]] = []
     for a, m in zip(word, marks):
-        r, c = _insert_letter(cols, a)
-        recording[(r, c)] = m
-    p = Tableau.from_columns(cols)
-    q = Tableau(
-        [
-            [recording[(r, c)] for c in range(len(p.rows[r]))]
-            for r in range(len(p.rows))
-        ]
-        if cols
-        else []
-    )
-    return p, q
+        c = _insert_letter(cols, a)
+        if c == len(marks_cols):
+            marks_cols.append([])
+        marks_cols[c].append(m)
+    return Tableau.from_columns(cols), Tableau.from_columns(marks_cols)
 
 
 def insertion_tableau(word: Sequence[int]) -> Tableau:

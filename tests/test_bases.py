@@ -1,8 +1,11 @@
 import hashlib
 import json
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnert import bases, diagrams, perms, tableaux
 from kohnert.bases import (
@@ -131,9 +134,10 @@ class TestSchubertGrothendieck:
             assert grothendieck(w).lowest_degree_part() == schubert(w)
 
     def test_stability_under_embedding(self):
-        for w in perms.all_permutations(3):
-            assert schubert(w, 3) == schubert(w, 5)
-            assert grothendieck(w, 3) == grothendieck(w, 5)
+        for w in perms.all_permutations(4):
+            for n in (5, 6):
+                assert schubert(w, 4) == schubert(w, n)
+                assert grothendieck(w, 4) == grothendieck(w, n)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -159,6 +163,21 @@ def test_operator_outputs_are_pinned():
     }
     text = json.dumps(outputs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_DIGEST
+
+
+# SHA-256 of the Schubert and Grothendieck polynomials of all of S_6, taken
+# while they still had their own recursion down from the staircase.
+S6_DIGEST = "2d839b385629ad9c3106833b25e3252c7c809fc60024193c840ef7f05bdaa5af"
+
+
+def test_s6_schubert_and_grothendieck_are_pinned():
+    s6 = list(perms.all_permutations(6))
+    outputs = {
+        "schubert": [schubert(w).to_json_obj() for w in s6],
+        "grothendieck": [grothendieck(w).to_json_obj() for w in s6],
+    }
+    text = json.dumps(outputs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == S6_DIGEST
 
 
 class TestSchurBlocks:
@@ -209,6 +228,50 @@ class TestSplitExtract:
                 prod = prod * schur_block(lam, j, d)
             total = total + c * prod
         assert total == key_polynomial(EXAMPLE_ALPHA)
+
+    @given(
+        st.sets(st.integers(min_value=1, max_value=4), min_size=1),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_refuses_exactly_the_asymmetric_inputs(self, bounds, terms, symmetrise):
+        d = sorted(bounds)
+        blocks = bases.block_variables(d)
+        f = Polynomial({(tuple(e[: d[-1]]), 0): c for e, c in terms})
+        if symmetrise:
+            # the sum of f over every permutation of the variables within
+            # the blocks
+            counts = {}
+            for (e, _), c in f.terms.items():
+                e += (0,) * (d[-1] - len(e))
+                for images in product(*(permutations(b) for b in blocks)):
+                    moved = list(e)
+                    for block, image in zip(blocks, images):
+                        for i, j in zip(block, image):
+                            moved[j - 1] = e[i - 1]
+                    counts[tuple(moved), 0] = counts.get((tuple(moved), 0), 0) + c
+            f = Polynomial(counts)
+        symmetric = all(
+            f.apply_transposition(i) == f for block in blocks for i in block[:-1]
+        )
+        if not symmetric:
+            with pytest.raises(BlockSymmetryError):
+                split_extract(f, d)
+            return
+        total = Polynomial()
+        for lams, c in split_extract(f, d).items():
+            prod = ONE
+            for j, lam in enumerate(lams, start=1):
+                prod = prod * schur_block(lam, j, d)
+            total = total + c * prod
+        assert total == f
 
 
 class TestSplittingRoutes:

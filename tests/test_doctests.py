@@ -1,6 +1,6 @@
 import doctest
 
-from kohnert import perms, poly
+from kohnert import bases, perms, poly
 
 
 def test_perms_doctests():
@@ -10,4 +10,9 @@ def test_perms_doctests():
 
 def test_poly_doctests():
     results = doctest.testmod(poly)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_bases_doctests():
+    results = doctest.testmod(bases)
     assert results.failed == 0 and results.attempted > 0

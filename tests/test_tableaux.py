@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -149,6 +151,23 @@ class TestInsertion:
             assert p.is_increasing() and q.is_semistandard(), (word, marks)
             assert q.shape() == p.shape()
         assert len(inputs) > 3061
+
+    def test_insertion_and_recording_tableaux_are_pinned(self):
+        # SHA-256 of the (P, Q) rows for every reduced word of S_1..S_5 with
+        # default marks and every compatible pair of S_1..S_5, taken while Q
+        # was still rebuilt row by row from a map of box positions.
+        inputs = []
+        for n in range(1, 6):
+            for w in perms.all_permutations(n):
+                inputs += [(word, None) for word in sorted(perms.reduced_words(w))]
+                inputs += compatible_pairs(w)
+        rows = []
+        for word, marks in inputs:
+            p, q = egls_insert(word, marks)
+            rows.append([[list(r) for r in p.rows], [list(r) for r in q.rows]])
+        assert len(inputs) == 3581
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "40db8e63ef752c3fc7dc286af4c595a506528aa194f4688f3ba9a50bf823d838"
 
     def test_reinsertion_fixes_small_increasing_tableaux(self):
         # every increasing tableau on letters <= 4 with reduced reading word
