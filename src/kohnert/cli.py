@@ -222,7 +222,7 @@ def _cmd_verify(args) -> int:
     )
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(report.to_json_obj(), fh, indent=1)
+            fh.write(report.json_text())
         print(f"report written to {args.report}")
     return 1 if report.failed() else 0
 

@@ -21,10 +21,8 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__, bases, diagrams, perms, tableaux
 from .perms import Composition
@@ -34,8 +32,7 @@ FAULT_ENV = "KOHNERT_FAULT_INJECT"
 CACHE_ENV = "KOHNERT_CACHE"
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     family: str
     param: str
     status: str  # pass | fail | skipped
@@ -50,21 +47,26 @@ class VerificationCase:
         }
 
 
-@dataclass
 class SweepReport:
-    config: dict
-    cases: list[VerificationCase]
-    totals: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    """The cases of one sweep, their totals, and volatile ``meta`` (wall
+    time, worker count).  Totals are counted from the cases unless given."""
 
-    def __post_init__(self):
-        if not self.totals:
-            self.totals = {
-                "pass": sum(1 for c in self.cases if c.status == "pass"),
-                "fail": sum(1 for c in self.cases if c.status == "fail"),
-                "skipped": sum(1 for c in self.cases if c.status == "skipped"),
-                "total": len(self.cases),
-            }
+    def __init__(
+        self,
+        config: dict,
+        cases: list[VerificationCase],
+        totals: dict | None = None,
+        meta: dict | None = None,
+    ):
+        self.config = config
+        self.cases = cases
+        self.totals = totals or {
+            "pass": sum(1 for c in cases if c.status == "pass"),
+            "fail": sum(1 for c in cases if c.status == "fail"),
+            "skipped": sum(1 for c in cases if c.status == "skipped"),
+            "total": len(cases),
+        }
+        self.meta = {} if meta is None else meta
 
     def failed(self) -> int:
         return self.totals["fail"]
@@ -83,6 +85,18 @@ class SweepReport:
         obj = self.to_json_obj()
         obj.pop("meta")
         return json.dumps(obj, sort_keys=True)
+
+    def json_text(self) -> str:
+        """The report as JSON text with one case per line; ``json.loads`` of
+        it equals ``to_json_obj()``, key order included.  It is built from
+        ``json.dumps`` calls alone, which reach the C encoder: ``json.dump``
+        and any ``indent`` run the pure-Python one."""
+        dumps = json.dumps
+        cases = ",\n".join(dumps(c.to_json_obj()) for c in self.cases)
+        return (
+            f'{{"config": {dumps(self.config)}, "cases": [\n{cases}\n], '
+            f'"totals": {dumps(self.totals)}, "meta": {dumps(self.meta)}}}\n'
+        )
 
 
 def poly_diff(lhs: Polynomial, rhs: Polynomial) -> dict | None:
@@ -173,7 +187,7 @@ class PolynomialCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(obj, fh)
+                fh.write(json.dumps(obj))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -418,8 +432,7 @@ def _composition_count(max_weight: int, max_parts: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SweepFamily:
+class SweepFamily(NamedTuple):
     """One ``kohnert verify`` family: (case family, parameter generator)
     pairs, the bound names the generators read with their defaults, and
     whether the cases build diagram closures, which alone take a closure cap
@@ -513,6 +526,9 @@ def clamp_jobs(jobs: int, cases: int, cpus: int) -> int:
 def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
     if workers <= 1:
         return [_run_case(t) for t in tasks]
+    # Imported here: a one-worker sweep would pay ~25 ms of start-up for it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_case, tasks, chunksize=1))
 
@@ -540,14 +556,13 @@ def verify(
     workers = clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     started = time.time()
     cases = _execute(tasks, workers)
-    report = SweepReport(config=config, cases=cases)
-    report.meta = {
+    meta = {
         "jobs": jobs,
         "workers": workers,
         "wall_time_s": round(time.time() - started, 3),
         "cache_dir": cache_dir,
     }
-    return report
+    return SweepReport(config, cases, meta=meta)
 
 
 def _sweep_function(family: str) -> Callable[..., SweepReport]:

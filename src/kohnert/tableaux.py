@@ -340,22 +340,26 @@ def coxeter_knuth_class(
 CompatiblePair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _mark_choices(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    m = len(word)
-
-    def extend(prefix: list[int], j: int) -> Iterator[tuple[int, ...]]:
-        if j == m:
-            yield tuple(prefix)
-            return
-        lo = 1
-        if prefix:
-            lo = prefix[-1] + (1 if word[j - 1] < word[j] else 0)
-        for v in range(lo, word[j] + 1):
-            prefix.append(v)
-            yield from extend(prefix, j + 1)
-            prefix.pop()
-
-    yield from extend([], 0)
+def _mark_choices(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The marks of a word in lexicographic order: each at least 1 and at
+    most its letter, weakly increasing, and strictly across each ascent."""
+    # Every mark sequence lies on or above the least one, which starts at 1
+    # and steps up exactly at the ascents; for most reduced words it passes
+    # a letter, and then there is none.
+    least = prev = 0
+    for letter in word:
+        if prev < letter:
+            least += 1
+        if least > letter:
+            return []
+        prev = letter
+    if not word:
+        return [()]
+    marks = [(v,) for v in range(1, word[0] + 1)]
+    for prev, letter in zip(word, word[1:]):
+        step = 1 if prev < letter else 0
+        marks = [m + (v,) for m in marks for v in range(m[-1] + step, letter + 1)]
+    return marks
 
 
 def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[CompatiblePair]:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kohnert
 from kohnert import bases, harness
 from kohnert.cli import main
 from kohnert.poly import Polynomial
@@ -247,6 +251,55 @@ class TestVerify:
     def test_usage(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2
         assert run(capsys)[0] == 2
+
+    def test_one_worker_loads_no_pool_or_dataclasses(self):
+        # Both cost start-up time that a --jobs 1 sweep does not use.
+        script = (
+            "import sys\n"
+            "from kohnert import cli\n"
+            "code = cli.main(['verify', 'conj2', '--n', '3', '--jobs', '1'])\n"
+            "print(code, [m for m in ('concurrent.futures', 'dataclasses') if m in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kohnert.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_report_file_has_one_case_per_line(self, capsys, tmp_path, monkeypatch):
+        built = []
+        original = harness.verify
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "verify", recording)
+        bodies = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"report-{jobs}.json"
+            code, _, _ = run(
+                capsys, "verify", "conj2", "--n", "6", "--jobs", jobs, "--report", str(path)
+            )
+            report = built[-1]
+            assert code == 1 and report.failed() == 18
+            text = path.read_text()
+            lines = text.splitlines()
+            assert len(lines) == len(report.cases) + 2
+            for line, case in zip(lines[1:-1], report.cases):
+                assert json.loads(line.rstrip(",")) == json.loads(json.dumps(case.to_json_obj()))
+            # equal values in the same key order
+            obj = json.loads(text)
+            assert json.dumps(obj) == json.dumps(report.to_json_obj())
+            assert obj["meta"]["jobs"] == int(jobs)
+            obj.pop("meta")
+            bodies.append(json.dumps(obj))
+        assert bodies[0] == bodies[1]
 
 
 def no_cases(tasks, workers):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 
 import pytest
 
@@ -188,6 +189,31 @@ class TestSweeps:
         parallel = verify_conjecture2(3, jobs=3)
         assert sequential.deterministic_json() == parallel.deterministic_json()
         assert parallel.meta["jobs"] == 3
+
+    def test_failing_case_pickles(self):
+        # a worker process returns its cases pickled
+        case = harness._compare_case("conj2", "312", x(1), x(2))
+        assert case.status == "fail" and case.detail["diff"]
+        back = pickle.loads(pickle.dumps(case))
+        assert type(back) is harness.VerificationCase
+        assert back == case
+        assert back.to_json_obj() == case.to_json_obj()
+
+    def test_report_totals_and_meta(self):
+        cases = [
+            harness.VerificationCase("bjs", "1", "pass"),
+            harness.VerificationCase("bjs", "21", "fail", {"why": 1}),
+            harness.VerificationCase("bjs", "132", "skipped", {"reason": "cap"}),
+        ]
+        report = harness.SweepReport({"family": "bjs"}, cases)
+        assert report.totals == {"pass": 1, "fail": 1, "skipped": 1, "total": 3}
+        assert report.meta == {} and report.failed() == 1
+        given = {"pass": 0, "fail": 0, "skipped": 0, "total": 0}
+        assert harness.SweepReport({}, cases, totals=given, meta={"jobs": 2}).totals is given
+
+    def test_empty_report_text(self):
+        report = harness.SweepReport({"family": "none"}, [])
+        assert json.loads(report.json_text()) == report.to_json_obj()
 
     def test_report_json_schema(self):
         report = verify_bjs(2)

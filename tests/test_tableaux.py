@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnert import perms
 from kohnert.tableaux import (
@@ -21,6 +23,7 @@ from kohnert.tableaux import (
     semistandard_tableaux,
     split_blocks,
     split_compatible_pair,
+    _mark_choices,
     word_class_closure,
 )
 
@@ -33,6 +36,26 @@ def stable_compatible_pairs(w, max_mark):
         for marks in combinations_with_replacement(range(1, max_mark + 1), len(word))
         if all(m < n for a, b, m, n in zip(word, word[1:], marks, marks[1:]) if a < b)
     ]
+
+
+def reference_mark_choices(word):
+    """The marks of a word by depth-first recursion, one generator frame per
+    letter: the reference for ``_mark_choices``."""
+    m = len(word)
+
+    def extend(prefix, j):
+        if j == m:
+            yield tuple(prefix)
+            return
+        lo = 1
+        if prefix:
+            lo = prefix[-1] + (1 if word[j - 1] < word[j] else 0)
+        for v in range(lo, word[j] + 1):
+            prefix.append(v)
+            yield from extend(prefix, j + 1)
+            prefix.pop()
+
+    yield from extend([], 0)
 
 
 def reference_split(pair, d):
@@ -303,6 +326,29 @@ class TestCompatiblePairs:
             compatible_pairs(w, t)
             # every word with some marks, each once; (1, 2, 1) has none
             assert sorted(inserted) == marked
+
+    def test_mark_choices_equal_the_recursion(self):
+        # every reduced word of S_1 to S_5, and of S_6 up to length 9
+        words = [
+            word
+            for n in range(1, 7)
+            for w in perms.all_permutations(n)
+            if n < 6 or perms.perm_length(w) <= 9
+            for word in sorted(perms.reduced_words(w))
+        ]
+        assert len(words) == 37517
+        marked = 0
+        for word in words:
+            got = _mark_choices(word)
+            assert got == list(reference_mark_choices(word)), word
+            marked += bool(got)
+        assert 0 < marked < len(words)
+
+    @given(st.lists(st.integers(min_value=1, max_value=6), max_size=8))
+    @settings(max_examples=300)
+    def test_mark_choices_on_any_word(self, word):
+        word = tuple(word)
+        assert _mark_choices(word) == list(reference_mark_choices(word))
 
     def test_marks_bounded_by_letters(self):
         for word, marks in compatible_pairs((3, 1, 4, 2)):
