@@ -48,6 +48,25 @@ class ExpansionCapError(RuntimeError):
         self.remainder = remainder
 
 
+def _peel(f: Polynomial, element, step_cap: int | None = None) -> dict:
+    """Greedy expansion by leading monomials: ``element(m)`` gives a key and
+    a basis element led by x^m with coefficient 1; the Z[b] coefficient c of
+    the leading monomial x^m is recorded under the key and c times the
+    element subtracted, so x^m strictly drops and no key repeats.  Raises
+    ExpansionCapError once ``step_cap`` steps leave the remainder nonzero."""
+    out: dict = {}
+    g = f
+    while not g.is_zero():
+        if step_cap is not None and len(out) >= step_cap:
+            raise ExpansionCapError(step_cap, out, g)
+        m = g.leading_monomial()
+        key, b = element(m)
+        assert b.leading_monomial() == m and b.coefficient(m) == {0: 1}
+        c = out[key] = g.coefficient(m)
+        g = g - b.scale(c)
+    return out
+
+
 def _first_ascent(alpha: Composition) -> int | None:
     for i in range(len(alpha) - 1):
         if alpha[i] < alpha[i + 1]:
@@ -126,12 +145,7 @@ def block_variables(d: Sequence[int]) -> list[list[int]]:
     d = list(d)
     if any(b < 1 for b in d) or any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
         raise ValueError(f"block bounds must be strictly increasing: {d}")
-    out = []
-    prev = 0
-    for bound in d:
-        out.append(list(range(prev + 1, bound + 1)))
-        prev = bound
-    return out
+    return [list(range(a + 1, b + 1)) for a, b in zip([0] + d, d)]
 
 
 def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
@@ -161,45 +175,44 @@ def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomia
 
 def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     """Expand a block-symmetric polynomial into products of block Schur
-    polynomials by repeatedly peeling the leading monomial.
+    polynomials by repeatedly peeling the leading monomial (``_peel``).
 
     The polynomial must be free of the b parameter and involve no variable
     past the last block bound.  The expansion is exact and unique;
-    coefficients are integers.  The peel is its own symmetry check: the
-    leading monomial strictly drops among finitely many, and a peel that
-    ends at 0 writes f as a sum of block-symmetric products, so an input
-    that is not block-symmetric reaches a leading monomial that is not
+    coefficients are integers.  The peel is its own symmetry check: a peel
+    that ends at 0 writes f as a sum of block-symmetric products, so an
+    input that is not block-symmetric reaches a leading monomial that is not
     weakly increasing in some block, and BlockSymmetryError is raised there.
+
+    >>> split_extract(key_polynomial((1, 0, 2)), (1, 3))
+    {((1,), (2,)): 1, ((2,), (1,)): 1}
     """
     d = list(d)
+    n = d[-1] if d else 0
     if not f.is_beta_free():
         raise ValueError("split extraction requires a b-free polynomial")
-    if f.max_variable() > (d[-1] if d else 0):
+    if f.max_variable() > n:
         raise ValueError(
             f"polynomial involves x{f.max_variable()}, past the last block bound"
         )
     blocks = block_variables(d)
-    bounds = [0] + d
-    out: dict[LambdaTuple, int] = {}
-    g = f
-    while not g.is_zero():
-        m = g.leading_monomial()
-        ext = m + (0,) * (bounds[-1] - len(m))
+
+    def element(m: Composition) -> tuple[LambdaTuple, Polynomial]:
+        # the block Schur product led by x^m: its shapes are m's blocks reversed
+        ext = m + (0,) * (n - len(m))
         lams = []
-        for j in range(len(d)):
-            seg = ext[bounds[j] : bounds[j + 1]]
-            if any(seg[i] > seg[i + 1] for i in range(len(seg) - 1)):
+        prod = ONE
+        for j, block in enumerate(blocks, start=1):
+            seg = ext[block[0] - 1 : block[-1]]
+            if any(a > b for a, b in zip(seg, seg[1:])):
                 raise BlockSymmetryError(
-                    f"leading monomial {m} not weakly increasing in block {j + 1}"
+                    f"leading monomial {m} not weakly increasing in block {j}"
                 )
             lams.append(trim(reversed(seg)))
-        lams_t = tuple(lams)
-        c = out[lams_t] = g.coefficient(m)[0]
-        prod = ONE
-        for lam, block in zip(lams_t, blocks):
-            prod = prod * schur_in_variables(lam, block)
-        g = g - c * prod
-    return out
+            prod = prod * schur_in_variables(lams[-1], block)
+        return tuple(lams), prod
+
+    return {lams: c[0] for lams, c in _peel(f, element).items()}
 
 
 def minimal_blocks(alpha: Composition) -> tuple[int, ...]:
@@ -285,14 +298,12 @@ def key_split_expansion(
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     fiber = tableaux.coxeter_knuth_class(t_ref, w)
-    out: dict[LambdaTuple, tuple[int, list[tuple[Tableau, ...]]]] = {}
+    witnesses: dict[LambdaTuple, list[tuple[Tableau, ...]]] = {}
     for tup in sorted(
         _word_split_tuples(sorted(fiber), d), key=lambda ts: [t.rows for t in ts]
     ):
-        lams = tuple(t.shape() for t in tup)
-        count, wits = out.get(lams, (0, []))
-        out[lams] = (count + 1, wits + [tup])
-    return out
+        witnesses.setdefault(tuple(t.shape() for t in tup), []).append(tup)
+    return {lams: (len(wits), wits) for lams, wits in witnesses.items()}
 
 
 def schubert_split_expansion(
@@ -306,11 +317,7 @@ def schubert_split_expansion(
     if not perms.perm_descents(w) <= set(d):
         raise ValueError(f"blocks {d} miss a descent of {w}")
     words = sorted(perms.reduced_words(w))
-    out: dict[LambdaTuple, int] = {}
-    for tup in _word_split_tuples(words, d):
-        lams = tuple(t.shape() for t in tup)
-        out[lams] = out.get(lams, 0) + 1
-    return out
+    return Counter(tuple(t.shape() for t in tup) for tup in _word_split_tuples(words, d))
 
 
 def key_split_expansion_via_pairs(
@@ -337,27 +344,25 @@ def key_split_expansion_via_pairs(
                 inserted[block_word] = tableaux.insertion_tableau(block_word)
             parts.append(inserted[block_word])
         tuples.add(tuple(parts))
-    out: dict[LambdaTuple, int] = {}
-    for tup in tuples:
-        lams = tuple(t.shape() for t in tup)
-        out[lams] = out.get(lams, 0) + 1
-    return out
+    return Counter(tuple(t.shape() for t in tup) for tup in tuples)
 
 
-def _mark_exponent(marks: Sequence[int]) -> tuple[int, ...]:
-    """x^(exponent) is the product of x_m over the recording marks m."""
-    exps = [0] * (max(marks) if marks else 0)
-    for m in marks:
-        exps[m - 1] += 1
-    return tuple(exps)
+def _mark_polynomial(pairs) -> Polynomial:
+    """The sum over the pairs (word, marks) of the product of x_m over the
+    marks m."""
+    counts = Counter()
+    for _, marks in pairs:
+        exps = [0] * max(marks, default=0)
+        for m in marks:
+            exps[m - 1] += 1
+        counts[tuple(exps), 0] += 1
+    return Polynomial(counts)
 
 
 def schubert_from_compatible_pairs(w: Permutation) -> Polynomial:
     """Schubert polynomial as the mark generating function of compatible
     pairs."""
-    return Polynomial(
-        Counter((_mark_exponent(marks), 0) for _, marks in tableaux.compatible_pairs(w))
-    )
+    return _mark_polynomial(tableaux.compatible_pairs(w))
 
 
 def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
@@ -366,8 +371,7 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
     alpha = perms.composition(alpha)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
-    pairs = tableaux.compatible_pairs(w, t_ref)
-    return Polynomial(Counter((_mark_exponent(marks), 0) for _, marks in pairs))
+    return _mark_polynomial(tableaux.compatible_pairs(w, t_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -394,33 +398,21 @@ def expand_in_basis(
     closure_cap: int = diagrams.DEFAULT_CLOSURE_CAP,
 ) -> dict[Composition, BetaCoeff]:
     """Expand a b-free polynomial over the chosen basis ('key', 'J' or
-    'omega') by peeling leading monomials.
+    'omega') by peeling leading monomials (``_peel``): the basis element
+    B_theta is led by x^theta with coefficient 1.
 
-    Each step subtracts c * B_theta where x^theta is the current leading
-    monomial and c its coefficient; every basis element has leading monomial
-    x^theta with unit coefficient, so the leading monomial strictly drops.
     The key and J expansions provably terminate; the omega expansion is
     guarded by ``step_cap`` and raises ExpansionCapError carrying the partial
     result if exceeded.  Coefficients are elements of Z[b] (b enters only
     through the J basis).
+
+    >>> expand_in_basis(schubert((2, 1, 4, 3)), "key")
+    {(1, 0, 1): {0: 1}, (2,): {0: 1}}
     """
     generator = _basis_generator(basis, closure_cap)
     if not f.is_beta_free():
         raise ValueError("basis expansion requires a b-free input polynomial")
-    out: dict[Composition, BetaCoeff] = {}
-    g = f
-    steps = 0
-    while not g.is_zero():
-        if steps >= step_cap:
-            raise ExpansionCapError(step_cap, out, g)
-        theta = g.leading_monomial()
-        b_theta = generator(theta)
-        lead = b_theta.coefficient(theta)
-        assert lead == {0: 1} and b_theta.leading_monomial() == theta
-        c = out[theta] = g.coefficient(theta)
-        g = g - b_theta.scale(c)
-        steps += 1
-    return out
+    return _peel(f, lambda theta: (theta, generator(theta)), step_cap)
 
 
 def reconstruct_from_expansion(

@@ -103,8 +103,16 @@ def _cmd_diagrams(args) -> int:
     return 0
 
 
+# Largest weight ``split`` accepts.  The tableaux of a block Schur polynomial
+# recurse one frame per cell, so this stays well below the recursion limit,
+# and a single part of this weight splits in under a second.
+MAX_SPLIT_WEIGHT = 500
+
+
 def _cmd_split(args) -> int:
     alpha = _parse_alpha(args.alpha)
+    if sum(alpha) > MAX_SPLIT_WEIGHT:
+        raise UsageError(f"weight {sum(alpha)} exceeds the bound {MAX_SPLIT_WEIGHT}")
     if args.descents:
         try:
             d = tuple(int(p) for p in args.descents.split(","))

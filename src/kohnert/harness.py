@@ -39,12 +39,7 @@ class VerificationCase(NamedTuple):
     detail: dict | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "param": self.param,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return self._asdict()
 
 
 class SweepReport:

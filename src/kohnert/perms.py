@@ -207,7 +207,7 @@ def perm_from_code(alpha: Composition) -> Permutation:
 
 @lru_cache(maxsize=None)
 def _reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
-    if perm_length(w) == 0:
+    if w == identity():
         return frozenset({()})
     out = set()
     for i in perm_descents(w):

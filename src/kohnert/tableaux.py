@@ -266,7 +266,7 @@ def peeling_tableau(alpha: Composition) -> Tableau:
     alpha = perms.composition(alpha)
     u = perms.perm_from_code(alpha)
     cols: list[list[int]] = []
-    while perms.perm_length(u) > 0:
+    while u != perms.identity():
         letters: list[int] = []
         bound: int | None = None
         while True:

@@ -274,6 +274,79 @@ class TestSplitExtract:
         assert total == f
 
 
+# SHA-256 digests of the two greedy peels, taken while ``split_extract`` and
+# ``expand_in_basis`` each had a loop of their own.  Every output dict is
+# hashed in insertion order, so the order of the peel is pinned too.
+SPLIT_DIGEST = "7bec28b881618ea91519986b7081f987816bf3a6e26d39410fca58fd6a2210ef"
+SPLIT_EXTRA_BLOCK_DIGEST = "78454ed3f5a4ed6d98af6fe4a2001080937c02c2b653cd3b11ecd88c84ac1fbc"
+EXPAND_DIGEST = "9b1d0c259d1bbd30eb6d57b415f11dc02ffa2d47e1dcfc84629e7c1ef6b2d4cc"
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def expansion_items(got):
+    return [[list(alpha), sorted(c.items())] for alpha, c in got.items()]
+
+
+class TestPeelIsPinned:
+    @pytest.mark.parametrize(
+        "extra_block, digest",
+        [(False, SPLIT_DIGEST), (True, SPLIT_EXTRA_BLOCK_DIGEST)],
+        ids=["minimal_blocks", "one_more_block"],
+    )
+    def test_split_extract(self, extra_block, digest):
+        from kohnert.harness import compositions_upto
+
+        alphas = compositions_upto(7, 4) + compositions_upto(4, 7)
+        assert len(alphas) == 660
+        outputs = []
+        for alpha in alphas:
+            d = minimal_blocks(alpha)
+            if extra_block:
+                d += ((d[-1] if d else 0) + 1,)
+            got = split_extract(key_polynomial(alpha), d)
+            outputs.append([[list(map(list, lams)), c] for lams, c in got.items()])
+        assert sha256_json(outputs) == digest
+
+    def test_expand_in_basis(self):
+        s5 = list(perms.all_permutations(5))
+        outputs = {
+            "key": [expansion_items(expand_in_basis(schubert(w), "key")) for w in s5],
+            "omega": [
+                expansion_items(expand_in_basis(grothendieck(w), "omega"))
+                for w in s5[:60]
+            ],
+            "J": [expansion_items(expand_in_basis(schubert(w), "J")) for w in s5[:60]],
+        }
+        assert sha256_json(outputs) == EXPAND_DIGEST
+
+    def test_block_symmetry_messages(self):
+        cases = [
+            (x(1), (2,), "(1,) not weakly increasing in block 1"),
+            (x(2) * x(2) + x(1), (2,), "(1,) not weakly increasing in block 1"),
+            (x(1) + x(2) + x(3) * x(3) * x(4), (2, 4), "(0, 0, 2, 1) not weakly increasing in block 2"),
+            (m((0, 1, 2, 0, 1)), (1, 3, 5), "(0, 1, 2, 1) not weakly increasing in block 3"),
+        ]
+        for f, d, message in cases:
+            with pytest.raises(BlockSymmetryError) as exc:
+                split_extract(f, d)
+            assert str(exc.value) == "leading monomial " + message
+
+    def test_omega_cap_partial_and_remainder(self):
+        f = schubert((2, 1, 4, 3))
+        full = {(1, 0, 1): {0: 1}, (1, 1, 1): {0: 1}, (2,): {0: 1}}
+        remainders = {1: m((1, 1, 1)) + m((2,)), 2: m((2,))}
+        for cap, remainder in remainders.items():
+            with pytest.raises(ExpansionCapError) as exc:
+                expand_in_basis(f, "omega", step_cap=cap)
+            assert str(exc.value) == f"basis expansion exceeded {cap} steps"
+            assert list(exc.value.partial.items()) == list(full.items())[:cap]
+            assert exc.value.remainder == remainder
+        assert list(expand_in_basis(f, "omega", step_cap=3).items()) == list(full.items())
+
+
 class TestSplittingRoutes:
     def test_worked_witnesses(self):
         expansion = key_split_expansion(EXAMPLE_ALPHA, (2, 5, 6))

@@ -8,7 +8,7 @@ import pytest
 
 import kohnert
 from kohnert import bases, harness
-from kohnert.cli import main
+from kohnert.cli import MAX_SPLIT_WEIGHT, main
 from kohnert.poly import Polynomial
 
 
@@ -138,6 +138,17 @@ class TestSplit:
         assert code == 2
         assert "strictly increasing" in err
 
+    @pytest.mark.parametrize("alpha", ["1000", str(MAX_SPLIT_WEIGHT + 1), "300,0,300"])
+    def test_weight_past_bound_is_refused_before_any_work(self, capsys, monkeypatch, alpha):
+        def no_work(*args):
+            raise AssertionError("split ran past its weight bound")
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, no_work)
+        code, out, err = run(capsys, "split", "--alpha", alpha)
+        assert code == 2
+        assert "usage error" in err and "bound" in err and not out
+
 
 class TestEgls:
     def test_contiguous_word(self, capsys):
@@ -167,6 +178,13 @@ class TestTalpha:
         assert code == 0
         assert "permutation: 1" in out
         assert "(empty)" in out
+
+    def test_single_large_part_is_one_row(self, capsys):
+        code, out, _ = run(capsys, "talpha", "--alpha", "1000")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == " ".join(map(str, range(1, 1001)))
+        assert lines[2] == "nil left key:"
 
 
 class TestExpand:

@@ -249,6 +249,17 @@ class TestPeelingTableau:
             assert insertion_tableau(word) == t
             assert content(nil_left_key(t)) == alpha
 
+    def test_rows_are_pinned(self):
+        # SHA-256 of the rows, taken while the peel stopped on a length count
+        from kohnert.harness import compositions_upto
+
+        alphas = compositions_upto(8, 5)
+        assert len(alphas) == 1287
+        rows = [[list(r) for r in peeling_tableau(a).rows] for a in alphas]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "cf1cbe0a9649ce1cd6627339cbe04c24d399ede16e90e719073acf33255364cb"
+        )
+
 
 class TestCoxeterKnuth:
     def test_class_of_longest_element_in_s3(self):
