@@ -196,6 +196,9 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
             f"polynomial involves x{f.max_variable()}, past the last block bound"
         )
     blocks = block_variables(d)
+    # Steps of the peel often share a block shape, so each block Schur
+    # polynomial is built once per call; no memo outlives the call.
+    schurs: dict[tuple[Partition, int], Polynomial] = {}
 
     def element(m: Composition) -> tuple[LambdaTuple, Polynomial]:
         # the block Schur product led by x^m: its shapes are m's blocks reversed
@@ -208,8 +211,11 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
                 raise BlockSymmetryError(
                     f"leading monomial {m} not weakly increasing in block {j}"
                 )
-            lams.append(trim(reversed(seg)))
-            prod = prod * schur_in_variables(lams[-1], block)
+            lam = trim(reversed(seg))
+            lams.append(lam)
+            if (lam, j) not in schurs:
+                schurs[lam, j] = schur_in_variables(lam, block)
+            prod = prod * schurs[lam, j]
         return tuple(lams), prod
 
     return {lams: c[0] for lams, c in _peel(f, element).items()}
@@ -228,7 +234,9 @@ def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau 
     so the rows are the block's maximal strictly decreasing runs, reversed.
     The blocks are factors of reduced words, and an increasing tableau with a
     reduced reading word is that word's insertion tableau (Edelman-Greene),
-    so no insertion is needed.
+    so no insertion is needed.  The rows are non-empty, positive and
+    strictly increasing by construction, so once their lengths and columns
+    pass, the tableau is built unchecked.
     """
     if not block:
         return EMPTY_TABLEAU
@@ -240,10 +248,10 @@ def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau 
         # More rows than the block has variables: the block Schur polynomial
         # vanishes, so the tuple indexes no basis element.
         return None
-    if any(len(rows[i]) < len(rows[i + 1]) for i in range(len(rows) - 1)):
-        return None
-    t = Tableau(rows)
-    return t if t.is_increasing() else None
+    for upper, below in zip(rows, rows[1:]):
+        if len(upper) < len(below) or any(a >= b for a, b in zip(upper, below)):
+            return None
+    return tableaux._of(tuple(rows))
 
 
 def _word_split_tuples(
@@ -253,30 +261,38 @@ def _word_split_tuples(
     reading words run over ``words``, with each block a verbatim reading
     word, min T_j exceeding the previous block bound, and at most as many
     rows as the block has variables.  Raises ValueError unless the block
-    bounds are strictly increasing from 1."""
+    bounds are strictly increasing from 1.
+
+    The words share most of their factors, so each distinct (block, j) is
+    accepted or refused once per call; no memo outlives the call."""
     k = len(d)
     bounds = [0] + list(d)
     widths = [len(block) for block in block_variables(d)]
     out: set[tuple[Tableau, ...]] = set()
+    if k == 0:
+        if any(not word for word in words):
+            out.add(())
+        return out
+    accepted: dict[tuple[tuple[int, ...], int], Tableau | None] = {}
+
+    def accept(block: tuple[int, ...], j: int) -> Tableau | None:
+        if (block, j) not in accepted:
+            accepted[block, j] = _accept_block(block, bounds[j], widths[j])
+        return accepted[block, j]
+
+    def rec(word: tuple[int, ...], start: int, j: int, acc: tuple[Tableau, ...]) -> None:
+        if j == k - 1:
+            t = accept(word[start:], j)
+            if t is not None:
+                out.add(acc + (t,))
+            return
+        for end in range(start, len(word) + 1):
+            t = accept(word[start:end], j)
+            if t is not None:
+                rec(word, end, j + 1, acc + (t,))
+
     for word in words:
-        m = len(word)
-        if k == 0:
-            if m == 0:
-                out.add(())
-            continue
-
-        def rec(start: int, j: int, acc: list[Tableau]) -> None:
-            if j == k - 1:
-                t = _accept_block(word[start:], bounds[j], widths[j])
-                if t is not None:
-                    out.add(tuple(acc + [t]))
-                return
-            for end in range(start, m + 1):
-                t = _accept_block(word[start:end], bounds[j], widths[j])
-                if t is not None:
-                    rec(end, j + 1, acc + [t])
-
-        rec(0, 0, [])
+        rec(word, 0, 0, ())
     return out
 
 
@@ -328,18 +344,20 @@ def key_split_expansion_via_pairs(
     the block-splitting map and count distinct insertion-tableau tuples.
 
     The P tableau of a block depends only on its word, so each distinct
-    non-empty block word is column-inserted once per call.  The fiber is
-    found by inserting every reduced word, so this route refuses lengths
-    past ``perms.MAX_WORD_LENGTH``."""
+    non-empty block word is column-inserted once per call, and the
+    word-level checks of the split run once per fiber word
+    (``tableaux.split_pairs``).  The fiber is found by inserting every
+    reduced word, so this route refuses lengths past
+    ``perms.MAX_WORD_LENGTH``."""
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     inserted: dict[tuple[int, ...], Tableau] = {(): EMPTY_TABLEAU}
     tuples: set[tuple[Tableau, ...]] = set()
-    for pair in tableaux.compatible_pairs(w, t_ref):
+    for blocks in tableaux.split_pairs(tableaux.compatible_pairs(w, t_ref), d):
         parts = []
-        for block_word, _ in tableaux.split_blocks(pair, d):
+        for block_word, _ in blocks:
             if block_word not in inserted:
                 inserted[block_word] = tableaux.insertion_tableau(block_word)
             parts.append(inserted[block_word])

@@ -14,12 +14,10 @@ then report exactly one failure (used by the self-test).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -131,6 +129,8 @@ class PolynomialCache:
         self.misses = 0
 
     def _path(self, family: str, param: str) -> str:
+        import hashlib  # only the cache hashes; a sweep without one never loads it
+
         digest = hashlib.sha256(
             f"{family}|{param}|{self.version}".encode()
         ).hexdigest()
@@ -138,6 +138,8 @@ class PolynomialCache:
 
     @staticmethod
     def _value_hash(value_obj: dict) -> str:
+        import hashlib
+
         return hashlib.sha256(
             json.dumps(value_obj, sort_keys=True).encode()
         ).hexdigest()
@@ -179,6 +181,8 @@ class PolynomialCache:
             "value": value,
         }
         path = self._path(family, param)
+        import tempfile  # only a cache write needs it
+
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

@@ -260,4 +260,23 @@ def word_to_perm(word: Iterable[int]) -> Permutation:
 
 
 def is_reduced(word: tuple[int, ...]) -> bool:
-    return perm_length(word_to_perm(word)) == len(word)
+    """Whether ``len(word)`` equals the length of its product, in one pass.
+
+    Multiplying w by s_a on the right adds an inversion exactly when
+    w(a) < w(a + 1), so the word is reduced when every letter finds its two
+    entries of the running window in increasing order; the walk stops at
+    the first letter that does not.
+
+    >>> is_reduced((1, 2, 1)), is_reduced((1, 2, 1, 2))
+    (True, False)
+    """
+    if min(word, default=1) < 1:
+        raise ValueError("transposition index must be >= 1")
+    v: list[int] = []
+    for a in word:
+        if a >= len(v):
+            v.extend(range(len(v) + 1, a + 2))
+        if v[a - 1] > v[a]:
+            return False
+        v[a - 1], v[a] = v[a], v[a - 1]
+    return True

@@ -27,6 +27,7 @@ carried and the column is untouched.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import perms
@@ -117,6 +118,26 @@ class Tableau:
 EMPTY_TABLEAU = Tableau()
 
 
+def _of(rows: tuple[tuple[int, ...], ...]) -> Tableau:
+    """The tableau whose rows are ``rows`` itself, for fillings that are
+    valid by construction: a tuple of non-empty tuples of positive ints, of
+    weakly decreasing length.  Input from outside goes through ``Tableau``,
+    which checks every entry."""
+    t = Tableau.__new__(Tableau)
+    t.rows = rows
+    return t
+
+
+def _of_columns(cols: list[list[int]]) -> Tableau:
+    """``Tableau.from_columns`` for columns that are valid by construction:
+    non-empty lists of positive ints, of weakly decreasing length."""
+    if not cols:
+        return EMPTY_TABLEAU
+    return _of(
+        tuple(tuple([c[r] for c in cols if len(c) > r]) for r in range(len(cols[0])))
+    )
+
+
 def row_word(t: Tableau) -> tuple[int, ...]:
     """Rows read right to left, top row first."""
     return tuple(v for row in t.rows for v in reversed(row))
@@ -184,7 +205,10 @@ def egls_insert(
     P is the increasing insertion tableau; Q records the mark of each step at
     the box it created and is semistandard with content the multiset of
     marks.  ``marks`` defaults to 1..m.  Raises NonReducedWordError for
-    non-reduced input and ValueError for invalid marks.
+    non-reduced input and ValueError for invalid marks.  Both tableaux are
+    built once, unchecked: each column gains its boxes at the bottom, so
+    the column lengths weakly decrease, and the entries are the checked
+    letters and marks.
     """
     word = tuple(int(a) for a in word)
     if any(a < 1 for a in word):
@@ -205,7 +229,7 @@ def egls_insert(
         if c == len(marks_cols):
             marks_cols.append([])
         marks_cols[c].append(m)
-    return Tableau.from_columns(cols), Tableau.from_columns(marks_cols)
+    return _of_columns(cols), _of_columns(marks_cols)
 
 
 def insertion_tableau(word: Sequence[int]) -> Tableau:
@@ -377,6 +401,47 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     return out
 
 
+def _check_split_word(word: tuple[int, ...], d: list[int]) -> bool:
+    """The refusals of ``split_blocks`` that depend on the word and the
+    bounds alone, in its order; returns whether the word is reduced."""
+    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
+        raise ValueError(f"block bounds must be strictly increasing: {d}")
+    w = perms.word_to_perm(word)
+    if not perms.perm_descents(w) <= set(d):
+        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    return perms.is_reduced(word)
+
+
+def _cut_blocks(pair: CompatiblePair, d: list[int], reduced: bool) -> list[CompatiblePair]:
+    """The rest of ``split_blocks``, once ``_check_split_word`` has passed
+    the word and found whether it is ``reduced``."""
+    word, marks = pair
+    if any(m > a for m, a in zip(marks, word)):
+        raise ValueError("marks exceed their letters; pair is not compatible")
+    if marks and (not d or marks[-1] > d[-1]):
+        raise ValueError(f"marks {marks} exceed the last block bound")
+    out = []
+    pos = 0
+    prev = 0
+    for bound in d:
+        end = pos
+        while end < len(marks) and marks[end] <= bound:
+            end += 1
+        block_word, block_marks = word[pos:end], marks[pos:end]
+        if any(m <= prev for m in block_marks):
+            raise ValueError("marks are not weakly increasing")
+        if block_word:
+            # Every factor of a reduced word is reduced (Edelman-Greene), so
+            # the blocks need their own check only when the whole word is not.
+            if not reduced and not perms.is_reduced(block_word):
+                raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
+            _check_stable_marks(block_word, block_marks)
+        out.append((block_word, block_marks))
+        pos = end
+        prev = bound
+    return out
+
+
 def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
     """Split a compatible pair into its blocks by mark range, uninserted.
 
@@ -389,38 +454,25 @@ def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]
     (NonReducedWordError) with stable marks -- the refusals of
     ``split_compatible_pair``, in its order.
     """
-    word, marks = pair
     d = list(d)
-    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
-        raise ValueError(f"block bounds must be strictly increasing: {d}")
-    w = perms.word_to_perm(word)
-    if not perms.perm_descents(w) <= set(d):
-        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
-    if any(m > a for m, a in zip(marks, word)):
-        raise ValueError("marks exceed their letters; pair is not compatible")
-    if marks and (not d or marks[-1] > d[-1]):
-        raise ValueError(f"marks {marks} exceed the last block bound")
-    # Every factor of a reduced word is reduced, so the blocks need their own
-    # check only when the whole word is not.
-    reduced = perms.perm_length(w) == len(word)
-    out = []
-    pos = 0
-    prev = 0
-    for bound in d:
-        end = pos
-        while end < len(marks) and marks[end] <= bound:
-            end += 1
-        block_word, block_marks = word[pos:end], marks[pos:end]
-        if any(m <= prev for m in block_marks):
-            raise ValueError("marks are not weakly increasing")
-        if block_word:
-            if not reduced and not perms.is_reduced(block_word):
-                raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
-            _check_stable_marks(block_word, block_marks)
-        out.append((block_word, block_marks))
-        pos = end
-        prev = bound
-    return out
+    return _cut_blocks(pair, d, _check_split_word(pair[0], d))
+
+
+def split_pairs(
+    pairs: Iterable[CompatiblePair], d: Sequence[int]
+) -> Iterator[list[CompatiblePair]]:
+    """``split_blocks`` of each pair in turn, with the same refusals, but
+    the checks that depend on the word alone run once per run of
+    consecutive pairs that share a word, as the pairs of one word are in the
+    output of ``compatible_pairs``."""
+    d = list(d)
+    word: tuple[int, ...] | None = None
+    reduced = False
+    for pair in pairs:
+        if pair[0] != word:
+            word = pair[0]
+            reduced = _check_split_word(word, d)
+        yield _cut_blocks(pair, d, reduced)
 
 
 def split_compatible_pair(
@@ -444,8 +496,27 @@ def split_compatible_pair(
 # semistandard enumeration
 
 
+def standard_tableaux_count(shape: Partition) -> int:
+    """The number of standard tableaux of ``shape``, by the hook-length
+    formula.  It is also the size of the Coxeter-Knuth class of any
+    increasing tableau of that shape (Edelman-Greene), known before the
+    class is walked.
+
+    >>> standard_tableaux_count((2, 2)), standard_tableaux_count((11, 11))
+    (2, 58786)
+    """
+    shape = tuple(shape)
+    heights = [sum(1 for r in shape if r > c) for c in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, r in enumerate(shape):
+        for c in range(r):
+            hooks *= r - c + heights[c] - i - 1
+    return math.factorial(sum(shape)) // hooks
+
+
 def semistandard_tableaux(shape: Partition, max_entry: int) -> Iterator[Tableau]:
-    """All semistandard fillings of ``shape`` with entries in 1..max_entry."""
+    """All semistandard fillings of ``shape`` with entries in 1..max_entry,
+    each built once, unchecked: the fill keeps every entry in range."""
     shape = tuple(shape)
     if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
         raise ValueError(f"shape must be a partition: {shape}")
@@ -458,7 +529,7 @@ def semistandard_tableaux(shape: Partition, max_entry: int) -> Iterator[Tableau]
 
     def fill(r: int, c: int) -> Iterator[Tableau]:
         if r == len(shape):
-            yield Tableau([tuple(row) for row in rows])
+            yield _of(tuple(map(tuple, rows)))
             return
         nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
         lo = 1

@@ -493,6 +493,83 @@ class TestSplittingRoutes:
                 monkeypatch.undo()
                 assert sorted(inserted) == sorted(block_words), (alpha, blocks)
 
+    def test_pairs_route_checks_each_fiber_word_once(self, monkeypatch):
+        from kohnert.harness import compositions_upto
+
+        original_pairs = tableaux.compatible_pairs
+        original_word_to_perm = perms.word_to_perm
+        multiplied = []
+
+        def counting(word):
+            multiplied.append(tuple(word))
+            return original_word_to_perm(word)
+
+        for alpha in compositions_upto(6, 3):
+            d = minimal_blocks(alpha)
+            for blocks in (d, d + (max(d, default=0) + 1,)):
+                t_ref = tableaux.peeling_tableau(alpha)
+                pairs = original_pairs(perms.perm_from_code(alpha), t_ref)
+                monkeypatch.setattr(tableaux, "compatible_pairs", lambda w, t: pairs)
+                monkeypatch.setattr(perms, "word_to_perm", counting)
+                for _ in range(2):  # the memo is per call
+                    multiplied.clear()
+                    key_split_expansion_via_pairs(alpha, blocks)
+                    assert sorted(multiplied) == sorted({word for word, _ in pairs}), (
+                        alpha,
+                        blocks,
+                    )
+                monkeypatch.undo()
+
+    def test_word_route_accepts_each_block_once(self, monkeypatch):
+        from kohnert.harness import compositions_upto
+
+        original = bases._accept_block
+        accepted = []
+
+        def counting(block, lower, max_rows):
+            accepted.append((block, lower))
+            return original(block, lower, max_rows)
+
+        monkeypatch.setattr(bases, "_accept_block", counting)
+        calls = 0
+        for alpha in compositions_upto(6, 4):
+            d = minimal_blocks(alpha)
+            runs = []
+            for _ in range(2):  # the memo is per call
+                accepted.clear()
+                key_split_expansion(alpha, d)
+                # the lower bound is d_{j-1}, so it names the block index j
+                assert len(accepted) == len(set(accepted)), alpha
+                runs.append(sorted(accepted))
+            assert runs[0] == runs[1], alpha
+            calls += len(accepted)
+        assert calls > 5000
+
+    def test_extraction_builds_each_block_schur_once(self, monkeypatch):
+        from kohnert.harness import compositions_upto
+
+        original = bases.schur_in_variables
+        built = []
+
+        def counting(lam, variables):
+            built.append((tuple(lam), tuple(variables)))
+            return original(lam, variables)
+
+        monkeypatch.setattr(bases, "schur_in_variables", counting)
+        calls = 0
+        for alpha in compositions_upto(6, 4):
+            f = key_polynomial(alpha)
+            d = minimal_blocks(alpha)
+            runs = []
+            for _ in range(2):  # the memo is per call
+                built.clear()
+                split_extract(f, d)
+                assert len(built) == len(set(built)), alpha
+                runs.append(sorted(built))
+            assert runs[0] == runs[1], alpha
+            calls += len(built)
+        assert calls > 200
+
     def test_schubert_splitting_all_valid_blocks_s4(self):
         from itertools import combinations
 

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import kohnert
-from kohnert import bases, harness
-from kohnert.cli import MAX_SPLIT_WEIGHT, main
+from kohnert import bases, harness, tableaux
+from kohnert.cli import MAX_SPLIT_WEIGHT, MAX_SPLIT_WORDS, main
 from kohnert.poly import Polynomial
 
 
@@ -149,6 +149,27 @@ class TestSplit:
         assert code == 2
         assert "usage error" in err and "bound" in err and not out
 
+    @pytest.mark.parametrize("alpha", ["14,14", "12,12", "7,7,7", "0,6,0,5,4,3,2,1"])
+    def test_large_coxeter_knuth_class_is_refused_before_any_work(
+        self, capsys, monkeypatch, alpha
+    ):
+        def no_work(*args):
+            raise AssertionError("split ran past its word bound")
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, no_work)
+        for name in ("peeling_tableau", "coxeter_knuth_class", "word_class_closure"):
+            monkeypatch.setattr(tableaux, name, no_work)
+        code, out, err = run(capsys, "split", "--alpha", alpha)
+        assert code == 2
+        assert "usage error" in err and "reduced words" in err and not out
+
+    def test_word_bound_admits_eleven_eleven(self):
+        # 11,11 (Catalan(11) words) still splits; 12,12 and 14,14 do not
+        count = tableaux.standard_tableaux_count
+        assert count((11, 11)) == 58786 <= MAX_SPLIT_WORDS < count((12, 12))
+        assert count((6, 6, 6)) <= MAX_SPLIT_WORDS < count((14, 14))
+
 
 class TestEgls:
     def test_contiguous_word(self, capsys):
@@ -288,6 +309,27 @@ class TestVerify:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_sweep_without_cache_loads_no_hashlib(self, tmp_path):
+        # only the polynomial cache hashes
+        report = str(tmp_path / "report.json")
+        script = (
+            "import sys\n"
+            "import kohnert.cli\n"
+            "argv = ['verify', 'conj1', '--max-weight', '2', '--max-parts', '2']\n"
+            f"code = kohnert.cli.main(argv + ['--report', {report!r}])\n"
+            "print(code, 'hashlib' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kohnert.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_report_file_has_one_case_per_line(self, capsys, tmp_path, monkeypatch):
         built = []

@@ -1,4 +1,4 @@
-from itertools import permutations as windows
+from itertools import permutations as windows, product
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +120,35 @@ class TestReducedWords:
     def test_is_reduced(self):
         assert perms.is_reduced((1, 2, 1))
         assert not perms.is_reduced((1, 1))
+
+
+def reference_is_reduced(word):
+    """The length of the product equals the word length: the reference for
+    the one-pass ``perms.is_reduced``."""
+    return perms.perm_length(perms.word_to_perm(word)) == len(word)
+
+
+class TestIsReducedInOnePass:
+    def test_every_short_word(self):
+        checked = reduced = 0
+        for length in range(7):
+            for word in product(range(1, 5), repeat=length):
+                got = perms.is_reduced(word)
+                assert got == reference_is_reduced(word), word
+                checked += 1
+                reduced += got
+        assert checked == 5461 and 0 < reduced < checked
+
+    @given(st.lists(st.integers(min_value=1, max_value=7), max_size=14).map(tuple))
+    @settings(max_examples=300)
+    def test_any_word(self, word):
+        assert perms.is_reduced(word) == reference_is_reduced(word)
+
+    @pytest.mark.parametrize("word", [(0,), (2, 1, -1), (1, 1, 0), (3, 0, 3)])
+    def test_letter_below_one(self, word):
+        # refused even where a letter before it already makes the word non-reduced
+        with pytest.raises(ValueError, match=r"^transposition index must be >= 1$"):
+            perms.is_reduced(word)
 
 
 class TestWordToPerm:

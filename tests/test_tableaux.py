@@ -23,6 +23,7 @@ from kohnert.tableaux import (
     semistandard_tableaux,
     split_blocks,
     split_compatible_pair,
+    standard_tableaux_count,
     _mark_choices,
     word_class_closure,
 )
@@ -192,6 +193,19 @@ class TestInsertion:
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "40db8e63ef752c3fc7dc286af4c595a506528aa194f4688f3ba9a50bf823d838"
 
+    def test_unchecked_tableaux_pass_the_checks(self):
+        # egls_insert builds P and Q without the checks of Tableau(...); they
+        # would pass them, rows and entries of the same types
+        for n in range(1, 6):
+            for w in perms.all_permutations(n):
+                for word in perms.reduced_words(w):
+                    p, q = egls_insert(word)
+                    for t in (p, q):
+                        assert Tableau(t.rows) == t and type(t.rows) is tuple
+                        assert all(type(v) is int for row in t.rows for v in row)
+                    assert p.is_increasing() and q.is_semistandard(), word
+                    assert q.shape() == p.shape()
+
     def test_reinsertion_fixes_small_increasing_tableaux(self):
         # every increasing tableau on letters <= 4 with reduced reading word
         # is recovered from its own reading word
@@ -259,6 +273,24 @@ class TestPeelingTableau:
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
             "cf1cbe0a9649ce1cd6627339cbe04c24d399ede16e90e719073acf33255364cb"
         )
+
+
+class TestStandardTableauxCount:
+    def test_counts_the_coxeter_knuth_class_of_the_peeling_tableau(self):
+        from kohnert.harness import compositions_upto
+
+        for alpha in compositions_upto(6, 4):
+            t = peeling_tableau(alpha)
+            words = coxeter_knuth_class(t, perms.perm_from_code(alpha))
+            assert len(words) == standard_tableaux_count(perms.sort_decreasing(alpha))
+            assert t.shape() == perms.sort_decreasing(alpha)
+
+    def test_values(self):
+        # f^(n, n) is the n-th Catalan number; f^(1^n) = 1; f^(2, 1) = 2
+        assert [standard_tableaux_count((n, n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+        assert standard_tableaux_count((1, 1, 1, 1)) == 1
+        assert standard_tableaux_count((2, 1)) == 2
+        assert standard_tableaux_count(()) == 1
 
 
 class TestCoxeterKnuth:
@@ -519,6 +551,24 @@ class TestSemistandardEnumeration:
         assert sum(1 for _ in semistandard_tableaux((2, 1), 3)) == 8
         assert sum(1 for _ in semistandard_tableaux((1, 1, 1), 2)) == 0
         assert list(semistandard_tableaux((), 3)) == [EMPTY_TABLEAU]
+
+    def test_unchecked_fillings_pass_the_checks(self):
+        # every partition inside the 3 x 3 square
+        shapes = [()] + [
+            lam
+            for rows in range(1, 4)
+            for lam in combinations_with_replacement(range(3, 0, -1), rows)
+        ]
+        assert len(shapes) == 20
+        seen = 0
+        for lam in shapes:
+            for max_entry in range(1, 5):
+                for t in semistandard_tableaux(lam, max_entry):
+                    assert Tableau(t.rows) == t and type(t.rows) is tuple
+                    assert t.shape() == lam and t.is_semistandard()
+                    assert max((v for row in t.rows for v in row), default=1) <= max_entry
+                    seen += 1
+        assert seen == 682
 
     def test_against_bialternant(self):
         from kohnert import bases
