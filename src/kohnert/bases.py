@@ -264,7 +264,9 @@ def _word_split_tuples(
     bounds are strictly increasing from 1.
 
     The words share most of their factors, so each distinct (block, j) is
-    accepted or refused once per call; no memo outlives the call."""
+    accepted or refused once per call; no memo outlives the call.  Only
+    blocks whose letters all exceed their bound, and after which every letter
+    exceeds the next bound, are offered for acceptance."""
     k = len(d)
     bounds = [0] + list(d)
     widths = [len(block) for block in block_variables(d)]
@@ -280,19 +282,28 @@ def _word_split_tuples(
             accepted[block, j] = _accept_block(block, bounds[j], widths[j])
         return accepted[block, j]
 
-    def rec(word: tuple[int, ...], start: int, j: int, acc: tuple[Tableau, ...]) -> None:
+    def rec(
+        word: tuple[int, ...], last: list[int], start: int, j: int, acc: tuple[Tableau, ...]
+    ) -> None:
+        # Every letter from ``start`` on is above bounds[j].  Block j ends
+        # after the last letter at or below bounds[j + 1], which no later
+        # block may hold, so the same holds one block on.
         if j == k - 1:
             t = accept(word[start:], j)
             if t is not None:
                 out.add(acc + (t,))
             return
-        for end in range(start, len(word) + 1):
+        for end in range(max(start, last[j + 1] + 1), len(word) + 1):
             t = accept(word[start:end], j)
             if t is not None:
-                rec(word, end, j + 1, acc + (t,))
+                rec(word, last, end, j + 1, acc + (t,))
 
     for word in words:
-        rec(word, 0, 0, ())
+        # last[j]: the index of the last letter at or below bounds[j], or -1;
+        # a letter at or below 0 fits in no block
+        last = [max((i for i, a in enumerate(word) if a <= b), default=-1) for b in bounds]
+        if last[0] < 0:
+            rec(word, last, 0, 0, ())
     return out
 
 

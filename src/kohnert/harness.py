@@ -117,9 +117,19 @@ class PolynomialCache:
     """Content-addressed store of computed polynomials.
 
     Keys are (family tag, canonical parameter, code version); values are the
-    polynomial JSON plus its own hash, revalidated on every read.  Corrupt
-    or mismatched entries are dropped with a warning and recomputed.
+    polynomial JSON plus the SHA-256 of its bytes.  A file is the JSON object
+    ``{"family", "param", "version", "value_sha256", "value"}`` with the value
+    last, written by one ``json.dumps``.  A read splits the file at its last
+    ``, "value": `` (JSON escapes every quote inside a string, so no string can
+    hold that text) and checks, in order: the key fields, the SHA-256 of the
+    exact value bytes it then decodes, and the polynomial's shape
+    (``Polynomial.from_json_obj``).  An entry that fails any check, a file
+    reformatted by hand included, is dropped with a warning and recomputed.
+    ``hits`` and ``misses`` count the reads of this object.
     """
+
+    # What separates the key fields from the value in a written file.
+    _VALUE_FIELD = b', "value": '
 
     def __init__(self, directory: str, version: str = __version__):
         self.directory = directory
@@ -136,32 +146,31 @@ class PolynomialCache:
         ).hexdigest()
         return os.path.join(self.directory, digest + ".json")
 
-    @staticmethod
-    def _value_hash(value_obj: dict) -> str:
+    def get(self, family: str, param: str) -> Polynomial | None:
         import hashlib
 
-        return hashlib.sha256(
-            json.dumps(value_obj, sort_keys=True).encode()
-        ).hexdigest()
-
-    def get(self, family: str, param: str) -> Polynomial | None:
         path = self._path(family, param)
         try:
-            with open(path) as fh:
-                obj = json.load(fh)
-            if (obj["family"], obj["param"], obj["version"]) != (
+            with open(path, "rb") as fh:
+                data = fh.read()
+            head, found, tail = data.rpartition(self._VALUE_FIELD)
+            if not found or not tail.endswith(b"}"):
+                raise ValueError("no value field at the end")
+            key = json.loads(head + b"}")
+            if (key["family"], key["param"], key["version"]) != (
                 family,
                 param,
                 self.version,
             ):
                 raise ValueError("key mismatch")
-            if self._value_hash(obj["value"]) != obj["value_sha256"]:
+            value = tail[:-1]
+            if hashlib.sha256(value).hexdigest() != key["value_sha256"]:
                 raise ValueError("content hash mismatch")
-            poly = Polynomial.from_json_obj(obj["value"])
+            poly = Polynomial.from_json_obj(json.loads(value))
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError) as exc:
             print(
                 f"warning: dropping corrupt cache entry for {family}:{param} ({exc})",
                 file=sys.stderr,
@@ -172,21 +181,26 @@ class PolynomialCache:
         return poly
 
     def put(self, family: str, param: str, poly: Polynomial) -> None:
-        value = poly.to_json_obj()
-        obj = {
-            "family": family,
-            "param": param,
-            "version": self.version,
-            "value_sha256": self._value_hash(value),
-            "value": value,
-        }
+        import hashlib
+
+        value = json.dumps(poly.to_json_obj()).encode()
+        key = json.dumps(
+            {
+                "family": family,
+                "param": param,
+                "version": self.version,
+                "value_sha256": hashlib.sha256(value).hexdigest(),
+            }
+        )
+        # json.dumps of the whole entry, value last, with the value encoded once
+        data = key[:-1].encode() + self._VALUE_FIELD + value + b"}"
         path = self._path(family, param)
         import tempfile  # only a cache write needs it
 
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(obj))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -522,14 +536,33 @@ def clamp_jobs(jobs: int, cases: int, cpus: int) -> int:
     return max(1, min(jobs, cpus, cases))
 
 
+def _run_counted(task: tuple) -> tuple[VerificationCase, int, int]:
+    """Run one case in a worker process, with the cache hits and misses it
+    made: the worker reads through its own pickled copy of the cache, whose
+    counts the sweep's cache object never sees."""
+    cache = task[2]["cache"]
+    if cache is None:
+        return _run_case(task), 0, 0
+    hits, misses = cache.hits, cache.misses
+    case = _run_case(task)
+    return case, cache.hits - hits, cache.misses - misses
+
+
 def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
+    """The cases of ``tasks`` in order.  The cache the tasks share counts
+    every read, those made in worker processes included."""
     if workers <= 1:
         return [_run_case(t) for t in tasks]
     # Imported here: a one-worker sweep would pay ~25 ms of start-up for it.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_case, tasks, chunksize=1))
+        counted = list(pool.map(_run_counted, tasks, chunksize=1))
+    cache = tasks[0][2]["cache"]
+    if cache is not None:
+        cache.hits += sum(hits for _, hits, _ in counted)
+        cache.misses += sum(misses for _, _, misses in counted)
+    return [case for case, _, _ in counted]
 
 
 def verify(
@@ -561,6 +594,8 @@ def verify(
         "wall_time_s": round(time.time() - started, 3),
         "cache_dir": cache_dir,
     }
+    if cache is not None:
+        meta["cache"] = {"hits": cache.hits, "misses": cache.misses}
     return SweepReport(config, cases, meta=meta)
 
 

@@ -52,10 +52,8 @@ def _of(terms: dict[Term, int]) -> "Polynomial":
     return res
 
 
-def _json_int(value) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer in polynomial JSON, got {value!r}")
-    return value
+def _not_an_integer(value) -> ValueError:
+    return ValueError(f"expected an integer in polynomial JSON, got {value!r}")
 
 
 class Polynomial:
@@ -182,30 +180,48 @@ class Polynomial:
         """Read ``to_json_obj`` output.  Raises ValueError on JSON of another
         shape, a number that is not an integer, a negative exponent or
         b-degree, and an exponent or a b-degree of one exponent given
-        twice."""
+        twice.
+
+        A cache hit decodes every polynomial it reads, so the checks take a
+        few Python steps per term: the exponent types are tested as one set,
+        an exponent is trimmed only when it ends in 0, and each [b-degree,
+        count] pair is type-checked inline."""
         counts: dict[Term, int] = {}
         seen: set[Exponent] = set()
+        ints = {int}
         try:
             for t in obj["terms"]:
-                e = trim(_json_int(v) for v in t["exps"])
+                exps = t["exps"]
+                if set(map(type, exps)) - ints:
+                    raise _not_an_integer(next(v for v in exps if type(v) is not int))
+                e = tuple(exps)
+                if e and e[-1] == 0:
+                    e = trim(e)
                 if e in seen:
                     raise ValueError(f"duplicate exponent {e} in polynomial JSON")
-                if any(v < 0 for v in e):
+                if e and min(e) < 0:
                     raise ValueError("negative exponent in polynomial JSON")
                 seen.add(e)
                 for deg, c in t["coeff"]:
-                    if _json_int(deg) < 0:
+                    if type(deg) is not int:
+                        raise _not_an_integer(deg)
+                    if deg < 0:
                         raise ValueError("negative b-degree in polynomial JSON")
-                    if (e, deg) in counts:
+                    key = (e, deg)
+                    if key in counts:
                         raise ValueError(f"duplicate b-degree {deg} of exponent {e} in polynomial JSON")
-                    counts[e, deg] = _json_int(c)
+                    if type(c) is not int:
+                        raise _not_an_integer(c)
+                    counts[key] = c
         except TypeError as exc:
             # Indexing, iterating or unpacking a value of the wrong JSON type;
-            # the numbers are type-checked by _json_int.
+            # the numbers are type-checked above.
             raise ValueError(f"polynomial JSON of the wrong shape: {exc}") from None
         # Canonical already: each exponent is trimmed and no key is repeated,
         # so dropping zero counts is all that is left to do.
-        return _of({key: c for key, c in counts.items() if c})
+        if 0 in counts.values():
+            counts = {key: c for key, c in counts.items() if c}
+        return _of(counts)
 
     def __str__(self) -> str:
         return render_text(self)

@@ -532,7 +532,9 @@ class TestSplittingRoutes:
 
         monkeypatch.setattr(bases, "_accept_block", counting)
         calls = 0
-        for alpha in compositions_upto(6, 4):
+        # weight <= 7: blocks that cannot lead to a tuple are no longer
+        # offered, so weight <= 6 makes too few calls to count on
+        for alpha in compositions_upto(7, 4):
             d = minimal_blocks(alpha)
             runs = []
             for _ in range(2):  # the memo is per call
@@ -544,6 +546,69 @@ class TestSplittingRoutes:
             assert runs[0] == runs[1], alpha
             calls += len(accepted)
         assert calls > 5000
+
+    def test_word_route_offers_only_blocks_that_can_lead_to_a_tuple(self, monkeypatch):
+        # The word route before it bounded each block's end, kept as a
+        # reference: every block from each start is offered to
+        # _accept_block, and a letter at or below the bound refuses it there.
+        from kohnert.harness import compositions_upto
+
+        original = bases._accept_block
+
+        def reference(words, d):
+            bounds = [0] + list(d)
+            widths = [len(block) for block in bases.block_variables(d)]
+            offered, out = set(), set()
+
+            def accept(block, j):
+                offered.add((block, bounds[j]))
+                return original(block, bounds[j], widths[j])
+
+            def rec(word, start, j, acc):
+                if j == len(d) - 1:
+                    t = accept(word[start:], j)
+                    if t is not None:
+                        out.add(acc + (t,))
+                    return
+                for end in range(start, len(word) + 1):
+                    t = accept(word[start:end], j)
+                    if t is not None:
+                        rec(word, end, j + 1, acc + (t,))
+
+            for word in words:
+                rec(word, 0, 0, ())
+            return offered, out
+
+        offered = []
+
+        def counting(block, lower, max_rows):
+            offered.append((block, lower))
+            return original(block, lower, max_rows)
+
+        monkeypatch.setattr(bases, "_accept_block", counting)
+        cases = []
+        for alpha in compositions_upto(6, 4):
+            d = minimal_blocks(alpha)
+            fiber = tableaux.coxeter_knuth_class(
+                tableaux.peeling_tableau(alpha), perms.perm_from_code(alpha)
+            )
+            cases += [(sorted(fiber), d), (sorted(fiber), d + ((d[-1] if d else 0) + 1,))]
+        for w in perms.all_permutations(4):
+            cases.append((sorted(perms.reduced_words(w)), tuple(sorted(perms.perm_descents(w)))))
+        before = after = 0
+        for words, d in cases:
+            if not d:
+                continue
+            offered.clear()
+            got = bases._word_split_tuples(words, d)
+            ref_offered, ref_out = reference(words, d)
+            assert got == ref_out, (words, d)
+            # no block is offered that its bound refuses
+            assert all(min(block, default=lower + 1) > lower for block, lower in offered)
+            assert len(offered) == len(set(offered)) and set(offered) <= ref_offered
+            before += len(ref_offered)
+            after += len(offered)
+        assert before > 5000 and after < before / 2
 
     def test_extraction_builds_each_block_schur_once(self, monkeypatch):
         from kohnert.harness import compositions_upto

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +329,103 @@ class TestCache:
         assert digest.hexdigest() == (
             "4e97a4df40a0b5366d673a0036683ed15e1327e7278a0f323cfd721da8bb0763"
         )
+
+    @staticmethod
+    def rewrite_value(path, value):
+        """Put ``value`` in the entry at ``path`` as put would write it, with
+        a matching value_sha256."""
+        entry = json.loads(path.read_bytes())
+        text = json.dumps(value)
+        entry["value_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        del entry["value"]
+        path.write_text(json.dumps(entry)[:-1] + ', "value": ' + text + "}")
+
+    def test_truncated_entry_recomputed_with_warning(self, tmp_path, capsys):
+        cache = PolynomialCache(str(tmp_path))
+        f = x(1) * x(2) + Polynomial.monomial((0, 3), -2, 1)
+        cache.put("test", "a", f)
+        path = Path(cache._path("test", "a"))
+        data = path.read_bytes()
+        for cut in (len(data) - 1, len(data) - 5, len(data) // 2, 10, 0):
+            path.write_bytes(data[:cut])
+            assert cache.get("test", "a") is None
+            assert "dropping corrupt cache entry for test:a" in capsys.readouterr().err
+        assert cache.get_or_compute("test", "a", lambda: f) == f
+        assert path.read_bytes() == data
+        assert cache.get("test", "a") == f
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [{"coeff": [[0, 1.0]], "exps": [1]}],  # a float count
+            [{"coeff": [[0, 1], [0, 1]], "exps": [1]}],  # a repeated b-degree
+            [{"coeff": [[0, 1]], "exps": [1]}, {"coeff": [[1, 1]], "exps": [1, 0]}],
+            [{"coeff": [[0, 1]], "exps": [-1]}],
+            [{"exps": [1]}],
+        ],
+    )
+    def test_hashed_value_of_the_wrong_shape_is_dropped(self, tmp_path, capsys, terms):
+        cache = PolynomialCache(str(tmp_path))
+        cache.put("test", "a", x(1))
+        path = Path(cache._path("test", "a"))
+        self.rewrite_value(path, {"terms": terms})
+        assert cache.get("test", "a") is None
+        err = capsys.readouterr().err
+        assert "dropping corrupt cache entry" in err and "hash" not in err
+        # a well-formed value rewritten the same way is read
+        self.rewrite_value(path, (x(1) + x(2)).to_json_obj())
+        assert cache.get("test", "a") == x(1) + x(2)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_param_holding_the_value_separator_round_trips(self, tmp_path):
+        cache = PolynomialCache(str(tmp_path))
+        params = ['x, "value": {"terms": []}}', ', "value": ', '"}']
+        for i, param in enumerate(params):
+            cache.put("test", param, x(i + 1))
+        for i, param in enumerate(params):
+            assert cache.get("test", param) == x(i + 1)
+        assert (cache.hits, cache.misses) == (3, 0)
+
+    def test_reformatted_entry_is_dropped_and_rewritten(self, tmp_path, capsys):
+        # The hash covers the value bytes as read, so an entry re-written by
+        # hand with the same content is recomputed, not trusted.
+        cache = PolynomialCache(str(tmp_path))
+        f = x(1) + Polynomial.monomial((0, 2), 3, 1)
+        cache.put("test", "a", f)
+        path = Path(cache._path("test", "a"))
+        written = path.read_bytes()
+        path.write_text(json.dumps(json.loads(written), indent=1))
+        assert cache.get("test", "a") is None
+        assert "dropping corrupt cache entry" in capsys.readouterr().err
+        assert cache.get_or_compute("test", "a", lambda: f) == f
+        assert path.read_bytes() == written
+
+    def test_entry_is_one_dumps_of_the_object(self, tmp_path):
+        cache = PolynomialCache(str(tmp_path), version="v")
+        f = Polynomial({((2, 0, 1), 0): 3, ((2, 0, 1), 2): -1, ((), 1): 5})
+        cache.put("fam", 'p, "value": q', f)
+        value = f.to_json_obj()
+        expected = {
+            "family": "fam",
+            "param": 'p, "value": q',
+            "version": "v",
+            "value_sha256": hashlib.sha256(
+                json.dumps(value, sort_keys=True).encode()
+            ).hexdigest(),
+            "value": value,
+        }
+        path = Path(cache._path("fam", 'p, "value": q'))
+        assert path.read_bytes() == json.dumps(expected).encode()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_report_counts_hits_and_misses(self, tmp_path, jobs):
+        cold = verify_conjecture2(3, jobs=jobs, cache_dir=str(tmp_path))
+        assert cold.meta["cache"] == {"hits": 0, "misses": 12}
+        warm = verify_conjecture2(3, jobs=jobs, cache_dir=str(tmp_path))
+        assert warm.meta["cache"] == {"hits": 12, "misses": 0}
+        assert cold.deterministic_json() == warm.deterministic_json()
+        assert warm.deterministic_json() == verify_conjecture2(3).deterministic_json()
+        assert "cache" not in verify_conjecture2(3, jobs=jobs).meta
 
     def test_mixed_hit_miss_sweep(self, tmp_path):
         verify_conjecture2(2, cache_dir=str(tmp_path))

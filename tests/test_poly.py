@@ -37,6 +37,28 @@ def build(terms):
 
 small_polys = poly_terms().map(build)
 
+MALFORMED_TERMS = [
+    {"coeff": [[0, 1], [0, 2]], "exps": [1]},  # a b-degree given twice
+    {"coeff": [[-1, 1]], "exps": [1]},  # a negative b-degree
+    {"coeff": [[0, 1]], "exps": [1.9]},
+    {"coeff": [[0, 1]], "exps": [1.0]},
+    {"coeff": [[0.5, 1]], "exps": [1]},
+    {"coeff": [[0, 2.5]], "exps": [1]},
+    {"coeff": [[0, "1"]], "exps": [1]},
+    {"coeff": [[0, True]], "exps": [1]},
+    {"coeff": [[0, 1]], "exps": [0, -1]},
+]
+
+WRONG_SHAPES = [
+    {"terms": [{"exps": [1], "coeff": [5]}]},
+    {"terms": [{"exps": [1], "coeff": [[0, 1, 2]]}]},
+    {"terms": [{"exps": 1, "coeff": [[0, 1]]}]},
+    {"terms": [[1]]},
+    {"terms": 5},
+    {"terms": "ab"},
+    [1],
+]
+
 
 class TestArithmetic:
     def test_cancellation(self):
@@ -256,36 +278,12 @@ class TestBetaAndFormats:
                 {"terms": [{"coeff": [[0, 1]], "exps": [1]}, {"coeff": [[0, 2]], "exps": [1, 0]}]}
             )
 
-    @pytest.mark.parametrize(
-        "term",
-        [
-            {"coeff": [[0, 1], [0, 2]], "exps": [1]},  # a b-degree given twice
-            {"coeff": [[-1, 1]], "exps": [1]},  # a negative b-degree
-            {"coeff": [[0, 1]], "exps": [1.9]},
-            {"coeff": [[0, 1]], "exps": [1.0]},
-            {"coeff": [[0.5, 1]], "exps": [1]},
-            {"coeff": [[0, 2.5]], "exps": [1]},
-            {"coeff": [[0, "1"]], "exps": [1]},
-            {"coeff": [[0, True]], "exps": [1]},
-            {"coeff": [[0, 1]], "exps": [0, -1]},
-        ],
-    )
+    @pytest.mark.parametrize("term", MALFORMED_TERMS)
     def test_json_rejects_malformed_terms(self, term):
         with pytest.raises(ValueError):
             Polynomial.from_json_obj({"terms": [term]})
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"terms": [{"exps": [1], "coeff": [5]}]},
-            {"terms": [{"exps": [1], "coeff": [[0, 1, 2]]}]},
-            {"terms": [{"exps": 1, "coeff": [[0, 1]]}]},
-            {"terms": [[1]]},
-            {"terms": 5},
-            {"terms": "ab"},
-            [1],
-        ],
-    )
+    @pytest.mark.parametrize("doc", WRONG_SHAPES)
     def test_json_rejects_wrong_shapes(self, doc):
         with pytest.raises(ValueError):
             Polynomial.from_json_obj(doc)
@@ -297,3 +295,132 @@ class TestBetaAndFormats:
         # a zero count and an untrimmed exponent are still read
         obj = {"terms": [{"coeff": [[0, 0], [1, 2]], "exps": [0, 1, 0]}]}
         assert Polynomial.from_json_obj(obj) == Polynomial.monomial((0, 1), 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The polynomial JSON decoder against the one it replaced
+
+
+def _reference_json_int(value):
+    if type(value) is not int:
+        raise ValueError(f"expected an integer in polynomial JSON, got {value!r}")
+    return value
+
+
+def reference_from_json_obj(obj):
+    """Polynomial.from_json_obj as it was before its checks were folded into
+    fewer Python steps: one call per number and a generator per exponent."""
+    counts = {}
+    seen = set()
+    try:
+        for t in obj["terms"]:
+            e = trim(_reference_json_int(v) for v in t["exps"])
+            if e in seen:
+                raise ValueError(f"duplicate exponent {e} in polynomial JSON")
+            if any(v < 0 for v in e):
+                raise ValueError("negative exponent in polynomial JSON")
+            seen.add(e)
+            for deg, c in t["coeff"]:
+                if _reference_json_int(deg) < 0:
+                    raise ValueError("negative b-degree in polynomial JSON")
+                if (e, deg) in counts:
+                    raise ValueError(
+                        f"duplicate b-degree {deg} of exponent {e} in polynomial JSON"
+                    )
+                counts[e, deg] = _reference_json_int(c)
+    except TypeError as exc:
+        raise ValueError(f"polynomial JSON of the wrong shape: {exc}") from None
+    return Polynomial({key: c for key, c in counts.items() if c})
+
+
+def outcome(decode, obj):
+    """The polynomial's terms, key order included, or the exception's type
+    and message."""
+    try:
+        return list(decode(obj).terms.items())
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+
+
+def assert_decoders_agree(obj):
+    expected = outcome(reference_from_json_obj, obj)
+    assert outcome(Polynomial.from_json_obj, obj) == expected, obj
+    return expected
+
+
+# Numbers and other JSON values an exponent, a b-degree or a count may hold.
+json_scalars = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from([0.0, 1.0, 2.5, True, False, None, "1", "ab", [], [1], {}, {"1": 2}]),
+)
+near_terms = st.lists(
+    st.fixed_dictionaries(
+        {
+            "exps": st.one_of(
+                st.lists(st.integers(min_value=-1, max_value=2), max_size=3),
+                st.lists(json_scalars, max_size=3),
+                json_scalars,
+            ),
+            "coeff": st.one_of(
+                st.lists(
+                    st.one_of(
+                        st.tuples(st.integers(-1, 2), st.integers(-2, 2)).map(list),
+                        st.lists(json_scalars, max_size=3),
+                        json_scalars,
+                    ),
+                    max_size=3,
+                ),
+                json_scalars,
+            ),
+        }
+    ),
+    max_size=4,
+)
+
+
+class TestDecoderMatchesReference:
+    @given(small_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_written_polynomials(self, f):
+        obj = json.loads(json.dumps(f.to_json_obj()))
+        assert dict(assert_decoders_agree(obj)) == f.terms
+
+    @given(near_terms)
+    @settings(max_examples=400, deadline=None)
+    def test_near_miss_documents(self, terms):
+        assert_decoders_agree({"terms": terms})
+
+    @pytest.mark.parametrize("term", MALFORMED_TERMS)
+    def test_malformed_terms(self, term):
+        for doc in ({"terms": [term]}, {"terms": [{"coeff": [[0, 1]], "exps": [2]}, term]}):
+            refused = assert_decoders_agree(doc)
+            assert refused[0] is ValueError
+
+    @pytest.mark.parametrize("doc", WRONG_SHAPES + [{}, {"terms": [{"exps": [1]}]}, None])
+    def test_wrong_shapes(self, doc):
+        assert_decoders_agree(doc)
+
+    def test_untrimmed_and_zero_entries(self):
+        for doc in [
+            {"terms": [{"coeff": [[0, 0], [1, 2]], "exps": [0, 1, 0]}]},
+            {"terms": [{"coeff": [[0, 1]], "exps": [1, 0]}, {"coeff": [[0, 2]], "exps": [1]}]},
+            {"terms": [{"coeff": [[0, 0], [0, 1]], "exps": [2]}]},
+            {"terms": [{"coeff": [[0, 1]], "exps": [0, 0]}]},
+            {"terms": [{"coeff": [], "exps": []}]},
+            {"terms": []},
+        ]:
+            assert_decoders_agree(doc)
+
+    def test_every_value_of_a_cache_fill(self, tmp_path):
+        from kohnert.harness import PolynomialCache, verify
+
+        verify("conj2", n=5, cache_dir=str(tmp_path))
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == 2 * 120
+        cache = PolynomialCache(str(tmp_path))
+        for path in paths:
+            entry = json.loads(path.read_bytes())
+            expected = assert_decoders_agree(entry["value"])
+            got = cache.get(entry["family"], entry["param"])
+            assert list(got.terms.items()) == expected
+        assert (cache.hits, cache.misses) == (len(paths), 0)

@@ -86,3 +86,27 @@ def test_report_digest_with_two_workers():
     report = harness.verify(family, jobs=2, **bounds)
     assert report.totals["fail"] == 6
     assert pinned_digest(report) == digest
+
+
+def test_theorem1_pins_hold_with_fewer_block_offers(monkeypatch):
+    # The word route (route 2) offers _accept_block only blocks that can
+    # lead to a tableau tuple.  Over weight <= 7 in <= 4 parts it offered
+    # 29 311 blocks before, 12 674 of them holding a letter at or below the
+    # bound before their last; the pinned reports must not move.
+    from kohnert import bases
+
+    original = bases._accept_block
+    offered = []
+
+    def counting(block, lower, max_rows):
+        offered.append((block, lower))
+        return original(block, lower, max_rows)
+
+    monkeypatch.setattr(bases, "_accept_block", counting)
+    for family, bounds, digest in PINS:
+        if family == "theorem1" and bounds["max_weight"] <= 7:
+            offered.clear()
+            assert pinned_digest(harness.verify(family, **bounds)) == digest
+            assert all(min(block, default=lower + 1) > lower for block, lower in offered)
+            if bounds == {"max_weight": 7, "max_parts": 4}:
+                assert len(offered) < 29311 - 12674
