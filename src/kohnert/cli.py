@@ -39,6 +39,17 @@ _VERIFY_BOUNDS = tuple(
 )
 
 
+# Largest inputs ``poly`` accepts.  The operator recursion's polynomials
+# grow fast with the number of parts and the weight of --alpha: the slowest
+# compositions of weight 10 in 6 parts found (omega of 0,0,0,1,2,7 and
+# 0,0,0,0,1,9, about 55 000 terms) take about 1.5 s, while 0,0,0,0,0,1,7
+# (weight 8 in 7 parts) took 3.2 s.  Random Grothendieck polynomials of S_9
+# take well under a second, and of S_10 up to 1.5 s before printing.
+MAX_POLY_WEIGHT = 10
+MAX_POLY_PARTS = 6
+MAX_POLY_N = 9
+
+
 def _cmd_poly(args) -> int:
     if (args.alpha is None) == (args.perm is None):
         raise UsageError("provide exactly one of --alpha or --perm")
@@ -46,6 +57,11 @@ def _cmd_poly(args) -> int:
         if args.alpha is None:
             raise UsageError(f"--alpha is required for {args.basis}")
         alpha = _parse_alpha(args.alpha)
+        if len(alpha) > MAX_POLY_PARTS or sum(alpha) > MAX_POLY_WEIGHT:
+            raise UsageError(
+                f"weight {sum(alpha)} in {len(alpha)} parts is past the bound of "
+                f"weight {MAX_POLY_WEIGHT} in {MAX_POLY_PARTS} parts"
+            )
         poly = (
             bases.key_polynomial(alpha)
             if args.basis == "key"
@@ -55,6 +71,8 @@ def _cmd_poly(args) -> int:
         if args.perm is None:
             raise UsageError(f"--perm is required for {args.basis}")
         w = _parse_perm(args.perm)
+        if len(w) > MAX_POLY_N:
+            raise UsageError(f"a permutation of {len(w)} is past the bound {MAX_POLY_N}")
         poly = bases.schubert(w) if args.basis == "schubert" else bases.grothendieck(w)
     if args.beta is not None:
         poly = poly.substitute_beta(args.beta)
@@ -65,6 +83,15 @@ def _cmd_poly(args) -> int:
     return 0
 
 
+# Largest box (rows times columns) of a ``diagrams`` start: the skyline of
+# --alpha fills at most max(alpha) by len(alpha), the Rothe diagram of a
+# permutation of n at most n by n.  A move costs a few operations on ints
+# of twice the box in bits, and printing a diagram costs its box, so the
+# 1001 diagrams of ``kkohnert --alpha 0,500`` take about 2 s; the number of
+# diagrams is bounded by --cap.
+MAX_DIAGRAM_BOX = 1000
+
+
 def _cmd_diagrams(args) -> int:
     if (args.alpha is None) == (args.perm is None):
         raise UsageError("provide exactly one of --alpha or --perm")
@@ -72,13 +99,17 @@ def _cmd_diagrams(args) -> int:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
-        start = diagrams.skyline(alpha)
         cols = len(alpha)
         rows = max(alpha, default=0)
     else:
         w = _parse_perm(args.perm)
-        start = diagrams.rothe(w)
         cols = rows = len(w)
+    if rows * cols > MAX_DIAGRAM_BOX:
+        raise UsageError(
+            f"a start diagram in a box of {rows} by {cols} is past the bound of "
+            f"{MAX_DIAGRAM_BOX} cells"
+        )
+    start = diagrams.skyline(alpha) if args.alpha is not None else diagrams.rothe(w)
     mode = diagrams.KOHNERT if args.mode == "kohnert" else diagrams.K_KOHNERT
     try:
         found = diagrams.closure(start, mode, args.cap)

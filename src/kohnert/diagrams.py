@@ -15,21 +15,26 @@ allows it to relocate while writing a 'g' at the vacated cell; ghosts never
 move and block like any occupied cell.  Two diagrams with the same occupied
 positions but different '+'/'g' labels are distinct.
 
-Moves are made on integer masks: each row becomes a (plus mask, ghost mask)
-pair with bit c - 1 for column c, and ``_moves`` is the one implementation
-of the rule for both modes.  The columns with a cell in a higher row are
-one int, and a '+' at ``bit`` lands on the top set bit of
-``~occupied & (bit - 1)``.  ``successors`` and ``closure`` convert a
-diagram to masks once on the way in and back to rows at the boundary.
+Moves are made on one int per diagram.  In the bounding box of h rows and
+w columns, row r (from 0, bottom first) holds a '+' in column c at bit
+r*w + c - 1, so its '+' cells fill bits [r*w, (r+1)*w), and its ghosts sit
+at the same bits shifted up by h*w.  ``_moves`` is the one
+implementation of the rule for both modes: the cells with a cell above them
+are a few shifts of the occupied bits, and a move is a few big-int
+operations.  ``successors`` and ``closure`` pack a diagram once on the way
+in and unpack it at the boundary.
 
 The column weight of a diagram counts occupied cells (both kinds) per
 column.  Ghosts contribute to the weight; dropping them would not reproduce
 the generating polynomials this construction is defined by.
 ``closure_polynomial`` sums b^(ghost count) * x^(column weight) over a
-closure without building a Diagram per node: the depth-first walk carries
-each node's weight and ghost count, a plain move moving one unit of weight
-from its source column to its destination and a ghost move adding one at
-the destination and one ghost.
+closure without building a Diagram per node.  The depth-first walk maps
+each packed diagram to its packed weight, one int holding the column
+weights in byte-wide fields (wider only when a column can hold more than
+255 cells) and the ghost count in the field above them.  A plain move adds
+one unit at the destination column and takes one from the source column; a
+ghost move adds one at the destination and one ghost.  Each distinct
+packed weight is decoded once, from its bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .perms import Composition, Permutation, composition, perm_inverse, permutation
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, _of
 
 PLUS = "+"
 GHOST = "g"
@@ -167,93 +172,145 @@ def _mode_ghosts(mode: str) -> bool:
     return mode == K_KOHNERT
 
 
-def _masks(diagram: Diagram) -> tuple[tuple[int, int], ...]:
-    """The rows as (plus mask, ghost mask) pairs, bit c - 1 for column c."""
-    return tuple(
-        (
-            sum(1 << c for c, m in enumerate(line) if m == PLUS),
-            sum(1 << c for c, m in enumerate(line) if m == GHOST),
+def _field_width(rows: int) -> int:
+    """Bits per column in a packed weight: a byte, unless a column of the
+    box can hold more than 255 cells."""
+    return 8 if rows < 256 else rows.bit_length()
+
+
+def _pack(diagram: Diagram) -> int:
+    """The diagram as one int: with h rows and w columns, row r's plus mask
+    at bits [r*w, (r+1)*w) and its ghost mask h*w bits higher."""
+    cols = diagram.max_col()
+    ghosts_at = len(diagram.rows) * cols
+    packed = 0
+    for r, line in enumerate(diagram.rows):
+        for c, marker in enumerate(line):
+            if marker == PLUS:
+                packed |= 1 << r * cols + c
+            elif marker == GHOST:
+                packed |= 1 << ghosts_at + r * cols + c
+    return packed
+
+
+def _unpack(packed: int, rows: int, cols: int) -> Diagram:
+    """The diagram a packed int holds in a box of ``rows`` by ``cols``.  No
+    move empties a row, so a diagram reached from a start has no trailing
+    empty row."""
+    full = (1 << cols) - 1
+    ghosts_at = rows * cols
+    lines = []
+    for s in range(0, ghosts_at, cols or 1):
+        plus, ghost = packed >> s & full, packed >> ghosts_at + s & full
+        lines.append(
+            "".join(
+                PLUS if plus >> c & 1 else GHOST if ghost >> c & 1 else EMPTY
+                for c in range((plus | ghost).bit_length())
+            )
         )
-        for line in diagram.rows
-    )
-
-
-def _diagram(masks: tuple[tuple[int, int], ...]) -> Diagram:
-    """The diagram with these row masks.  No move empties a row, so masks
-    reached from a diagram have no trailing empty row."""
     d = Diagram.__new__(Diagram)
-    d.rows = tuple(
-        "".join(
-            PLUS if plus >> c & 1 else GHOST if ghost >> c & 1 else EMPTY
-            for c in range((plus | ghost).bit_length())
-        )
-        for plus, ghost in masks
-    )
+    d.rows = tuple(lines)
     return d
 
 
-def _moves(masks: tuple[tuple[int, int], ...], ghost_moves: bool):
-    """Every move from the diagram with these row masks, as (successor
-    masks, source column, destination column, whether a ghost was left),
-    columns counted from 0.  This is the one place the move rule lives."""
-    covered = 0  # columns with a cell in a higher row
-    for r in range(len(masks) - 1, -1, -1):
-        plus, ghost = masks[r]
-        occupied = plus | ghost
-        movable = plus & ~covered
-        covered |= occupied
-        while movable:
-            bit = movable & -movable
-            movable ^= bit
-            free = ~occupied & (bit - 1)
-            if not free:
-                continue
+def _packed_weight(diagram: Diagram, field: int) -> int:
+    """The column weights in ``field``-bit fields, column 1 lowest, and the
+    ghost count in the field above them."""
+    weight = diagram.ghost_count() << diagram.max_col() * field
+    for c, count in enumerate(diagram_weight(diagram)):
+        weight += count << c * field
+    return weight
+
+
+def _box(rows: int, cols: int) -> tuple:
+    """What ``_moves`` needs of a box of ``rows`` by ``cols``: the mask of
+    the plus bits, the shift of the ghost bits, the shifts that OR every
+    higher row onto a row, per bit position the lowest bit of its row and
+    the unit of its column in a packed weight, and one ghost in a packed
+    weight."""
+    field = _field_width(rows)
+    cells = rows * cols
+    lifts = []
+    span = 1  # shifting down one row shows a row the row above; a lift doubles it
+    while span < rows - 1:
+        lifts.append(span * cols)
+        span *= 2
+    row_start = [1 << p - p % cols for p in range(cells)]
+    unit = [1 << p % cols * field for p in range(cells)]
+    return (1 << cells) - 1, cells, cols, lifts, row_start, unit, 1 << cols * field
+
+
+def _moves(packed: int, box: tuple, ghost_moves: bool) -> list[tuple[int, int]]:
+    """Every move from a packed diagram in ``box`` (``_box``), as
+    (successor, change of the packed weight) pairs.  This is the one place
+    the move rule lives.
+
+    The cells with a cell above them are the occupied bits shifted down by
+    one row and OR-ed down by doubling shifts; the '+' bits outside them
+    may move.  A '+' at ``bit`` lands on the top set bit ``dest`` of the
+    unoccupied bits between its row's first bit and ``bit``.  The plain
+    move is ``packed ^ bit | 1 << dest`` and moves one unit of weight from
+    the source column to the destination column; the ghost move also sets
+    the vacated cell's ghost bit, and adds one unit at the destination and
+    one ghost."""
+    plus_bits, ghosts_at, cols, lifts, row_start, unit, one_ghost = box
+    plus = packed & plus_bits
+    occupied = plus | packed >> ghosts_at
+    covered = occupied >> cols
+    for lift in lifts:
+        covered |= covered >> lift
+    movable = plus & ~covered
+    vacant = ~occupied
+    out = []
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        at = bit.bit_length() - 1
+        free = vacant & (bit - row_start[at])
+        if free:
             dest = free.bit_length() - 1
-            moved = plus ^ bit | 1 << dest
-            head, tail, c = masks[:r], masks[r + 1 :], bit.bit_length() - 1
-            yield head + ((moved, ghost),) + tail, c, dest, False
+            moved = packed ^ bit | 1 << dest
+            gain = unit[dest]
+            out.append((moved, gain - unit[at]))
             if ghost_moves:
-                yield head + ((moved, ghost | bit),) + tail, c, dest, True
+                out.append((moved | bit << ghosts_at, gain + one_ghost))
+    return out
 
 
 def successors(diagram: Diagram, mode: str = KOHNERT) -> set[Diagram]:
     """The diagrams one move away: per movable '+', the marker relocated
     and, in the ghost mode, also relocated leaving a ghost."""
     ghost_moves = _mode_ghosts(mode)
-    return {_diagram(nxt) for nxt, _, _, _ in _moves(_masks(diagram), ghost_moves)}
+    rows, cols = diagram.max_row(), diagram.max_col()
+    moves = _moves(_pack(diagram), _box(rows, cols), ghost_moves)
+    return {_unpack(nxt, rows, cols) for nxt, _ in moves}
 
 
-def _walk(start: Diagram, mode: str, cap: int):
-    """Yield (masks, column weight, ghost count) once for every diagram
-    reachable from ``start`` (inclusive), depth-first with an explicit
-    stack.  The weight is carried through each move rather than read off
-    the reached diagram.  Raises ClosureCapError when more than ``cap``
-    distinct diagrams appear."""
+def _walk(start: Diagram, mode: str, cap: int) -> dict[int, int]:
+    """Every diagram reachable from ``start`` (inclusive), packed, mapped to
+    its packed weight (``_packed_weight``), found depth-first with an
+    explicit stack.  The weight is carried through each move rather than
+    read off the reached diagram.  Raises ClosureCapError when more than
+    ``cap`` distinct diagrams appear."""
     ghost_moves = _mode_ghosts(mode)
-    node = (_masks(start), diagram_weight(start), start.ghost_count())
-    seen = {node[0]}
-    stack = [node]
-    yield node
+    rows, cols = start.max_row(), start.max_col()
+    box = _box(rows, cols)
+    packed = _pack(start)
+    seen = {packed: _packed_weight(start, _field_width(rows))}
+    stack = [packed]
     while stack:
-        masks, weight, ghosts = stack.pop()
+        packed = stack.pop()
+        weight = seen[packed]
         # Moves only go left and stay inside the start's bounding box; the
         # '+' column sum strictly drops, which forces termination (the
         # closure tests check this on every successor edge).
-        for nxt, c, dest, ghosted in _moves(masks, ghost_moves):
-            if nxt in seen:
-                continue
-            if len(seen) >= cap:
-                raise ClosureCapError(cap, len(seen))
-            seen.add(nxt)
-            moved = list(weight)
-            moved[dest] += 1
-            if ghosted:
-                node = (nxt, tuple(moved), ghosts + 1)
-            else:
-                moved[c] -= 1
-                node = (nxt, tuple(moved), ghosts)
-            stack.append(node)
-            yield node
+        for nxt, gain in _moves(packed, box, ghost_moves):
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapError(cap, len(seen))
+                seen[nxt] = weight + gain
+                stack.append(nxt)
+    return seen
 
 
 def closure(
@@ -265,7 +322,8 @@ def closure(
 
     Raises ClosureCapError when more than ``cap`` distinct diagrams appear.
     """
-    return frozenset(_diagram(masks) for masks, _, _ in _walk(start, mode, cap))
+    rows, cols = start.max_row(), start.max_col()
+    return frozenset(_unpack(packed, rows, cols) for packed in _walk(start, mode, cap))
 
 
 def closure_polynomial(
@@ -274,9 +332,37 @@ def closure_polynomial(
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Polynomial:
     """``ghost_weighted_sum(closure(start, mode, cap))``, counted during the
-    walk without building a Diagram per node; same ClosureCapError."""
-    counts = Counter((weight, ghosts) for _, weight, ghosts in _walk(start, mode, cap))
-    return Polynomial(counts)
+    walk without building a Diagram per node; same ClosureCapError.  Each
+    distinct packed weight is decoded once.
+
+    The 13 diagrams of the ghost closure of the skyline of 1,0,2 give 12
+    terms, and b = 0 keeps the 5 ghost-free ones, the key polynomial:
+
+    >>> j = closure_polynomial(skyline((1, 0, 2)), K_KOHNERT)
+    >>> len(j.terms), sum(j.terms.values())
+    (12, 13)
+    >>> print(j.substitute_beta(0))
+    x1*x3^2 + x1*x2*x3 + x1*x2^2 + x1^2*x3 + x1^2*x2
+    """
+    counts = Counter(_walk(start, mode, cap).values())
+    cols, field = start.max_col(), _field_width(start.max_row())
+    shift = cols * field
+    terms: dict = {}
+    if field == 8:
+        # one byte per column, so the bytes are the exponent, trimmed by
+        # stripping the zero bytes at the end
+        low = (1 << shift) - 1
+        for weight, count in counts.items():
+            exps = tuple((weight & low).to_bytes(cols, "little").rstrip(b"\0"))
+            terms[exps, weight >> shift] = count
+    else:
+        low = (1 << field) - 1
+        for weight, count in counts.items():
+            exps = [weight >> c * field & low for c in range(cols)]
+            while exps and not exps[-1]:
+                exps.pop()
+            terms[tuple(exps), weight >> shift] = count
+    return _of(terms)
 
 
 def diagram_weight(diagram: Diagram) -> Exponent:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations as _all_windows
+from itertools import permutations as _all_windows
 from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
@@ -135,13 +135,32 @@ def perm_inverse(w: Permutation) -> Permutation:
     return permutation(inv)
 
 
+def _smaller_after(w: Permutation) -> list[int]:
+    """Per position i, #{j > i : w(j) < w(i)}, read right to left with a
+    Fenwick tree over the values seen: O(n log n) for a window of n."""
+    size = max(w, default=0)
+    tree = [0] * (size + 1)
+    out = [0] * len(w)
+    for i in range(len(w) - 1, -1, -1):
+        v = w[i]
+        smaller, j = 0, v - 1
+        while j:
+            smaller += tree[j]
+            j &= j - 1
+        out[i] = smaller
+        while v <= size:
+            tree[v] += 1
+            v += v & -v
+    return out
+
+
 def perm_length(w: Permutation) -> int:
-    """Number of inversions.
+    """Number of inversions, the sum of the Lehmer code.
 
     >>> perm_length((3, 2, 1))
     3
     """
-    return sum(1 for a, b in combinations(w, 2) if a > b)
+    return sum(_smaller_after(w))
 
 
 def perm_descents(w: Permutation) -> set[int]:
@@ -184,24 +203,37 @@ def lehmer_code(w: Permutation) -> Composition:
     >>> lehmer_code((3, 1, 4, 2))
     (2, 0, 1)
     """
-    w = tuple(w)
-    return composition(
-        sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))
-    )
+    return composition(_smaller_after(w))
 
 
 def perm_from_code(alpha: Composition) -> Permutation:
     """The unique permutation whose Lehmer code is alpha.
 
-    Entry i is the (alpha_i + 1)-st smallest value not yet used.
+    Entry i is the (alpha_i + 1)-st smallest value not yet used, found by
+    descending a Fenwick tree of the unused values of 1..n, n = len(alpha)
+    + max(alpha); the entries past alpha take the unused values in
+    increasing order.  O(n log n).
     """
     a = composition(alpha)
-    n = len(a) + (max(a) if a else 0)
-    avail = list(range(1, n + 1))
+    n = len(a) + max(a, default=0)
+    tree = [0] + [j & -j for j in range(1, n + 1)]  # every value unused
+    top = 1 << n.bit_length() >> 1  # the largest power of two <= n
+    used = bytearray(n + 1)
     window = []
-    for i in range(n):
-        c = a[i] if i < len(a) else 0
-        window.append(avail.pop(c))
+    for c in a:
+        rank, v, step = c + 1, 0, top
+        while step:
+            if v + step <= n and tree[v + step] < rank:
+                v += step
+                rank -= tree[v]
+            step >>= 1
+        v += 1
+        window.append(v)
+        used[v] = 1
+        while v <= n:
+            tree[v] -= 1
+            v += v & -v
+    window += [v for v in range(1, n + 1) if not used[v]]
     return permutation(window)
 
 

@@ -23,6 +23,13 @@ least.  For canonical (trimmed) tuples this coincides with Python's tuple
 comparison, so ``min(terms)[0]`` is the leading exponent and ``sorted(terms)``
 lists the terms in descending monomial order, b-degrees ascending within a
 monomial.
+
+The four operators of the basis recursions (``divided_difference``,
+``demazure``, ``twisted_demazure``, ``isobaric``) are each the divided
+difference of m * f for a small fixed polynomial m in x_i and x_{i+1}
+(1, x_i, x_i - x_i x_{i+1} and 1 - x_{i+1}).  Each is one pass over the
+terms of f that applies the closed form of the divided difference to the
+terms of m times the term; no product polynomial is built.
 """
 
 from __future__ import annotations
@@ -275,6 +282,42 @@ def render_text(f: Polynomial) -> str:
     return "".join(out)
 
 
+def _divided_difference_of_product(
+    i: int, f: Polynomial, factor: tuple[tuple[int, int, int], ...]
+) -> Polynomial:
+    """divided_difference(i, m * f) in one pass over the terms of f, for
+    m = sum of coeff * x_i^a * x_{i+1}^b over the (a, b, coeff) of
+    ``factor``; no product polynomial is built.
+
+    A term of m * f has the exponents p + a and q + b of x_i and x_{i+1},
+    where p and q are those of a term of f, and the closed form of
+    ``divided_difference`` maps it; the other exponents and the
+    coefficient in b ride along.  A key can end in 0 only when nothing
+    follows x_{i+1}, and only such a key is trimmed."""
+    if i < 1:
+        raise ValueError("operator index must be >= 1")
+    counts: dict[Term, int] = {}
+    get = counts.get
+    for (e, deg), c in f.terms.items():
+        e += (0,) * (i + 1 - len(e))
+        head, tail = e[: i - 1], e[i + 1 :]
+        for a, b, coeff in factor:
+            p, q = e[i - 1] + a, e[i] + b
+            if p > q:
+                lo, hi, signed = q, p, c * coeff
+            elif p < q:
+                lo, hi, signed = p, q, -c * coeff
+            else:
+                continue
+            top = p + q - 1
+            for k in range(lo, hi):
+                key = head + (k, top - k) + tail
+                if not key[-1]:
+                    key = trim(key)
+                counts[key, deg] = get((key, deg), 0) + signed
+    return _of({key: c for key, c in counts.items() if c})
+
+
 def divided_difference(i: int, f: Polynomial) -> Polynomial:
     """Divided difference: (f - s_i f) / (x_i - x_{i+1}), term by term.
 
@@ -288,29 +331,19 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
     >>> print(divided_difference(1, Polynomial.monomial((1, 3))))
     -x1*x2^2 - x1^2*x2
     """
-    if i < 1:
-        raise ValueError("operator index must be >= 1")
-    counts: dict[Term, int] = {}
-    for (e, deg), c in f.terms.items():
-        e += (0,) * (i + 1 - len(e))
-        p, q = e[i - 1], e[i]
-        lo, hi, signed = (q, p, c) if p > q else (p, q, -c)
-        for k in range(lo, hi):
-            key = (e[: i - 1] + (k, p + q - 1 - k) + e[i + 1 :], deg)
-            counts[key] = counts.get(key, 0) + signed
-    return Polynomial(counts)
+    return _divided_difference_of_product(i, f, ((0, 0, 1),))
 
 
 def demazure(i: int, f: Polynomial) -> Polynomial:
     """The symmetrizing operator f -> divided_difference(i, x_i * f)."""
-    return divided_difference(i, x(i) * f)
+    return _divided_difference_of_product(i, f, ((1, 0, 1),))
 
 
 def twisted_demazure(i: int, f: Polynomial) -> Polynomial:
     """f -> divided_difference(i, x_i * (1 - x_{i+1}) * f)."""
-    return divided_difference(i, x(i) * (ONE - x(i + 1)) * f)
+    return _divided_difference_of_product(i, f, ((1, 0, 1), (1, 1, -1)))
 
 
 def isobaric(i: int, f: Polynomial) -> Polynomial:
     """f -> divided_difference(i, (1 - x_{i+1}) * f)."""
-    return divided_difference(i, (ONE - x(i + 1)) * f)
+    return _divided_difference_of_product(i, f, ((0, 0, 1), (0, 1, -1)))

@@ -7,8 +7,16 @@ import sys
 import pytest
 
 import kohnert
-from kohnert import bases, harness, tableaux
-from kohnert.cli import MAX_SPLIT_WEIGHT, MAX_SPLIT_WORDS, main
+from kohnert import bases, diagrams, harness, tableaux
+from kohnert.cli import (
+    MAX_DIAGRAM_BOX,
+    MAX_POLY_N,
+    MAX_POLY_PARTS,
+    MAX_POLY_WEIGHT,
+    MAX_SPLIT_WEIGHT,
+    MAX_SPLIT_WORDS,
+    main,
+)
 from kohnert.poly import Polynomial
 
 
@@ -54,6 +62,32 @@ class TestPoly:
         assert run(capsys, "poly", "key", "--perm", "21")[0] == 2
         assert run(capsys, "poly", "key", "--alpha", "1,x")[0] == 2
         assert run(capsys, "poly", "nope", "--alpha", "1")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("key", "--alpha", "1000000"),
+        ("omega", "--alpha", "0,0,0,0,0,1,7"),
+        ("key", "--alpha", "0,0,0,0,1,10"),
+        ("key", "--alpha", ",".join(["0"] * MAX_POLY_PARTS + ["1"])),
+        ("schubert", "--perm", ",".join(map(str, range(100_000, 0, -1)))),
+        ("grothendieck", "--perm", ",".join(map(str, range(MAX_POLY_N + 1, 0, -1)))),
+    ])
+    def test_huge_input_is_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("poly ran past its bound")
+
+        for name in ("key_polynomial", "omega_polynomial", "schubert", "grothendieck"):
+            monkeypatch.setattr(bases, name, no_work)
+        code, out, err = run(capsys, "poly", *argv)
+        assert code == 2
+        assert "usage error" in err and "bound" in err and not out
+
+    def test_bounds_admit_their_corners(self, capsys):
+        alpha = (0, 0, 0, 0, 1, 9)
+        assert (sum(alpha), len(alpha)) == (MAX_POLY_WEIGHT, MAX_POLY_PARTS)
+        code, out, _ = run(capsys, "poly", "key", "--alpha", "0,0,0,0,1,9")
+        assert code == 0 and out.startswith("x5*x6^9 + ")
+        code, out, _ = run(capsys, "poly", "schubert", "--perm", "1,2,3,4,5,6,7,9,8")
+        assert code == 0 and MAX_POLY_N == 9
 
 
 class TestDiagrams:
@@ -105,6 +139,29 @@ class TestDiagrams:
         code, out, _ = run(capsys, "diagrams", *argv.split(), "--list")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ("kohnert", "--alpha", "1000000"),
+        ("kkohnert", "--alpha", "0,501"),
+        ("kkohnert", "--alpha", ",".join(["0"] * 1000 + ["1"])),
+        ("kohnert", "--perm", ",".join(map(str, range(32, 0, -1)))),
+        ("kkohnert", "--perm", ",".join(map(str, range(100_000, 0, -1)))),
+    ])
+    def test_huge_start_is_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args):
+            raise AssertionError("diagrams ran past its bound")
+
+        for name in ("skyline", "rothe", "closure", "ghost_weighted_sum"):
+            monkeypatch.setattr(diagrams, name, no_work)
+        code, out, err = run(capsys, "diagrams", *argv)
+        assert code == 2
+        assert "usage error" in err and f"bound of {MAX_DIAGRAM_BOX} cells" in err
+        assert not out
+
+    def test_box_bound_admits_its_corner(self, capsys):
+        # a box of 500 by 2: 501 plain diagrams, the b = 0 slice of the ghost ones
+        code, out, _ = run(capsys, "diagrams", "kohnert", "--alpha", "0,500")
+        assert code == 0 and "diagrams: 501" in out
 
     def test_empty_composition(self, capsys):
         code, out, _ = run(capsys, "diagrams", "kkohnert", "--alpha", "0")

@@ -261,6 +261,38 @@ class TestClosure:
         counted = closure_polynomial(skyline((1, 0, 2)), K_KOHNERT, cap=13)
         assert counted == j_polynomial((1, 0, 2))
 
+    def test_column_taller_than_a_byte(self):
+        # 300 cells in one column need a weight field wider than a byte
+        start = skyline((0, 300))
+        key = bases.key_polynomial((0, 300))
+        assert len(closure(start, KOHNERT)) == 301
+        assert closure_polynomial(start, KOHNERT) == key
+        ghosty = closure_polynomial(start, K_KOHNERT)
+        assert ghosty.substitute_beta(0) == key
+        assert ghosty == ghost_weighted_sum(closure(start, K_KOHNERT))
+        assert max(deg for _, deg in ghosty.terms) == 1
+
+    def test_empty_diagram(self):
+        for start in (skyline(()), rothe((1,))):
+            assert start == Diagram()
+            for mode in (KOHNERT, K_KOHNERT):
+                assert closure(start, mode) == {Diagram()}
+                assert closure_polynomial(start, mode) == Polynomial.monomial(())
+                assert successors(start, mode) == set()
+
+    @pytest.mark.parametrize("mode,size", [(KOHNERT, 5), (K_KOHNERT, 13)])
+    def test_cap_is_exact(self, mode, size):
+        # size diagrams fit a cap of size; the (cap + 1)-st raises in both walks
+        start = skyline((1, 0, 2))
+        assert len(closure(start, mode, cap=size)) == size
+        assert closure_polynomial(start, mode, cap=size) == ghost_weighted_sum(
+            closure(start, mode)
+        )
+        for walk in (closure, closure_polynomial):
+            with pytest.raises(ClosureCapError) as exc:
+                walk(start, mode, cap=size - 1)
+            assert exc.value.partial_count == exc.value.cap == size - 1
+
     def test_invariants_on_every_successor_edge(self):
         # Moves go left, keep the '+' count, never remove a ghost and stay
         # inside the start's bounding box; the '+' column sum strictly drops,

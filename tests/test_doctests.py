@@ -1,6 +1,6 @@
 import doctest
 
-from kohnert import bases, perms, poly
+from kohnert import bases, diagrams, perms, poly, tableaux
 
 
 def test_perms_doctests():
@@ -15,4 +15,14 @@ def test_poly_doctests():
 
 def test_bases_doctests():
     results = doctest.testmod(bases)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_diagrams_doctests():
+    results = doctest.testmod(diagrams)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_tableaux_doctests():
+    results = doctest.testmod(tableaux)
     assert results.failed == 0 and results.attempted > 0

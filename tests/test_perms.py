@@ -1,4 +1,4 @@
-from itertools import permutations as windows, product
+from itertools import combinations, permutations as windows, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,19 @@ def brute_code(w):
     return tuple(
         sum(1 for j in range(i + 1, len(w)) if w[j] < w[i]) for i in range(len(w))
     )
+
+
+def reference_perm_length(w):
+    # the quadratic count over all pairs, as first written
+    return sum(1 for a, b in combinations(w, 2) if a > b)
+
+
+def reference_perm_from_code(alpha):
+    # a window of len + max values, one list.pop per entry, as first written
+    a = perms.composition(alpha)
+    n = len(a) + (max(a) if a else 0)
+    avail = list(range(1, n + 1))
+    return perms.permutation(avail.pop(a[i] if i < len(a) else 0) for i in range(n))
 
 
 class TestCompositions:
@@ -88,6 +101,33 @@ class TestLehmerCode:
         # covers every length up to 10
         for w in perms.all_permutations(5):
             assert perms.perm_from_code(perms.lehmer_code(w)) == w
+
+    def test_pinned_against_quadratic_references_on_s1_to_s7(self):
+        checked = 0
+        for n in range(1, 8):
+            for w in windows(range(1, n + 1)):
+                code = perms.lehmer_code(w)
+                assert code == perms.composition(brute_code(w))
+                assert perms.perm_length(w) == reference_perm_length(w) == sum(code)
+                assert perms.perm_from_code(code) == reference_perm_from_code(code)
+                assert perms.perm_from_code(code) == perms.permutation(w)
+                checked += 1
+        assert checked == 5913
+
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_codes_pinned_against_references(self, parts):
+        w = perms.perm_from_code(parts)
+        assert w == reference_perm_from_code(parts)
+        assert perms.lehmer_code(w) == perms.composition(parts)
+        assert perms.perm_length(w) == reference_perm_length(w) == sum(parts)
+
+    def test_large_inputs_are_near_linear(self):
+        # the quadratic count would compare all 2 * 10^8 pairs of this window
+        w = perms.perm_from_code((0,) * 3 + (20_000,))
+        assert len(w) == 20_004 and w[3] == 20_004
+        assert perms.lehmer_code(w) == (0, 0, 0, 20_000)
+        assert perms.perm_length(w) == 20_000
 
     @given(
         st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=5)

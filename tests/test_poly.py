@@ -164,6 +164,33 @@ class TestDividedDifference:
         )
 
 
+def reference_divided_difference(i, f):
+    """The closed form of the divided difference on each monomial, as first
+    written: pad the exponents, map each term, and let the constructor trim
+    and cancel."""
+    counts = {}
+    for (e, deg), c in f.terms.items():
+        e += (0,) * (i + 1 - len(e))
+        p, q = e[i - 1], e[i]
+        lo, hi, signed = (q, p, c) if p > q else (p, q, -c)
+        for k in range(lo, hi):
+            key = (e[: i - 1] + (k, p + q - 1 - k) + e[i + 1 :], deg)
+            counts[key] = counts.get(key, 0) + signed
+    return Polynomial(counts)
+
+
+# Each operator as its definition: multiply f by the fixed polynomial, then
+# take the divided difference.
+REFERENCE_OPERATORS = {
+    divided_difference: lambda i, f: reference_divided_difference(i, f),
+    demazure: lambda i, f: reference_divided_difference(i, x(i) * f),
+    twisted_demazure: lambda i, f: reference_divided_difference(
+        i, x(i) * (ONE - x(i + 1)) * f
+    ),
+    isobaric: lambda i, f: reference_divided_difference(i, (ONE - x(i + 1)) * f),
+}
+
+
 class TestOperators:
     def test_hand_values(self):
         assert demazure(1, x(1)) == x(1) + x(2)
@@ -174,6 +201,26 @@ class TestOperators:
         assert isobaric(1, x(1)) == ONE
         assert isobaric(1, ONE) == ONE
         assert isobaric(1, x(1) * x(1) * x(2)) == x(1) * x(2)
+
+    @given(poly_terms(max_vars=4, max_deg=5).map(build), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=150, deadline=None)
+    def test_fused_pass_equals_compose_then_divide(self, f, i):
+        # the polynomials carry b-terms, and i runs past the last variable
+        for op, reference in REFERENCE_OPERATORS.items():
+            out = op(i, f)
+            assert out == reference(i, f)
+            assert all(e[-1:] != (0,) and c for (e, _), c in out.terms.items())
+
+    def test_fused_pass_on_hand_cases(self):
+        # a constant, a term past the index, b-terms that cancel
+        f = 3 * ONE + Polynomial.monomial((0, 0, 0, 2), -1, 1) + Polynomial.monomial((2,), 1, 2)
+        cancel = Polynomial.monomial((1, 2), 1, 1) + Polynomial.monomial((2, 1), 1, 1)
+        for op, reference in REFERENCE_OPERATORS.items():
+            for i in (1, 2, 3, 4, 5):
+                assert op(i, f) == reference(i, f)
+                assert op(i, cancel) == reference(i, cancel)
+            with pytest.raises(ValueError):
+                op(0, f)
 
     def test_twisted_fixes_its_image(self):
         f = x(1) + x(2) - x(1) * x(2)
