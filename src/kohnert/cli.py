@@ -15,18 +15,24 @@ from . import __version__, bases, diagrams, harness, perms, tableaux
 from .poly import Polynomial
 
 
-def _parse_alpha(text: str):
+def _parsed(parse, text: str):
+    """``parse(text)``, with a ValueError reported as a usage error."""
     try:
-        return perms.parse_composition(text)
+        return parse(text)
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
-def _parse_perm(text: str):
-    try:
-        return perms.parse_permutation(text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _bounded_alpha(text: str, max_weight: int, max_parts: int):
+    """The composition ``text``, refused past weight ``max_weight`` or
+    ``max_parts`` parts."""
+    alpha = _parsed(perms.parse_composition, text)
+    if len(alpha) > max_parts or sum(alpha) > max_weight:
+        raise UsageError(
+            f"weight {sum(alpha)} in {len(alpha)} parts is past the bound of "
+            f"weight {max_weight} in {max_parts} parts"
+        )
+    return alpha
 
 
 class UsageError(Exception):
@@ -51,17 +57,10 @@ MAX_POLY_N = 9
 
 
 def _cmd_poly(args) -> int:
-    if (args.alpha is None) == (args.perm is None):
-        raise UsageError("provide exactly one of --alpha or --perm")
     if args.basis in ("key", "omega"):
         if args.alpha is None:
             raise UsageError(f"--alpha is required for {args.basis}")
-        alpha = _parse_alpha(args.alpha)
-        if len(alpha) > MAX_POLY_PARTS or sum(alpha) > MAX_POLY_WEIGHT:
-            raise UsageError(
-                f"weight {sum(alpha)} in {len(alpha)} parts is past the bound of "
-                f"weight {MAX_POLY_WEIGHT} in {MAX_POLY_PARTS} parts"
-            )
+        alpha = _bounded_alpha(args.alpha, MAX_POLY_WEIGHT, MAX_POLY_PARTS)
         poly = (
             bases.key_polynomial(alpha)
             if args.basis == "key"
@@ -70,7 +69,7 @@ def _cmd_poly(args) -> int:
     else:
         if args.perm is None:
             raise UsageError(f"--perm is required for {args.basis}")
-        w = _parse_perm(args.perm)
+        w = _parsed(perms.parse_permutation, args.perm)
         if len(w) > MAX_POLY_N:
             raise UsageError(f"a permutation of {len(w)} is past the bound {MAX_POLY_N}")
         poly = bases.schubert(w) if args.basis == "schubert" else bases.grothendieck(w)
@@ -93,16 +92,14 @@ MAX_DIAGRAM_BOX = 1000
 
 
 def _cmd_diagrams(args) -> int:
-    if (args.alpha is None) == (args.perm is None):
-        raise UsageError("provide exactly one of --alpha or --perm")
     if args.cap < 1:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
+        alpha = _parsed(perms.parse_composition, args.alpha)
         cols = len(alpha)
         rows = max(alpha, default=0)
     else:
-        w = _parse_perm(args.perm)
+        w = _parsed(perms.parse_permutation, args.perm)
         cols = rows = len(w)
     if rows * cols > MAX_DIAGRAM_BOX:
         raise UsageError(
@@ -148,7 +145,7 @@ MAX_SPLIT_WORDS = 100_000
 
 
 def _cmd_split(args) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = _parsed(perms.parse_composition, args.alpha)
     if sum(alpha) > MAX_SPLIT_WEIGHT:
         raise UsageError(f"weight {sum(alpha)} exceeds the bound {MAX_SPLIT_WEIGHT}")
     words = tableaux.standard_tableaux_count(perms.sort_decreasing(alpha))
@@ -201,8 +198,20 @@ def _parse_letters(text: str, what: str) -> list[int]:
     raise UsageError(f"bad {what} {text!r}")
 
 
+# Largest word ``egls`` accepts.  The reducedness check holds a permutation
+# up to the largest letter (``--word 20000000,1`` took 781 MB), and a
+# decreasing word inserts in quadratic time: 100000,...,98001 takes ~2 s.
+MAX_EGLS_LETTER = 100_000
+MAX_EGLS_LENGTH = 2000
+
+
 def _cmd_egls(args) -> int:
     word = _parse_letters(args.word, "word")
+    if len(word) > MAX_EGLS_LENGTH or max(word, default=0) > MAX_EGLS_LETTER:
+        raise UsageError(
+            f"a word of {len(word)} letters up to {max(word, default=0)} is past the "
+            f"bound of {MAX_EGLS_LENGTH} letters up to {MAX_EGLS_LETTER}"
+        )
     marks = _parse_letters(args.marks, "marks") if args.marks else None
     try:
         p, q = tableaux.egls_insert(word, marks)
@@ -215,8 +224,14 @@ def _cmd_egls(args) -> int:
     return 0
 
 
+# Largest composition ``talpha`` accepts: ``--alpha 1000`` takes 1.6 s,
+# ``2000`` 5.8 s, and 1999 zeros before a part of 1000 about 2 s.
+MAX_TALPHA_WEIGHT = 1000
+MAX_TALPHA_PARTS = 2000
+
+
 def _cmd_talpha(args) -> int:
-    alpha = _parse_alpha(args.alpha)
+    alpha = _bounded_alpha(args.alpha, MAX_TALPHA_WEIGHT, MAX_TALPHA_PARTS)
     t = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     print(f"permutation: {perms.format_permutation(w)}")
@@ -290,16 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="print a basis polynomial")
     p.add_argument("basis", choices=["key", "omega", "schubert", "grothendieck"])
-    p.add_argument("--alpha", help="composition, e.g. 1,3,0,2,2,1")
-    p.add_argument("--perm", help="permutation, e.g. 3142 or 3,1,4,2")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--alpha", help="composition, e.g. 1,3,0,2,2,1")
+    start.add_argument("--perm", help="permutation, e.g. 3142 or 3,1,4,2")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--beta", type=int, help="evaluate the b parameter")
     p.set_defaults(run=_cmd_poly)
 
     p = sub.add_parser("diagrams", help="enumerate move closures")
     p.add_argument("mode", choices=["kohnert", "kkohnert"])
-    p.add_argument("--alpha", help="start from the skyline of this composition")
-    p.add_argument("--perm", help="start from the Rothe diagram of this permutation")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--alpha", help="start from the skyline of this composition")
+    start.add_argument("--perm", help="start from the Rothe diagram of this permutation")
     p.add_argument("--list", action="store_true", help="print every diagram")
     p.add_argument("--cap", type=int, default=diagrams.DEFAULT_CLOSURE_CAP)
     p.set_defaults(run=_cmd_diagrams)

@@ -41,19 +41,13 @@ class VerificationCase(NamedTuple):
 
 
 class SweepReport:
-    """The cases of one sweep, their totals, and volatile ``meta`` (wall
-    time, worker count).  Totals are counted from the cases unless given."""
+    """The cases of one sweep, their totals counted from the cases, and
+    volatile ``meta`` (wall time, worker count)."""
 
-    def __init__(
-        self,
-        config: dict,
-        cases: list[VerificationCase],
-        totals: dict | None = None,
-        meta: dict | None = None,
-    ):
+    def __init__(self, config: dict, cases: list[VerificationCase], meta: dict | None = None):
         self.config = config
         self.cases = cases
-        self.totals = totals or {
+        self.totals = {
             "pass": sum(1 for c in cases if c.status == "pass"),
             "fail": sum(1 for c in cases if c.status == "fail"),
             "skipped": sum(1 for c in cases if c.status == "skipped"),
@@ -235,16 +229,11 @@ def _fault_injected(family: str, param: str) -> bool:
     return os.environ.get(FAULT_ENV) == f"{family}:{param}"
 
 
-def _maybe_fault(family: str, param: str, poly: Polynomial) -> Polynomial:
-    if _fault_injected(family, param):
-        return poly + Polynomial.monomial((1,))
-    return poly
-
-
 def _compare_case(
     family: str, param: str, lhs: Polynomial, rhs: Polynomial
 ) -> VerificationCase:
-    lhs = _maybe_fault(family, param, lhs)
+    if _fault_injected(family, param):
+        lhs = lhs + Polynomial.monomial((1,))
     if lhs == rhs:
         return VerificationCase(family, param, "pass")
     return VerificationCase(
@@ -263,36 +252,11 @@ def _skip(family: str, param: str, exc: Exception) -> VerificationCase:
     return VerificationCase(family, param, "skipped", {"reason": str(exc)})
 
 
-# Closure-versus-operator case families: the parameter parser; the diagram
-# side's cache tag, its start diagram (a function in ``diagrams``), the move
-# mode whose closure it sums and the b it is evaluated at; the operator
-# side's cache tag and its function in ``bases``.  The kohnert families
-# walk the plain closure, whose polynomial is J or K at b = 0.  Functions
-# are looked up by name when a case runs, so a wrapper installed on the
-# module after import is the one called.
-_CLOSURE_CASES = {
-    "conj1": (
-        perms.parse_composition, "J", "skyline", diagrams.K_KOHNERT, -1,
-        "omega", "omega_polynomial",
-    ),
-    "kohnert_key": (
-        perms.parse_composition, "J0", "skyline", diagrams.KOHNERT, 0,
-        "key", "key_polynomial",
-    ),
-    "conj2": (
-        perms.parse_permutation, "K", "rothe", diagrams.K_KOHNERT, -1,
-        "grothendieck", "grothendieck",
-    ),
-    "kohnert_schubert": (
-        perms.parse_permutation, "K0", "rothe", diagrams.KOHNERT, 0,
-        "schubert", "schubert",
-    ),
-}
-
-
-def _run_closure_case(family: str, param: str, cfg: dict) -> VerificationCase:
-    parse, diagram_tag, start, mode, b, operator_tag, operator_side = _CLOSURE_CASES[family]
-    arg, cap, cache = parse(param), cfg["cap"], cfg["cache"]
+def _run_closure_case(
+    family: str, param: str, arg: tuple, cfg: dict,
+    diagram_tag: str, start: str, mode: str, operator_tag: str, operator_side: str,
+) -> VerificationCase:
+    cap, cache = cfg["cap"], cfg["cache"]
 
     def walk() -> Polynomial:
         return diagrams.closure_polynomial(getattr(diagrams, start)(arg), mode, cap)
@@ -302,21 +266,12 @@ def _run_closure_case(family: str, param: str, cfg: dict) -> VerificationCase:
     except diagrams.ClosureCapError as exc:
         return _skip(family, param, exc)
     rhs = _cached(cache, operator_tag, param, lambda: getattr(bases, operator_side)(arg))
-    return _compare_case(family, param, lhs.substitute_beta(b), rhs)
+    return _compare_case(family, param, lhs.substitute_beta(-1), rhs)
 
 
-# Compatible-pair case families: the parameter parser, the enumerative
-# generating function and the operator polynomial it must equal, both
-# functions in ``bases`` looked up by name; never cached.
-_PAIR_CASES = {
-    "bjs": (perms.parse_permutation, "schubert_from_compatible_pairs", "schubert"),
-    "theorem4": (perms.parse_composition, "key_by_insertion_fiber", "key_polynomial"),
-}
-
-
-def _run_pair_case(family: str, param: str, cfg: dict) -> VerificationCase:
-    parse, enumerated, operator = _PAIR_CASES[family]
-    arg = parse(param)
+def _run_pair_case(
+    family: str, param: str, arg: tuple, cfg: dict, enumerated: str, operator: str
+) -> VerificationCase:
     try:
         lhs = getattr(bases, enumerated)(arg)
     except perms.BoundExceededError as exc:
@@ -324,8 +279,7 @@ def _run_pair_case(family: str, param: str, cfg: dict) -> VerificationCase:
     return _compare_case(family, param, lhs, getattr(bases, operator)(arg))
 
 
-def _run_theorem1_case(family: str, param: str, cfg: dict) -> VerificationCase:
-    alpha = perms.parse_composition(param)
+def _run_theorem1_case(family: str, param: str, alpha: Composition, cfg: dict) -> VerificationCase:
     d = bases.minimal_blocks(alpha)
     try:
         extracted = bases.split_extract(bases.key_polynomial(alpha), d)
@@ -353,8 +307,7 @@ def _run_theorem1_case(family: str, param: str, cfg: dict) -> VerificationCase:
     )
 
 
-def _run_talpha_case(family: str, param: str, cfg: dict) -> VerificationCase:
-    alpha = perms.parse_composition(param)
+def _run_talpha_case(family: str, param: str, alpha: Composition, cfg: dict) -> VerificationCase:
     t = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     word = tableaux.row_word(t)
@@ -374,23 +327,6 @@ def _run_talpha_case(family: str, param: str, cfg: dict) -> VerificationCase:
     return VerificationCase(
         family, param, "fail", {"problems": problems, "tableau": t.to_json_obj()}
     )
-
-
-_CASE_RUNNERS = {
-    **dict.fromkeys(_CLOSURE_CASES, _run_closure_case),
-    **dict.fromkeys(_PAIR_CASES, _run_pair_case),
-    "theorem1": _run_theorem1_case,
-    "talpha_props": _run_talpha_case,
-}
-
-
-def _run_case(task: tuple) -> VerificationCase:
-    family, param, cfg = task
-    return _CASE_RUNNERS[family](family, param, cfg)
-
-
-# ---------------------------------------------------------------------------
-# sweep drivers
 
 
 def compositions_upto(max_weight: int, max_parts: int) -> list[Composition]:
@@ -425,6 +361,52 @@ def _perm_params(bounds: dict) -> list[str]:
     )
 
 
+# A parameter kind: a sweep's parameters from its bounds, and their parser.
+class _Kind(NamedTuple):
+    params: Callable[[dict], list[str]]
+    parse: Callable[[str], tuple]
+
+
+_COMPOSITIONS = _Kind(_comp_params, perms.parse_composition)
+_PERMUTATIONS = _Kind(_perm_params, perms.parse_permutation)
+
+# Every case family: its parameter kind, its runner, and the runner's own
+# arguments after (family, param, parsed param, cfg).
+# - A closure row names the diagram side's cache tag, its start diagram (a
+#   function in ``diagrams``) and the move mode whose closure it sums at
+#   b = -1, then the operator side's cache tag and its function in
+#   ``bases``.  The kohnert families walk the plain closure, which has no
+#   ghosts, so b = -1 leaves its polynomial, J or K at b = 0, unchanged.
+# - A pair row names the enumerative generating function and the operator
+#   polynomial it must equal, both in ``bases``; they are never cached.
+# Functions are looked up by name when a case runs, so a wrapper installed
+# on the module after import is the one called.
+_CASES = {
+    "conj1": (_COMPOSITIONS, _run_closure_case,
+              ("J", "skyline", diagrams.K_KOHNERT, "omega", "omega_polynomial")),
+    "kohnert_key": (_COMPOSITIONS, _run_closure_case,
+                    ("J0", "skyline", diagrams.KOHNERT, "key", "key_polynomial")),
+    "conj2": (_PERMUTATIONS, _run_closure_case,
+              ("K", "rothe", diagrams.K_KOHNERT, "grothendieck", "grothendieck")),
+    "kohnert_schubert": (_PERMUTATIONS, _run_closure_case,
+                         ("K0", "rothe", diagrams.KOHNERT, "schubert", "schubert")),
+    "bjs": (_PERMUTATIONS, _run_pair_case, ("schubert_from_compatible_pairs", "schubert")),
+    "theorem4": (_COMPOSITIONS, _run_pair_case, ("key_by_insertion_fiber", "key_polynomial")),
+    "theorem1": (_COMPOSITIONS, _run_theorem1_case, ()),
+    "talpha_props": (_COMPOSITIONS, _run_talpha_case, ()),
+}
+
+
+def _run_case(task: tuple) -> VerificationCase:
+    family, param, cfg = task
+    kind, runner, args = _CASES[family]
+    return runner(family, param, kind.parse(param), cfg, *args)
+
+
+# ---------------------------------------------------------------------------
+# sweep drivers
+
+
 # _perm_params holds and sorts all n! permutations in memory: 8! = 40320.
 MAX_N = 8
 # No case list may be longer than the longest permutation list.
@@ -446,40 +428,37 @@ def _composition_count(max_weight: int, max_parts: int) -> int:
 
 
 class SweepFamily(NamedTuple):
-    """One ``kohnert verify`` family: (case family, parameter generator)
-    pairs, the bound names the generators read with their defaults, and
-    whether the cases build diagram closures, which alone take a closure cap
-    and a polynomial cache."""
+    """One ``kohnert verify`` family: its case families (rows of ``_CASES``)
+    and the bound names their parameter generators read, with defaults."""
 
-    cases: tuple[tuple[str, Callable[[dict], list[str]]], ...]
+    cases: tuple[str, ...]
     bounds: dict[str, int]
-    closure: bool = False
+
+    @property
+    def closure(self) -> bool:
+        """Whether the cases build diagram closures, which alone take a
+        closure cap and a polynomial cache."""
+        return any(_CASES[name][1] is _run_closure_case for name in self.cases)
 
 
 SWEEPS = {
     # the skyline ghost closure at b = -1 against the omega polynomial
-    "conj1": SweepFamily(
-        (("conj1", _comp_params),), {"max_weight": 7, "max_parts": 4}, closure=True
-    ),
+    "conj1": SweepFamily(("conj1",), {"max_weight": 7, "max_parts": 4}),
     # the Rothe ghost closure at b = -1 against the Grothendieck polynomial
-    "conj2": SweepFamily((("conj2", _perm_params),), {"n": 5}, closure=True),
+    "conj2": SweepFamily(("conj2",), {"n": 5}),
     # plain Kohnert closures of skylines and Rothe diagrams against key and
     # Schubert polynomials
     "kohnert": SweepFamily(
-        (("kohnert_key", _comp_params), ("kohnert_schubert", _perm_params)),
-        {"max_weight": 7, "max_parts": 4, "n": 5},
-        closure=True,
+        ("kohnert_key", "kohnert_schubert"), {"max_weight": 7, "max_parts": 4, "n": 5}
     ),
     # three routes to the key splitting coefficients agree, all non-negative
-    "theorem1": SweepFamily((("theorem1", _comp_params),), {"max_weight": 6, "max_parts": 4}),
+    "theorem1": SweepFamily(("theorem1",), {"max_weight": 6, "max_parts": 4}),
     # the compatible-pair generating function against the Schubert polynomial
-    "bjs": SweepFamily((("bjs", _perm_params),), {"n": 5}),
+    "bjs": SweepFamily(("bjs",), {"n": 5}),
     # the insertion-fiber formula against the key polynomial
-    "theorem4": SweepFamily((("theorem4", _comp_params),), {"max_weight": 6, "max_parts": 4}),
+    "theorem4": SweepFamily(("theorem4",), {"max_weight": 6, "max_parts": 4}),
     # shape, reading word, reinsertion and nil left key of the peeling tableau
-    "talpha_props": SweepFamily(
-        (("talpha_props", _comp_params),), {"max_weight": 7, "max_parts": 4}
-    ),
+    "talpha_props": SweepFamily(("talpha_props",), {"max_weight": 7, "max_parts": 4}),
 }
 
 
@@ -582,8 +561,8 @@ def verify(
     cfg = {"cap": config.get("cap"), "cache": cache}
     tasks = [
         (case_family, param, cfg)
-        for case_family, params in SWEEPS[family].cases
-        for param in params(config)
+        for case_family in SWEEPS[family].cases
+        for param in _CASES[case_family][0].params(config)
     ]
     workers = clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     started = time.time()

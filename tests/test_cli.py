@@ -7,14 +7,18 @@ import sys
 import pytest
 
 import kohnert
-from kohnert import bases, diagrams, harness, tableaux
+from kohnert import bases, diagrams, harness, perms, tableaux
 from kohnert.cli import (
     MAX_DIAGRAM_BOX,
+    MAX_EGLS_LENGTH,
+    MAX_EGLS_LETTER,
     MAX_POLY_N,
     MAX_POLY_PARTS,
     MAX_POLY_WEIGHT,
     MAX_SPLIT_WEIGHT,
     MAX_SPLIT_WORDS,
+    MAX_TALPHA_PARTS,
+    MAX_TALPHA_WEIGHT,
     main,
 )
 from kohnert.poly import Polynomial
@@ -242,6 +246,29 @@ class TestEgls:
     def test_non_reduced(self, capsys):
         assert run(capsys, "egls", "--word", "11")[0] == 2
 
+    @pytest.mark.parametrize("word", [
+        "20000000,1",
+        "9999999999,1",
+        f"{MAX_EGLS_LETTER + 1},1",
+        "12" * (MAX_EGLS_LENGTH // 2 + 1),
+        ",".join(map(str, range(1, MAX_EGLS_LENGTH + 2))),
+    ])
+    def test_huge_word_is_refused_before_any_work(self, capsys, monkeypatch, word):
+        def no_work(*args):
+            raise AssertionError("egls ran past its bound")
+
+        monkeypatch.setattr(tableaux, "egls_insert", no_work)
+        monkeypatch.setattr(perms, "is_reduced", no_work)
+        code, out, err = run(capsys, "egls", "--word", word)
+        assert code == 2
+        assert "usage error" in err and "bound" in err and not out
+
+    def test_bounds_admit_their_corner(self, capsys):
+        # distinct letters make a reduced word, which inserts quickly
+        word = [*range(1, MAX_EGLS_LENGTH), MAX_EGLS_LETTER]
+        code, out, _ = run(capsys, "egls", "--word", ",".join(map(str, word)))
+        assert code == 0 and f"\n{MAX_EGLS_LETTER}\n" in out
+
 
 class TestTalpha:
     def test_output(self, capsys):
@@ -263,6 +290,28 @@ class TestTalpha:
         lines = out.splitlines()
         assert lines[1] == " ".join(map(str, range(1, 1001)))
         assert lines[2] == "nil left key:"
+        assert MAX_TALPHA_WEIGHT == 1000
+
+    def test_parts_bound_admits_its_corner(self, capsys):
+        alpha = ",".join(["0"] * (MAX_TALPHA_PARTS - 1) + ["1"])
+        code, out, _ = run(capsys, "talpha", "--alpha", alpha)
+        assert code == 0 and f"content: {alpha}" in out
+
+    @pytest.mark.parametrize("alpha", [
+        "2000000",
+        str(MAX_TALPHA_WEIGHT + 1),
+        "600,0,600",
+        ",".join(["0"] * MAX_TALPHA_PARTS + ["1"]),
+    ])
+    def test_huge_input_is_refused_before_any_work(self, capsys, monkeypatch, alpha):
+        def no_work(*args):
+            raise AssertionError("talpha ran past its bound")
+
+        monkeypatch.setattr(tableaux, "peeling_tableau", no_work)
+        monkeypatch.setattr(perms, "perm_from_code", no_work)
+        code, out, err = run(capsys, "talpha", "--alpha", alpha)
+        assert code == 2
+        assert "usage error" in err and "bound" in err and not out
 
 
 class TestExpand:

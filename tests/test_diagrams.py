@@ -241,7 +241,10 @@ class TestClosure:
             pure = closure(start, KOHNERT)
             ghosty = closure(start, K_KOHNERT)
             assert pure == frozenset(d for d in ghosty if d.ghost_count() == 0)
-            assert generating.substitute_beta(0) == closure_polynomial(start, KOHNERT)
+            plain = closure_polynomial(start, KOHNERT)
+            assert generating.substitute_beta(0) == plain
+            # so the kohnert sweep may evaluate it at b = -1 like the others
+            assert plain.substitute_beta(-1) == plain
 
     def test_cap(self):
         with pytest.raises(ClosureCapError) as exc:

@@ -209,8 +209,6 @@ class TestSweeps:
         report = harness.SweepReport({"family": "bjs"}, cases)
         assert report.totals == {"pass": 1, "fail": 1, "skipped": 1, "total": 3}
         assert report.meta == {} and report.failed() == 1
-        given = {"pass": 0, "fail": 0, "skipped": 0, "total": 0}
-        assert harness.SweepReport({}, cases, totals=given, meta={"jobs": 2}).totals is given
 
     def test_empty_report_text(self):
         report = harness.SweepReport({"family": "none"}, [])
@@ -223,6 +221,16 @@ class TestSweeps:
         case = obj["cases"][0]
         assert set(case) == {"family", "param", "status", "detail"}
         json.dumps(obj)  # serializable
+
+
+class TestCaseTable:
+    def test_every_case_family_is_in_exactly_one_sweep(self):
+        listed = [name for spec in harness.SWEEPS.values() for name in spec.cases]
+        assert sorted(listed) == sorted(harness._CASES)
+
+    def test_closure_sweeps_are_derived_from_the_runner(self):
+        closure = {family for family, spec in harness.SWEEPS.items() if spec.closure}
+        assert closure == {"conj1", "conj2", "kohnert"}
 
 
 class TestFaultInjection:
