@@ -143,8 +143,7 @@ def block_variables(d: Sequence[int]) -> list[list[int]]:
     """Consecutive variable alphabets cut at d: block j is
     {d_{j-1}+1, ..., d_j} with d_0 = 0."""
     d = list(d)
-    if any(b < 1 for b in d) or any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
-        raise ValueError(f"block bounds must be strictly increasing: {d}")
+    tableaux._check_block_bounds(d)
     return [list(range(a + 1, b + 1)) for a, b in zip([0] + d, d)]
 
 

@@ -131,10 +131,13 @@ def _cmd_diagrams(args) -> int:
     return 0
 
 
-# Largest weight ``split`` accepts.  The tableaux of a block Schur polynomial
-# recurse one frame per cell, so this stays well below the recursion limit,
-# and a single part of this weight splits in under a second.
+# Largest composition ``split`` accepts.  The tableaux of a block Schur
+# polynomial recurse one frame per cell, and the key polynomial's operator
+# recursion two frames per step, up to one step per part, so both stay well
+# below the recursion limit: a single part of weight 500 splits in under a
+# second, 399 zeros before a 1 in about 2 s, and 500 parts ran out of stack.
 MAX_SPLIT_WEIGHT = 500
+MAX_SPLIT_PARTS = 400
 
 # Largest Coxeter-Knuth class ``split`` walks for its witnesses.  The class
 # of the peeling tableau has one reduced word per standard tableau of its
@@ -145,9 +148,7 @@ MAX_SPLIT_WORDS = 100_000
 
 
 def _cmd_split(args) -> int:
-    alpha = _parsed(perms.parse_composition, args.alpha)
-    if sum(alpha) > MAX_SPLIT_WEIGHT:
-        raise UsageError(f"weight {sum(alpha)} exceeds the bound {MAX_SPLIT_WEIGHT}")
+    alpha = _bounded_alpha(args.alpha, MAX_SPLIT_WEIGHT, MAX_SPLIT_PARTS)
     words = tableaux.standard_tableaux_count(perms.sort_decreasing(alpha))
     if words > MAX_SPLIT_WORDS:
         raise UsageError(
@@ -243,6 +244,12 @@ def _cmd_talpha(args) -> int:
     return 0
 
 
+# Largest variable ``expand`` accepts.  The basis element led by x_n comes
+# from an operator recursion two frames deep per step, up to n - 1 steps:
+# the key expansion of x_400 takes about 2 s, and x_900 ran out of stack.
+MAX_EXPAND_VARIABLE = 400
+
+
 def _cmd_expand(args) -> int:
     try:
         with open(args.input) as fh:
@@ -251,6 +258,11 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"cannot read {args.input}: {exc}")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad polynomial file {args.input}: {exc}")
+    if poly.max_variable() > MAX_EXPAND_VARIABLE:
+        raise UsageError(
+            f"the polynomial involves x{poly.max_variable()}, past the bound "
+            f"x{MAX_EXPAND_VARIABLE}"
+        )
     try:
         coeffs = bases.expand_in_basis(poly, args.basis)
     except (bases.ExpansionCapError, diagrams.ClosureCapError) as exc:

@@ -17,6 +17,7 @@ beyond the window are fixed points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations as _all_windows
 from typing import Iterable, Iterator
@@ -136,21 +137,13 @@ def perm_inverse(w: Permutation) -> Permutation:
 
 
 def _smaller_after(w: Permutation) -> list[int]:
-    """Per position i, #{j > i : w(j) < w(i)}, read right to left with a
-    Fenwick tree over the values seen: O(n log n) for a window of n."""
-    size = max(w, default=0)
-    tree = [0] * (size + 1)
+    """Per position i, #{j > i : w(j) < w(i)}, read right to left through a
+    sorted list of the values seen."""
+    seen: list[int] = []
     out = [0] * len(w)
     for i in range(len(w) - 1, -1, -1):
-        v = w[i]
-        smaller, j = 0, v - 1
-        while j:
-            smaller += tree[j]
-            j &= j - 1
-        out[i] = smaller
-        while v <= size:
-            tree[v] += 1
-            v += v & -v
+        out[i] = k = bisect_left(seen, w[i])
+        seen.insert(k, w[i])
     return out
 
 
@@ -209,32 +202,13 @@ def lehmer_code(w: Permutation) -> Composition:
 def perm_from_code(alpha: Composition) -> Permutation:
     """The unique permutation whose Lehmer code is alpha.
 
-    Entry i is the (alpha_i + 1)-st smallest value not yet used, found by
-    descending a Fenwick tree of the unused values of 1..n, n = len(alpha)
-    + max(alpha); the entries past alpha take the unused values in
-    increasing order.  O(n log n).
+    Entry i is the (alpha_i + 1)-st smallest value of 1..n not yet used,
+    n = len(alpha) + max(alpha), popped from the sorted list of the unused
+    values; the entries past alpha take the rest in increasing order.
     """
     a = composition(alpha)
-    n = len(a) + max(a, default=0)
-    tree = [0] + [j & -j for j in range(1, n + 1)]  # every value unused
-    top = 1 << n.bit_length() >> 1  # the largest power of two <= n
-    used = bytearray(n + 1)
-    window = []
-    for c in a:
-        rank, v, step = c + 1, 0, top
-        while step:
-            if v + step <= n and tree[v + step] < rank:
-                v += step
-                rank -= tree[v]
-            step >>= 1
-        v += 1
-        window.append(v)
-        used[v] = 1
-        while v <= n:
-            tree[v] -= 1
-            v += v & -v
-    window += [v for v in range(1, n + 1) if not used[v]]
-    return permutation(window)
+    unused = list(range(1, len(a) + max(a, default=0) + 1))
+    return permutation([unused.pop(c) for c in a] + unused)
 
 
 @lru_cache(maxsize=None)

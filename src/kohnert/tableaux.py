@@ -283,25 +283,24 @@ def peeling_tableau(alpha: Composition) -> Tableau:
     Each column starts at the largest descent of the running permutation and
     repeatedly takes the largest descent smaller than the letter just used,
     multiplying it away, until none remains; the letters collected form the
-    column, bottom to top.  The reading word is a reduced word for the coded
-    permutation, the tableau is fixed by reinsertion, and the content of its
-    nil left key is alpha.
+    column, bottom to top.  Multiplying by s_d changes only the comparisons
+    at d - 1, d and d + 1, so the next descent below d is the first one a
+    scan on down from d - 1 meets: each column is one downward scan of one
+    list, and the peel ends at the first scan that meets no descent.  The
+    reading word is a reduced word for the coded permutation, the tableau is
+    fixed by reinsertion, and the content of its nil left key is alpha.
     """
-    alpha = perms.composition(alpha)
-    u = perms.perm_from_code(alpha)
+    u = list(perms.perm_from_code(alpha))
     cols: list[list[int]] = []
-    while u != perms.identity():
+    while True:
         letters: list[int] = []
-        bound: int | None = None
-        while True:
-            ds = [d for d in perms.perm_descents(u) if bound is None or d < bound]
-            if not ds:
-                break
-            d = max(ds)
-            letters.append(d)
-            u = perms.multiply_s(u, d)
-            bound = d
-        cols.append(sorted(letters))
+        for d in range(len(u) - 1, 0, -1):
+            if u[d - 1] > u[d]:
+                u[d - 1], u[d] = u[d], u[d - 1]
+                letters.append(d)
+        if not letters:
+            break
+        cols.append(letters[::-1])
     t = Tableau.from_columns(cols) if cols else EMPTY_TABLEAU
     assert t.is_increasing()
     return t
@@ -401,11 +400,16 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     return out
 
 
+def _check_block_bounds(d: list[int]) -> None:
+    """Refuse block bounds that do not strictly increase from 1."""
+    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
+        raise ValueError(f"block bounds must be strictly increasing: {d}")
+
+
 def _check_split_word(word: tuple[int, ...], d: list[int]) -> bool:
     """The refusals of ``split_blocks`` that depend on the word and the
     bounds alone, in its order; returns whether the word is reduced."""
-    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
-        raise ValueError(f"block bounds must be strictly increasing: {d}")
+    _check_block_bounds(d)
     w = perms.word_to_perm(word)
     if not perms.perm_descents(w) <= set(d):
         raise ValueError(f"block bounds {d} do not contain the descents of {w}")

@@ -431,6 +431,13 @@ class TestSplittingRoutes:
         with pytest.raises(ValueError, match="strictly increasing"):
             schubert_split_expansion((1, 3, 2), (2, 1))
 
+    @pytest.mark.parametrize("d", [(2, 1), (1, 3, 3), (0, 1, 3), (-2,), (0,)])
+    def test_block_variables_and_split_blocks_refuse_alike(self, d):
+        for refuse in (bases.block_variables, lambda d: tableaux.split_blocks(((), ()), d)):
+            with pytest.raises(ValueError) as exc:
+                refuse(d)
+            assert str(exc.value) == f"block bounds must be strictly increasing: {list(d)}"
+
     def test_three_routes_agree(self):
         from kohnert.harness import compositions_upto
 

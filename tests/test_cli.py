@@ -12,9 +12,11 @@ from kohnert.cli import (
     MAX_DIAGRAM_BOX,
     MAX_EGLS_LENGTH,
     MAX_EGLS_LETTER,
+    MAX_EXPAND_VARIABLE,
     MAX_POLY_N,
     MAX_POLY_PARTS,
     MAX_POLY_WEIGHT,
+    MAX_SPLIT_PARTS,
     MAX_SPLIT_WEIGHT,
     MAX_SPLIT_WORDS,
     MAX_TALPHA_PARTS,
@@ -225,6 +227,19 @@ class TestSplit:
         assert code == 2
         assert "usage error" in err and "reduced words" in err and not out
 
+    @pytest.mark.parametrize("parts", [MAX_SPLIT_PARTS + 1, 500, 100_000])
+    def test_many_parts_are_refused_before_any_work(self, capsys, monkeypatch, parts):
+        # 499 zeros before a 1 used to end in a RecursionError
+        def no_work(*args):
+            raise AssertionError("split ran past its parts bound")
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, no_work)
+        monkeypatch.setattr(tableaux, "standard_tableaux_count", no_work)
+        code, out, err = run(capsys, "split", "--alpha", ",".join(["0"] * (parts - 1) + ["1"]))
+        assert code == 2
+        assert "usage error" in err and f"in {parts} parts" in err and not out
+
     def test_word_bound_admits_eleven_eleven(self):
         # 11,11 (Catalan(11) words) still splits; 12,12 and 14,14 do not
         count = tableaux.standard_tableaux_count
@@ -350,6 +365,30 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
         assert code == 2
         assert "bad polynomial file" in err and not out
+
+    @pytest.mark.parametrize("n", [MAX_EXPAND_VARIABLE + 1, 900, 100_000])
+    def test_huge_variable_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, n):
+        # the key expansion of x_900 used to end in a RecursionError
+        def no_work(*args):
+            raise AssertionError("expand ran past its variable bound")
+
+        monkeypatch.setattr(bases, "expand_in_basis", no_work)
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial.monomial((0,) * (n - 1) + (1,)).to_json_obj()))
+        for basis in ("key", "J", "omega"):
+            code, out, err = run(capsys, "expand", "--basis", basis, "--input", str(path))
+            assert code == 2
+            assert "usage error" in err and f"x{n}, past the bound" in err and not out
+
+
+def test_split_and_expand_bounds_leave_room_on_the_stack():
+    # At either bound's corner the key polynomial recurses one operator step
+    # per part below the last.  An operator that does no work recurses as
+    # deep; 25 more steps stand for the real operator's own frames.
+    corner = (0,) * (max(MAX_SPLIT_PARTS, MAX_EXPAND_VARIABLE) + 25) + (1,)
+    steps = []
+    bases._from_dominant(lambda i, f: steps.append(i) or f, corner)
+    assert steps == list(range(1, len(corner)))
 
 
 class TestVerify:

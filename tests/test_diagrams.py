@@ -228,6 +228,15 @@ class TestClosure:
         found = closure(rothe((3, 1, 4, 2)), K_KOHNERT)
         assert len(found) == 3
 
+    @pytest.mark.parametrize("n, total", [(5, 1024), (6, 33024)])
+    def test_rothe_closure_sizes_are_pinned(self, n, total):
+        # The ghost rule in use, measured: a rule that lets no '+' jump a
+        # ghost gives 2^(n choose 2) here, 1024 and 32768 (see ROADMAP).
+        from kohnert import perms
+
+        sizes = [len(closure(rothe(w), K_KOHNERT)) for w in perms.all_permutations(n)]
+        assert sum(sizes) == total
+
     def test_kohnert_closure_is_ghost_free_slice(self):
         # Ghosts are never removed, so the ghost-free diagrams of the ghost
         # closure are the plain closure; the kohnert sweep relies on this.

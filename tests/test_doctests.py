@@ -1,4 +1,8 @@
+import ast
+import contextlib
 import doctest
+import io
+from pathlib import Path
 
 from kohnert import bases, diagrams, perms, poly, tableaux
 
@@ -26,3 +30,17 @@ def test_diagrams_doctests():
 def test_tableaux_doctests():
     results = doctest.testmod(tableaux)
     assert results.failed == 0 and results.attempted > 0
+
+
+def test_readme_library_example():
+    # run the README's library example as written, so that it cannot rot
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    extracted, j, agrees = out.getvalue().splitlines()
+    assert sorted(ast.literal_eval(extracted).values()) == [1, 1, 1, 1]
+    assert j.count(" + ") + 1 == 12  # the 12 terms the comment names
+    assert agrees == "True"

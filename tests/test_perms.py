@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations as windows, product
 
 import pytest
@@ -122,8 +123,27 @@ class TestLehmerCode:
         assert perms.lehmer_code(w) == perms.composition(parts)
         assert perms.perm_length(w) == reference_perm_length(w) == sum(parts)
 
+    @pytest.mark.parametrize("code", [(1000,), (0,) * 1999 + (1000,)])
+    def test_talpha_corners_pinned_against_references(self, code):
+        # the largest codes the talpha bounds admit, one part and many
+        w = perms.perm_from_code(code)
+        assert w == reference_perm_from_code(code)
+        assert perms.lehmer_code(w) == perms.composition(brute_code(w)) == code
+        assert perms.perm_length(w) == reference_perm_length(w) == 1000
+
+    def test_random_windows_of_3000_pinned_against_references(self):
+        rng = random.Random(3000)
+        for _ in range(2):
+            window = rng.sample(range(1, 3001), 3000)
+            code = perms.lehmer_code(window)
+            assert code == perms.composition(brute_code(window))
+            assert perms.perm_length(window) == reference_perm_length(window) == sum(code)
+            assert perms.perm_from_code(code) == reference_perm_from_code(code)
+            assert perms.perm_from_code(code) == perms.permutation(window)
+
     def test_large_inputs_are_near_linear(self):
-        # the quadratic count would compare all 2 * 10^8 pairs of this window
+        # the pair count would compare all 2 * 10^8 pairs of this window; the
+        # sorted-list count makes one bisection and one list insert per entry
         w = perms.perm_from_code((0,) * 3 + (20_000,))
         assert len(w) == 20_004 and w[3] == 20_004
         assert perms.lehmer_code(w) == (0, 0, 0, 20_000)

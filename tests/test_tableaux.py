@@ -90,6 +90,26 @@ def reference_split(pair, d):
     return out
 
 
+def reference_peeling_tableau(alpha):
+    """The peel on canonical permutations, rebuilding the descent set once
+    per letter: the reference for ``peeling_tableau``."""
+    u = perms.perm_from_code(alpha)
+    cols = []
+    while u != perms.identity():
+        letters = []
+        bound = None
+        while True:
+            ds = [d for d in perms.perm_descents(u) if bound is None or d < bound]
+            if not ds:
+                break
+            d = max(ds)
+            letters.append(d)
+            u = perms.multiply_s(u, d)
+            bound = d
+        cols.append(sorted(letters))
+    return Tableau.from_columns(cols) if cols else EMPTY_TABLEAU
+
+
 def outcome(f, *args):
     """The result of f(*args), or the type and message of its error."""
     try:
@@ -273,6 +293,16 @@ class TestPeelingTableau:
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
             "cf1cbe0a9649ce1cd6627339cbe04c24d399ede16e90e719073acf33255364cb"
         )
+
+
+    def test_matches_the_reference_peel(self):
+        # every composition the rows pin covers, and the talpha corners
+        from kohnert.harness import compositions_upto
+
+        alphas = compositions_upto(8, 5) + [(1000,), (0,) * 1999 + (1000,)]
+        for alpha in alphas:
+            assert peeling_tableau(alpha) == reference_peeling_tableau(alpha), alpha
+        assert len(alphas) == 1289
 
 
 class TestStandardTableauxCount:
