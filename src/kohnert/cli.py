@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -107,9 +108,8 @@ def _cmd_diagrams(args) -> int:
             f"{MAX_DIAGRAM_BOX} cells"
         )
     start = diagrams.skyline(alpha) if args.alpha is not None else diagrams.rothe(w)
-    mode = diagrams.KOHNERT if args.mode == "kohnert" else diagrams.K_KOHNERT
     try:
-        found = diagrams.closure(start, mode, args.cap)
+        found = diagrams.closure(start, args.mode, args.cap)
     except diagrams.ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -146,6 +146,27 @@ MAX_SPLIT_PARTS = 400
 # (2 674 440 words) took 83 s.
 MAX_SPLIT_WORDS = 100_000
 
+# Largest key polynomial ``split`` builds, in terms, as bounded by
+# ``_key_terms_bound``.  The bound is exact for a single part after zeros:
+# ``--alpha 0,0,0,0,0,0,0,0,0,10`` (92 378 terms) splits in about 2 s,
+# ``...,11`` (167 960 terms) took 3.1 s and ``...,20`` (10 015 005 terms)
+# ran for over 40 s.
+MAX_SPLIT_TERMS = 100_000
+
+
+def _key_terms_bound(alpha) -> int:
+    """The number of compositions of |alpha| into len(alpha) parts, none
+    above max(alpha), by inclusion-exclusion over the parts that exceed it.
+    Every monomial of the key polynomial of alpha has such an exponent, so
+    this bounds its number of terms."""
+    n, k, top = len(alpha), sum(alpha), max(alpha, default=0)
+    if n == 0:
+        return 1
+    return sum(
+        (-1) ** j * math.comb(n, j) * math.comb(k - j * (top + 1) + n - 1, n - 1)
+        for j in range(min(n, k // (top + 1)) + 1)
+    )
+
 
 def _cmd_split(args) -> int:
     alpha = _bounded_alpha(args.alpha, MAX_SPLIT_WEIGHT, MAX_SPLIT_PARTS)
@@ -154,6 +175,12 @@ def _cmd_split(args) -> int:
         raise UsageError(
             f"the Coxeter-Knuth class of {perms.format_composition(alpha)} has "
             f"{words} reduced words, past the bound {MAX_SPLIT_WORDS}"
+        )
+    terms = _key_terms_bound(alpha)
+    if terms > MAX_SPLIT_TERMS:
+        raise UsageError(
+            f"the key polynomial of {perms.format_composition(alpha)} may have "
+            f"{terms} terms, past the bound {MAX_SPLIT_TERMS}"
         )
     if args.descents:
         try:
@@ -325,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_poly)
 
     p = sub.add_parser("diagrams", help="enumerate move closures")
-    p.add_argument("mode", choices=["kohnert", "kkohnert"])
+    p.add_argument("mode", choices=[diagrams.KOHNERT, diagrams.K_KOHNERT])
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("--alpha", help="start from the skyline of this composition")
     start.add_argument("--perm", help="start from the Rothe diagram of this permutation")

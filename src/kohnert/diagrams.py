@@ -50,7 +50,7 @@ GHOST = "g"
 EMPTY = "."
 
 KOHNERT = "kohnert"
-K_KOHNERT = "k_kohnert"
+K_KOHNERT = "kkohnert"
 
 DEFAULT_CLOSURE_CAP = 500_000
 

@@ -175,11 +175,6 @@ def multiply_s(w: Permutation, i: int) -> Permutation:
     return permutation(v)
 
 
-def longest_element(n: int) -> Permutation:
-    """The order-reversing permutation of S_n."""
-    return permutation(range(n, 0, -1))
-
-
 def identity() -> Permutation:
     return (1,)
 

@@ -406,48 +406,11 @@ def _check_block_bounds(d: list[int]) -> None:
         raise ValueError(f"block bounds must be strictly increasing: {d}")
 
 
-def _check_split_word(word: tuple[int, ...], d: list[int]) -> bool:
-    """The refusals of ``split_blocks`` that depend on the word and the
-    bounds alone, in its order; returns whether the word is reduced."""
-    _check_block_bounds(d)
-    w = perms.word_to_perm(word)
-    if not perms.perm_descents(w) <= set(d):
-        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
-    return perms.is_reduced(word)
-
-
-def _cut_blocks(pair: CompatiblePair, d: list[int], reduced: bool) -> list[CompatiblePair]:
-    """The rest of ``split_blocks``, once ``_check_split_word`` has passed
-    the word and found whether it is ``reduced``."""
-    word, marks = pair
-    if any(m > a for m, a in zip(marks, word)):
-        raise ValueError("marks exceed their letters; pair is not compatible")
-    if marks and (not d or marks[-1] > d[-1]):
-        raise ValueError(f"marks {marks} exceed the last block bound")
-    out = []
-    pos = 0
-    prev = 0
-    for bound in d:
-        end = pos
-        while end < len(marks) and marks[end] <= bound:
-            end += 1
-        block_word, block_marks = word[pos:end], marks[pos:end]
-        if any(m <= prev for m in block_marks):
-            raise ValueError("marks are not weakly increasing")
-        if block_word:
-            # Every factor of a reduced word is reduced (Edelman-Greene), so
-            # the blocks need their own check only when the whole word is not.
-            if not reduced and not perms.is_reduced(block_word):
-                raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
-            _check_stable_marks(block_word, block_marks)
-        out.append((block_word, block_marks))
-        pos = end
-        prev = bound
-    return out
-
-
-def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
-    """Split a compatible pair into its blocks by mark range, uninserted.
+def split_pairs(
+    pairs: Iterable[CompatiblePair], d: Sequence[int]
+) -> Iterator[list[CompatiblePair]]:
+    """Split each compatible pair in turn into its blocks by mark range,
+    uninserted.
 
     Block j is the (word, marks) factor of the consecutive entries whose
     marks lie in (d_{j-1}, d_j], with d_0 = 0; the split is unique because
@@ -455,45 +418,61 @@ def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]
     Raises ValueError unless the bounds strictly increase from 1 and contain
     the descents of the word's permutation, every mark is at most its letter
     and the last bound, and every non-empty block is a reduced word
-    (NonReducedWordError) with stable marks -- the refusals of
-    ``split_compatible_pair``, in its order.
+    (NonReducedWordError) with stable marks, in that order.  The checks that
+    depend on the word alone run once per run of consecutive pairs that
+    share a word, as the pairs of one word are in the output of
+    ``compatible_pairs``.
     """
-    d = list(d)
-    return _cut_blocks(pair, d, _check_split_word(pair[0], d))
-
-
-def split_pairs(
-    pairs: Iterable[CompatiblePair], d: Sequence[int]
-) -> Iterator[list[CompatiblePair]]:
-    """``split_blocks`` of each pair in turn, with the same refusals, but
-    the checks that depend on the word alone run once per run of
-    consecutive pairs that share a word, as the pairs of one word are in the
-    output of ``compatible_pairs``."""
     d = list(d)
     word: tuple[int, ...] | None = None
     reduced = False
     for pair in pairs:
         if pair[0] != word:
             word = pair[0]
-            reduced = _check_split_word(word, d)
-        yield _cut_blocks(pair, d, reduced)
+            _check_block_bounds(d)
+            w = perms.word_to_perm(word)
+            if not perms.perm_descents(w) <= set(d):
+                raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+            reduced = perms.is_reduced(word)
+        marks = pair[1]
+        if any(m > a for m, a in zip(marks, word)):
+            raise ValueError("marks exceed their letters; pair is not compatible")
+        if marks and (not d or marks[-1] > d[-1]):
+            raise ValueError(f"marks {marks} exceed the last block bound")
+        blocks = []
+        pos = 0
+        prev = 0
+        for bound in d:
+            end = pos
+            while end < len(marks) and marks[end] <= bound:
+                end += 1
+            block_word, block_marks = word[pos:end], marks[pos:end]
+            if any(m <= prev for m in block_marks):
+                raise ValueError("marks are not weakly increasing")
+            if block_word:
+                # Every factor of a reduced word is reduced (Edelman-Greene),
+                # so the blocks need their own check only when the whole word
+                # is not.
+                if not reduced and not perms.is_reduced(block_word):
+                    raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
+                _check_stable_marks(block_word, block_marks)
+            blocks.append((block_word, block_marks))
+            pos = end
+            prev = bound
+        yield blocks
+
+
+def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
+    """``split_pairs`` of the one pair."""
+    return next(split_pairs((pair,), d))
 
 
 def split_compatible_pair(
     pair: CompatiblePair, d: Sequence[int]
 ) -> list[tuple[Tableau, Tableau]]:
     """Split a compatible pair into blocks by mark range (``split_blocks``)
-    and insert each block.
-
-    Returns the list of (P_j, Q_j); empty blocks give empty tableaux.  The
-    descent set of the word's permutation must be contained in d.
-    """
-    return [
-        egls_insert(block_word, block_marks)
-        if block_word
-        else (EMPTY_TABLEAU, EMPTY_TABLEAU)
-        for block_word, block_marks in split_blocks(pair, d)
-    ]
+    and insert each block; empty blocks give empty tableaux."""
+    return [egls_insert(*block) for block in split_blocks(pair, d)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import kohnert
-from kohnert import bases, diagrams, harness, perms, tableaux
+from kohnert import bases, cli, diagrams, harness, perms, tableaux
 from kohnert.cli import (
     MAX_DIAGRAM_BOX,
     MAX_EGLS_LENGTH,
@@ -17,6 +17,7 @@ from kohnert.cli import (
     MAX_POLY_PARTS,
     MAX_POLY_WEIGHT,
     MAX_SPLIT_PARTS,
+    MAX_SPLIT_TERMS,
     MAX_SPLIT_WEIGHT,
     MAX_SPLIT_WORDS,
     MAX_TALPHA_PARTS,
@@ -239,6 +240,38 @@ class TestSplit:
         code, out, err = run(capsys, "split", "--alpha", ",".join(["0"] * (parts - 1) + ["1"]))
         assert code == 2
         assert "usage error" in err and f"in {parts} parts" in err and not out
+
+    def test_large_key_polynomial_is_refused_before_any_work(self, capsys, monkeypatch):
+        # 9 zeros before a 20 (h_20 in 10 variables, 10 015 005 terms) passed
+        # every other bound and ran for over 40 s; 9 zeros before a 10
+        # (92 378 terms) still reaches the work
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, work)
+        code, out, err = run(capsys, "split", "--alpha", "0," * 9 + "20")
+        assert code == 2
+        assert "usage error" in err and "10015005 terms, past the bound" in err and not out
+        with pytest.raises(Reached):
+            main(["split", "--alpha", "0," * 9 + "10"])
+
+    def test_terms_bound_counts_the_key_polynomial(self):
+        bound = cli._key_terms_bound
+        # exact for zeros before one part
+        alpha = (0,) * 9 + (8,)
+        assert bound(alpha) == 24310 == len(bases.key_polynomial(alpha).terms)
+        assert [bound((0,) * 9 + (m,)) for m in (10, 12)] == [92378, 293930]
+        for alpha in harness.compositions_upto(6, 4):
+            alpha = perms.composition(alpha)
+            assert len(bases.key_polynomial(alpha).terms) <= bound(alpha)
+        # the inputs the documentation and the tests split are admitted
+        admitted = [(1, 3, 0, 2, 2, 1), (11, 11), (0,) * 399 + (1,), (500,)]
+        assert [bound(alpha) for alpha in admitted] == [580, 1, 400, 1]
+        assert bound((0,) * 9 + (10,)) <= MAX_SPLIT_TERMS < bound((0,) * 9 + (11,))
 
     def test_word_bound_admits_eleven_eleven(self):
         # 11,11 (Catalan(11) words) still splits; 12,12 and 14,14 do not

@@ -4,7 +4,10 @@ import doctest
 import io
 from pathlib import Path
 
-from kohnert import bases, diagrams, perms, poly, tableaux
+from kohnert import bases, cli, diagrams, perms, poly, tableaux
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_perms_doctests():
@@ -34,7 +37,7 @@ def test_tableaux_doctests():
 
 def test_readme_library_example():
     # run the README's library example as written, so that it cannot rot
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = README.read_text()
     section = text.split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     out = io.StringIO()
@@ -44,3 +47,10 @@ def test_readme_library_example():
     assert sorted(ast.literal_eval(extracted).values()) == [1, 1, 1, 1]
     assert j.count(" + ") + 1 == 12  # the 12 terms the comment names
     assert agrees == "True"
+
+
+def test_readme_names_every_cli_bound():
+    text = README.read_text()
+    bounds = [name for name in vars(cli) if name.startswith("MAX_")]
+    assert len(bounds) > 10
+    assert [name for name in bounds if f"cli.{name}" not in text] == []

@@ -172,7 +172,7 @@ class TestReducedWords:
             assert all(perms.word_to_perm(a) == w for a in words)
 
     def test_bound_refusal(self):
-        w0 = perms.longest_element(6)
+        w0 = perms.permutation(range(6, 0, -1))
         assert perms.perm_length(w0) == 15 > perms.MAX_WORD_LENGTH
         with pytest.raises(perms.BoundExceededError, match="length 15 exceeds bound 12"):
             perms.reduced_words(w0)

@@ -23,6 +23,7 @@ from kohnert.tableaux import (
     semistandard_tableaux,
     split_blocks,
     split_compatible_pair,
+    split_pairs,
     standard_tableaux_count,
     _mark_choices,
     word_class_closure,
@@ -476,6 +477,7 @@ class TestCompatiblePairs:
         assert isinstance(expected, tuple) and issubclass(expected[0], ValueError)
         assert outcome(split_blocks, pair, d) == expected
         assert outcome(split_compatible_pair, pair, d) == expected
+        assert outcome(next, split_pairs((pair,), d)) == expected
 
     def test_split_accepts_what_the_reference_accepts(self):
         # a non-reduced word whose blocks are each reduced is split, as before
@@ -494,8 +496,10 @@ class TestCompatiblePairs:
                 tuple(sorted(ds | {4})),
                 (1, 2, 3, 4),
             }
-            for pair in compatible_pairs(w):
-                for d in sorted(choices):
+            pairs = compatible_pairs(w)
+            for d in sorted(choices):
+                stream = split_pairs(pairs, d)
+                for pair in pairs:
                     expected = outcome(reference_split, pair, d)
                     assert outcome(split_compatible_pair, pair, d) == expected
                     blocks = outcome(split_blocks, pair, d)
@@ -506,7 +510,25 @@ class TestCompatiblePairs:
                         checked += 1
                     else:
                         assert blocks == expected
+                    if stream is not None:
+                        streamed = outcome(next, stream)
+                        assert streamed == blocks
+                        if isinstance(expected, list):
+                            assert [egls_insert(*b) for b in streamed] == expected
+                        else:
+                            stream = None  # a stream ends at its first refusal
         assert checked > 1000
+
+    def test_split_pairs_checks_each_run_of_one_word_once(self, monkeypatch):
+        pairs = [p for w in perms.all_permutations(4) for p in compatible_pairs(w)]
+        calls = []
+        word_to_perm = perms.word_to_perm
+        monkeypatch.setattr(
+            perms, "word_to_perm", lambda word: calls.append(word) or word_to_perm(word)
+        )
+        assert len(list(split_pairs(pairs, (1, 2, 3)))) == len(pairs)
+        assert calls == list(dict.fromkeys(word for word, _ in pairs))
+        assert len(pairs) > len(calls)
 
     def test_split_bijection_by_counting(self):
         # weight-preserving bijectivity onto same-shape tuples of increasing
