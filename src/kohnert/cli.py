@@ -109,7 +109,7 @@ def _cmd_diagrams(args) -> int:
         )
     start = diagrams.skyline(alpha) if args.alpha is not None else diagrams.rothe(w)
     try:
-        found = diagrams.closure(start, args.mode, args.cap)
+        found = diagrams.closure(start, diagrams.RULES[args.rule], args.cap)
     except diagrams.ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -153,6 +153,14 @@ MAX_SPLIT_WORDS = 100_000
 # ran for over 40 s.
 MAX_SPLIT_TERMS = 100_000
 
+# Largest Schur enumeration ``split`` does, in cells: the block Schur
+# polynomials fill every semistandard tableau one cell at a time, so the
+# work grows with the terms of the key polynomial times its weight, bounded
+# by ``_key_terms_bound(alpha) * |alpha|``.  ``--alpha 0,0,150`` (1.7
+# million) splits in 1.1 s and ``0,0,0,60`` (2.4 million) in 1.5 s, while
+# ``0,0,200`` (4.1 million) took 2.2 s and ``0,0,400`` (32 million) 15.9 s.
+MAX_SPLIT_CELLS = 3_000_000
+
 
 def _key_terms_bound(alpha) -> int:
     """The number of compositions of |alpha| into len(alpha) parts, none
@@ -181,6 +189,13 @@ def _cmd_split(args) -> int:
         raise UsageError(
             f"the key polynomial of {perms.format_composition(alpha)} may have "
             f"{terms} terms, past the bound {MAX_SPLIT_TERMS}"
+        )
+    cells = terms * sum(alpha)
+    if cells > MAX_SPLIT_CELLS:
+        raise UsageError(
+            f"the key polynomial of {perms.format_composition(alpha)} may have "
+            f"{terms} terms of weight {sum(alpha)}, {cells} cells, past the bound "
+            f"{MAX_SPLIT_CELLS}"
         )
     if args.descents:
         try:
@@ -276,6 +291,11 @@ def _cmd_talpha(args) -> int:
 # the key expansion of x_400 takes about 2 s, and x_900 ran out of stack.
 MAX_EXPAND_VARIABLE = 400
 
+# Largest variable ``expand --basis omega`` accepts.  The omega polynomial
+# led by x_n has 2^n - 1 terms: the omega expansion of x_12 takes 1.4 s,
+# x_13 3.7 s, x_14 7 s and x_16 41 s.
+MAX_OMEGA_EXPAND_VARIABLE = 12
+
 
 def _cmd_expand(args) -> int:
     try:
@@ -285,10 +305,10 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"cannot read {args.input}: {exc}")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad polynomial file {args.input}: {exc}")
-    if poly.max_variable() > MAX_EXPAND_VARIABLE:
+    bound = MAX_OMEGA_EXPAND_VARIABLE if args.basis == "omega" else MAX_EXPAND_VARIABLE
+    if poly.max_variable() > bound:
         raise UsageError(
-            f"the polynomial involves x{poly.max_variable()}, past the bound "
-            f"x{MAX_EXPAND_VARIABLE}"
+            f"the polynomial involves x{poly.max_variable()}, past the bound x{bound}"
         )
     try:
         coeffs = bases.expand_in_basis(poly, args.basis)
@@ -352,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_poly)
 
     p = sub.add_parser("diagrams", help="enumerate move closures")
-    p.add_argument("mode", choices=[diagrams.KOHNERT, diagrams.K_KOHNERT])
+    p.add_argument("rule", choices=list(diagrams.RULES))
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("--alpha", help="start from the skyline of this composition")
     start.add_argument("--perm", help="start from the Rothe diagram of this permutation")

@@ -19,7 +19,7 @@ Moves are made on one int per diagram.  In the bounding box of h rows and
 w columns, row r (from 0, bottom first) holds a '+' in column c at bit
 r*w + c - 1, so its '+' cells fill bits [r*w, (r+1)*w), and its ghosts sit
 at the same bits shifted up by h*w.  ``_moves`` is the one
-implementation of the rule for both modes: the cells with a cell above them
+implementation of every ``MoveRule``: the cells with a cell above them
 are a few shifts of the occupied bits, and a move is a few big-int
 operations.  ``successors`` and ``closure`` pack a diagram once on the way
 in and unpack it at the boundary.
@@ -40,7 +40,7 @@ packed weight is decoded once, from its bytes.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .perms import Composition, Permutation, composition, perm_inverse, permutation
 from .poly import Exponent, Polynomial, _of
@@ -49,8 +49,21 @@ PLUS = "+"
 GHOST = "g"
 EMPTY = "."
 
-KOHNERT = "kohnert"
-K_KOHNERT = "kkohnert"
+
+class MoveRule(NamedTuple):
+    """A move rule: its CLI name, and whether a move may leave a ghost.
+
+    >>> sorted(RULES), K_KOHNERT.ghosts, KOHNERT.ghosts
+    (['kkohnert', 'kohnert'], True, False)
+    """
+
+    name: str
+    ghosts: bool
+
+
+KOHNERT = MoveRule("kohnert", False)
+K_KOHNERT = MoveRule("kkohnert", True)
+RULES = {r.name: r for r in (KOHNERT, K_KOHNERT)}
 
 DEFAULT_CLOSURE_CAP = 500_000
 
@@ -135,13 +148,6 @@ class Diagram:
         padded = self.rows[:rows] + ("",) * (rows - len(self.rows))
         return "\n".join(line[:cols].ljust(cols, EMPTY) for line in reversed(padded))
 
-    def to_json_obj(self) -> dict:
-        return {"cells": [[c, r, m] for (c, r), m in self.key()]}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Diagram":
-        return cls.from_cells((int(c), int(r), m) for c, r, m in obj["cells"])
-
     def __repr__(self) -> str:
         return f"Diagram({list(self.key())})"
 
@@ -163,13 +169,6 @@ def rothe(w: Permutation) -> Diagram:
             if col < (inv[row - 1] if row <= len(inv) else row):
                 cells[(col, row)] = PLUS
     return Diagram(cells)
-
-
-def _mode_ghosts(mode: str) -> bool:
-    """Whether a move in ``mode`` may leave a ghost behind."""
-    if mode not in (KOHNERT, K_KOHNERT):
-        raise ValueError(f"unknown move mode {mode!r}")
-    return mode == K_KOHNERT
 
 
 def _field_width(rows: int) -> int:
@@ -240,10 +239,10 @@ def _box(rows: int, cols: int) -> tuple:
     return (1 << cells) - 1, cells, cols, lifts, row_start, unit, 1 << cols * field
 
 
-def _moves(packed: int, box: tuple, ghost_moves: bool) -> list[tuple[int, int]]:
-    """Every move from a packed diagram in ``box`` (``_box``), as
-    (successor, change of the packed weight) pairs.  This is the one place
-    the move rule lives.
+def _moves(packed: int, box: tuple, rule: MoveRule) -> list[tuple[int, int]]:
+    """Every move under ``rule`` from a packed diagram in ``box`` (``_box``),
+    as (successor, change of the packed weight) pairs.  This is the one
+    place a move rule is applied.
 
     The cells with a cell above them are the occupied bits shifted down by
     one row and OR-ed down by doubling shifts; the '+' bits outside them
@@ -253,6 +252,7 @@ def _moves(packed: int, box: tuple, ghost_moves: bool) -> list[tuple[int, int]]:
     the source column to the destination column; the ghost move also sets
     the vacated cell's ghost bit, and adds one unit at the destination and
     one ghost."""
+    ghosts = rule.ghosts
     plus_bits, ghosts_at, cols, lifts, row_start, unit, one_ghost = box
     plus = packed & plus_bits
     occupied = plus | packed >> ghosts_at
@@ -272,27 +272,25 @@ def _moves(packed: int, box: tuple, ghost_moves: bool) -> list[tuple[int, int]]:
             moved = packed ^ bit | 1 << dest
             gain = unit[dest]
             out.append((moved, gain - unit[at]))
-            if ghost_moves:
+            if ghosts:
                 out.append((moved | bit << ghosts_at, gain + one_ghost))
     return out
 
 
-def successors(diagram: Diagram, mode: str = KOHNERT) -> set[Diagram]:
+def successors(diagram: Diagram, rule: MoveRule = KOHNERT) -> set[Diagram]:
     """The diagrams one move away: per movable '+', the marker relocated
-    and, in the ghost mode, also relocated leaving a ghost."""
-    ghost_moves = _mode_ghosts(mode)
+    and, under a rule with ghosts, also relocated leaving a ghost."""
     rows, cols = diagram.max_row(), diagram.max_col()
-    moves = _moves(_pack(diagram), _box(rows, cols), ghost_moves)
+    moves = _moves(_pack(diagram), _box(rows, cols), rule)
     return {_unpack(nxt, rows, cols) for nxt, _ in moves}
 
 
-def _walk(start: Diagram, mode: str, cap: int) -> dict[int, int]:
+def _walk(start: Diagram, rule: MoveRule, cap: int) -> dict[int, int]:
     """Every diagram reachable from ``start`` (inclusive), packed, mapped to
     its packed weight (``_packed_weight``), found depth-first with an
     explicit stack.  The weight is carried through each move rather than
     read off the reached diagram.  Raises ClosureCapError when more than
     ``cap`` distinct diagrams appear."""
-    ghost_moves = _mode_ghosts(mode)
     rows, cols = start.max_row(), start.max_col()
     box = _box(rows, cols)
     packed = _pack(start)
@@ -304,7 +302,7 @@ def _walk(start: Diagram, mode: str, cap: int) -> dict[int, int]:
         # Moves only go left and stay inside the start's bounding box; the
         # '+' column sum strictly drops, which forces termination (the
         # closure tests check this on every successor edge).
-        for nxt, gain in _moves(packed, box, ghost_moves):
+        for nxt, gain in _moves(packed, box, rule):
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise ClosureCapError(cap, len(seen))
@@ -315,7 +313,7 @@ def _walk(start: Diagram, mode: str, cap: int) -> dict[int, int]:
 
 def closure(
     start: Diagram,
-    mode: str = KOHNERT,
+    rule: MoveRule = KOHNERT,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> frozenset[Diagram]:
     """All diagrams reachable from ``start`` (inclusive), deduplicated.
@@ -323,15 +321,15 @@ def closure(
     Raises ClosureCapError when more than ``cap`` distinct diagrams appear.
     """
     rows, cols = start.max_row(), start.max_col()
-    return frozenset(_unpack(packed, rows, cols) for packed in _walk(start, mode, cap))
+    return frozenset(_unpack(packed, rows, cols) for packed in _walk(start, rule, cap))
 
 
 def closure_polynomial(
     start: Diagram,
-    mode: str = KOHNERT,
+    rule: MoveRule = KOHNERT,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Polynomial:
-    """``ghost_weighted_sum(closure(start, mode, cap))``, counted during the
+    """``ghost_weighted_sum(closure(start, rule, cap))``, counted during the
     walk without building a Diagram per node; same ClosureCapError.  Each
     distinct packed weight is decoded once.
 
@@ -344,7 +342,7 @@ def closure_polynomial(
     >>> print(j.substitute_beta(0))
     x1*x3^2 + x1*x2*x3 + x1*x2^2 + x1^2*x3 + x1^2*x2
     """
-    counts = Counter(_walk(start, mode, cap).values())
+    counts = Counter(_walk(start, rule, cap).values())
     cols, field = start.max_col(), _field_width(start.max_row())
     shift = cols * field
     terms: dict = {}

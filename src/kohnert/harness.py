@@ -254,12 +254,12 @@ def _skip(family: str, param: str, exc: Exception) -> VerificationCase:
 
 def _run_closure_case(
     family: str, param: str, arg: tuple, cfg: dict,
-    diagram_tag: str, start: str, mode: str, operator_tag: str, operator_side: str,
+    diagram_tag: str, start: str, rule: diagrams.MoveRule, operator_tag: str, operator_side: str,
 ) -> VerificationCase:
     cap, cache = cfg["cap"], cfg["cache"]
 
     def walk() -> Polynomial:
-        return diagrams.closure_polynomial(getattr(diagrams, start)(arg), mode, cap)
+        return diagrams.closure_polynomial(getattr(diagrams, start)(arg), rule, cap)
 
     try:
         lhs = _cached(cache, diagram_tag, param, walk)
@@ -334,7 +334,11 @@ def compositions_upto(max_weight: int, max_parts: int) -> list[Composition]:
     parts, in graded order (weight, part count, entries).  By stars and
     bars, the compositions of ``total`` into ``n`` parts ending in a non-zero
     part are the choices of n - 1 bars among the first total + n - 2 of
-    total + n - 1 slots, in the same lexicographic order."""
+    total + n - 1 slots, in the same lexicographic order.
+
+    >>> compositions_upto(2, 2)
+    [(), (1,), (0, 1), (2,), (0, 2), (1, 1)]
+    """
     found = [()] if max_weight >= 0 else []
     # with no parts there is no composition of positive weight to look for
     for total in range(1, max_weight + 1 if max_parts else 1):
@@ -373,7 +377,7 @@ _PERMUTATIONS = _Kind(_perm_params, perms.parse_permutation)
 # Every case family: its parameter kind, its runner, and the runner's own
 # arguments after (family, param, parsed param, cfg).
 # - A closure row names the diagram side's cache tag, its start diagram (a
-#   function in ``diagrams``) and the move mode whose closure it sums at
+#   function in ``diagrams``) and the move rule whose closure it sums at
 #   b = -1, then the operator side's cache tag and its function in
 #   ``bases``.  The kohnert families walk the plain closure, which has no
 #   ghosts, so b = -1 leaves its polynomial, J or K at b = 0, unchanged.

@@ -28,7 +28,7 @@ carried and the column is untouched.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import perms
 from .perms import Composition, Partition, Permutation
@@ -106,10 +106,6 @@ class Tableau:
 
     def to_json_obj(self) -> dict:
         return {"rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Tableau":
-        return cls(obj["rows"])
 
     def __repr__(self) -> str:
         return f"Tableau({[list(r) for r in self.rows]})"

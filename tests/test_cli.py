@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -13,9 +14,11 @@ from kohnert.cli import (
     MAX_EGLS_LENGTH,
     MAX_EGLS_LETTER,
     MAX_EXPAND_VARIABLE,
+    MAX_OMEGA_EXPAND_VARIABLE,
     MAX_POLY_N,
     MAX_POLY_PARTS,
     MAX_POLY_WEIGHT,
+    MAX_SPLIT_CELLS,
     MAX_SPLIT_PARTS,
     MAX_SPLIT_TERMS,
     MAX_SPLIT_WEIGHT,
@@ -125,6 +128,18 @@ class TestDiagrams:
         )
         assert code == 1
         assert "cap" in err
+
+    def test_unknown_rule_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "diagrams", "ghostly", "--alpha", "1")
+        assert code == 2
+        assert out == "" and "invalid choice: 'ghostly'" in err
+
+    def test_rule_choices_are_the_diagrams_rules(self):
+        commands = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        (rule,) = [a for a in commands.choices["diagrams"]._actions if a.dest == "rule"]
+        assert rule.choices == list(diagrams.RULES)
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_is_refused(self, capsys, cap):
@@ -258,6 +273,27 @@ class TestSplit:
         assert "usage error" in err and "10015005 terms, past the bound" in err and not out
         with pytest.raises(Reached):
             main(["split", "--alpha", "0," * 9 + "10"])
+
+    def test_large_schur_enumeration_is_refused_before_any_work(self, capsys, monkeypatch):
+        # 0,0,400 (80 601 terms of weight 400) passed every other bound and
+        # took 15.9 s; 0,0,150 and 9 zeros before a 10 still reach the work
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, work)
+        code, out, err = run(capsys, "split", "--alpha", "0,0,400")
+        assert code == 2
+        assert "usage error" in err and "32240400 cells, past the bound" in err and not out
+        for alpha in ("0,0,150", "0," * 9 + "10"):
+            with pytest.raises(Reached):
+                main(["split", "--alpha", alpha])
+        # the inputs the documentation and the tests split are admitted
+        admitted = [(1, 3, 0, 2, 2, 1), (11, 11), (0,) * 399 + (1,), (500,), (0, 0, 0, 60)]
+        assert all(cli._key_terms_bound(a) * sum(a) <= MAX_SPLIT_CELLS for a in admitted)
 
     def test_terms_bound_counts_the_key_polynomial(self):
         bound = cli._key_terms_bound
@@ -399,19 +435,33 @@ class TestExpand:
         assert code == 2
         assert "bad polynomial file" in err and not out
 
-    @pytest.mark.parametrize("n", [MAX_EXPAND_VARIABLE + 1, 900, 100_000])
+    @pytest.mark.parametrize(
+        "n", [MAX_OMEGA_EXPAND_VARIABLE, MAX_OMEGA_EXPAND_VARIABLE + 1,
+              MAX_EXPAND_VARIABLE + 1, 900, 100_000]
+    )
     def test_huge_variable_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, n):
-        # the key expansion of x_900 used to end in a RecursionError
-        def no_work(*args):
-            raise AssertionError("expand ran past its variable bound")
+        # the key expansion of x_900 used to end in a RecursionError, and the
+        # omega expansion of x_14 took 7 s
+        class Reached(Exception):
+            pass
 
-        monkeypatch.setattr(bases, "expand_in_basis", no_work)
+        def work(*args):
+            raise Reached
+
+        monkeypatch.setattr(bases, "expand_in_basis", work)
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(Polynomial.monomial((0,) * (n - 1) + (1,)).to_json_obj()))
-        for basis in ("key", "J", "omega"):
-            code, out, err = run(capsys, "expand", "--basis", basis, "--input", str(path))
+        bounds = {"key": MAX_EXPAND_VARIABLE, "J": MAX_EXPAND_VARIABLE,
+                  "omega": MAX_OMEGA_EXPAND_VARIABLE}
+        for basis, bound in bounds.items():
+            argv = ["expand", "--basis", basis, "--input", str(path)]
+            if n <= bound:
+                with pytest.raises(Reached):
+                    main(argv)
+                continue
+            code, out, err = run(capsys, *argv)
             assert code == 2
-            assert "usage error" in err and f"x{n}, past the bound" in err and not out
+            assert "usage error" in err and f"x{n}, past the bound x{bound}" in err and not out
 
 
 def test_split_and_expand_bounds_leave_room_on_the_stack():

@@ -4,7 +4,7 @@ import doctest
 import io
 from pathlib import Path
 
-from kohnert import bases, cli, diagrams, perms, poly, tableaux
+from kohnert import bases, cli, diagrams, harness, perms, poly, tableaux
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,6 +27,11 @@ def test_bases_doctests():
 
 def test_diagrams_doctests():
     results = doctest.testmod(diagrams)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_harness_doctests():
+    results = doctest.testmod(harness)
     assert results.failed == 0 and results.attempted > 0
 
 

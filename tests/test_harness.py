@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kohnert import harness
+from kohnert import diagrams, harness
 from kohnert.harness import (
     PolynomialCache,
     compositions_upto,
@@ -231,6 +231,15 @@ class TestCaseTable:
     def test_closure_sweeps_are_derived_from_the_runner(self):
         closure = {family for family, spec in harness.SWEEPS.items() if spec.closure}
         assert closure == {"conj1", "conj2", "kohnert"}
+
+    def test_closure_rows_hold_a_rule(self):
+        rules = [
+            args[2] for _, runner, args in harness._CASES.values()
+            if runner is harness._run_closure_case
+        ]
+        assert len(rules) == 4
+        assert all(rule is diagrams.RULES[rule.name] for rule in rules)
+        assert {rule.name for rule in rules} == set(diagrams.RULES)
 
 
 class TestFaultInjection:
