@@ -12,7 +12,9 @@ import math
 import os
 import sys
 
-from . import __version__, bases, diagrams, harness, perms, tableaux
+# bases and tableaux are imported by the commands that call them, so a verify
+# that reads every polynomial from the cache never loads them.
+from . import __version__, diagrams, harness, perms
 from .poly import Polynomial
 
 
@@ -58,6 +60,8 @@ MAX_POLY_N = 9
 
 
 def _cmd_poly(args) -> int:
+    from . import bases
+
     if args.basis in ("key", "omega"):
         if args.alpha is None:
             raise UsageError(f"--alpha is required for {args.basis}")
@@ -177,6 +181,8 @@ def _key_terms_bound(alpha) -> int:
 
 
 def _cmd_split(args) -> int:
+    from . import bases, tableaux
+
     alpha = _bounded_alpha(args.alpha, MAX_SPLIT_WEIGHT, MAX_SPLIT_PARTS)
     words = tableaux.standard_tableaux_count(perms.sort_decreasing(alpha))
     if words > MAX_SPLIT_WORDS:
@@ -249,6 +255,8 @@ MAX_EGLS_LENGTH = 2000
 
 
 def _cmd_egls(args) -> int:
+    from . import tableaux
+
     word = _parse_letters(args.word, "word")
     if len(word) > MAX_EGLS_LENGTH or max(word, default=0) > MAX_EGLS_LETTER:
         raise UsageError(
@@ -274,6 +282,8 @@ MAX_TALPHA_PARTS = 2000
 
 
 def _cmd_talpha(args) -> int:
+    from . import tableaux
+
     alpha = _bounded_alpha(args.alpha, MAX_TALPHA_WEIGHT, MAX_TALPHA_PARTS)
     t = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
@@ -298,6 +308,8 @@ MAX_OMEGA_EXPAND_VARIABLE = 12
 
 
 def _cmd_expand(args) -> int:
+    from . import bases
+
     try:
         with open(args.input) as fh:
             poly = Polynomial.from_json_obj(json.load(fh))

@@ -19,12 +19,15 @@ import math
 import os
 import sys
 import time
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from . import __version__, bases, diagrams, perms, tableaux
+# bases and tableaux are imported by the runners that call them, so a sweep
+# that reads every polynomial from the cache never loads them.
+from . import __version__, diagrams, perms
 from .perms import Composition
-from .poly import Polynomial
+from .poly import Polynomial, _of
 
 FAULT_ENV = "KOHNERT_FAULT_INJECT"
 CACHE_ENV = "KOHNERT_CACHE"
@@ -88,18 +91,20 @@ class SweepReport:
 
 def poly_diff(lhs: Polynomial, rhs: Polynomial) -> dict | None:
     """Minimal term diff, or None when equal.  Each entry is
-    [exponents, coeff-on-lhs, coeff-on-rhs] for a differing exponent."""
+    [exponents, coeff-on-lhs, coeff-on-rhs] for a differing exponent, each
+    coeff the [b-degree, count] pairs of that exponent by ascending b-degree."""
     if lhs == rhs:
         return None
-    left: dict[tuple[int, ...], list] = {}
-    right: dict[tuple[int, ...], list] = {}
-    for f, grouped in ((lhs, left), (rhs, right)):
-        for (e, deg), c in f.terms.items():
-            grouped.setdefault(e, []).append((deg, c))
-    diffs = []
     # the exponents of the (exponent, b-degree, count) entries on one side only
-    for e in sorted({e for (e, _), _ in lhs.terms.items() ^ rhs.terms.items()}):
-        diffs.append([list(e), sorted(left.get(e, [])), sorted(right.get(e, []))])
+    changed = sorted({e for (e, _), _ in lhs.terms.items() ^ rhs.terms.items()})
+    # Only those exponents are grouped: each side's b-degrees are probed.
+    sides = [(f.terms.get, sorted(set(map(itemgetter(1), f.terms)))) for f in (lhs, rhs)]
+    diffs = []
+    for e in changed:
+        entry = [list(e)]
+        for get, degrees in sides:
+            entry.append([(d, c) for d in degrees if (c := get((e, d))) is not None])
+        diffs.append(entry)
     return {"terms": diffs}
 
 
@@ -107,21 +112,66 @@ def poly_diff(lhs: Polynomial, rhs: Polynomial) -> dict | None:
 # persistent polynomial cache
 
 
+def _flat_value(poly: Polynomial) -> list[list]:
+    """The cache value of ``poly``: three parallel lists, its exponents,
+    b-degrees and counts, in ``sorted(poly.terms)`` order."""
+    terms = poly.terms
+    keys = sorted(terms)
+    return [
+        list(map(itemgetter(0), keys)),
+        list(map(itemgetter(1), keys)),
+        list(map(terms.__getitem__, keys)),
+    ]
+
+
+def _from_flat_value(value) -> Polynomial:
+    """Read ``_flat_value`` output decoded from JSON.  Raises ValueError
+    unless it is three lists of equal length, of exponents (lists of ints,
+    trimmed), b-degrees and nonzero counts (ints), with no negative exponent
+    or b-degree and no (exponent, b-degree) key given twice.  Each check is
+    one pass in C over the value, with no Python step per term; ``type`` is
+    compared exactly, so a bool or a float is not an int."""
+    if type(value) is not list or len(value) != 3 or set(map(type, value)) != {list}:
+        raise ValueError("the value is not three lists")
+    exps, degs, counts = value
+    if not len(exps) == len(degs) == len(counts):
+        raise ValueError("the value's lists differ in length")
+    if set(map(type, exps)) - {list}:
+        raise ValueError("an exponent is not a list")
+    if set(map(type, chain(chain.from_iterable(exps), degs, counts))) - {int}:
+        raise ValueError("a number in the value is not an int")
+    if min(chain(chain.from_iterable(exps), degs), default=0) < 0:
+        raise ValueError("a negative exponent or b-degree")
+    if 0 in map(itemgetter(-1), filter(None, exps)):
+        raise ValueError("an exponent ends in 0")
+    if 0 in counts:
+        raise ValueError("a zero count")
+    terms = dict(zip(zip(map(tuple, exps), degs), counts))
+    if len(terms) != len(counts):
+        raise ValueError("an (exponent, b-degree) key is given twice")
+    return _of(terms)
+
+
 class PolynomialCache:
     """Content-addressed store of computed polynomials.
 
     Keys are (family tag, canonical parameter, code version); values are the
-    polynomial JSON plus the SHA-256 of its bytes.  A file is the JSON object
+    polynomial in the flat layout ``[exponents, b_degrees, counts]`` of
+    ``_flat_value`` plus the SHA-256 of its bytes.  A file is the JSON object
     ``{"family", "param", "version", "value_sha256", "value"}`` with the value
-    last, written by one ``json.dumps``.  A read splits the file at its last
-    ``, "value": `` (JSON escapes every quote inside a string, so no string can
-    hold that text) and checks, in order: the key fields, the SHA-256 of the
-    exact value bytes it then decodes, and the polynomial's shape
-    (``Polynomial.from_json_obj``).  An entry that fails any check, a file
+    last, written by one ``json.dumps``, and its name hashes the key and
+    ``_FORMAT``, so an entry of another layout is never opened: it is a miss,
+    recomputed and written once under the new name.  A read splits the file
+    at its last ``, "value": `` (JSON escapes every quote inside a string, so
+    no string can hold that text) and checks, in order: the key fields, the
+    SHA-256 of the exact value bytes it then decodes, and the value's shape
+    (``_from_flat_value``).  An entry that fails any check, a file
     reformatted by hand included, is dropped with a warning and recomputed.
     ``hits`` and ``misses`` count the reads of this object.
     """
 
+    # The value layout, hashed into every file name.
+    _FORMAT = "flat1"
     # What separates the key fields from the value in a written file.
     _VALUE_FIELD = b', "value": '
 
@@ -136,7 +186,7 @@ class PolynomialCache:
         import hashlib  # only the cache hashes; a sweep without one never loads it
 
         digest = hashlib.sha256(
-            f"{family}|{param}|{self.version}".encode()
+            f"{family}|{param}|{self.version}|{self._FORMAT}".encode()
         ).hexdigest()
         return os.path.join(self.directory, digest + ".json")
 
@@ -160,7 +210,7 @@ class PolynomialCache:
             value = tail[:-1]
             if hashlib.sha256(value).hexdigest() != key["value_sha256"]:
                 raise ValueError("content hash mismatch")
-            poly = Polynomial.from_json_obj(json.loads(value))
+            poly = _from_flat_value(json.loads(value))
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -177,7 +227,7 @@ class PolynomialCache:
     def put(self, family: str, param: str, poly: Polynomial) -> None:
         import hashlib
 
-        value = json.dumps(poly.to_json_obj()).encode()
+        value = json.dumps(_flat_value(poly)).encode()
         key = json.dumps(
             {
                 "family": family,
@@ -265,13 +315,21 @@ def _run_closure_case(
         lhs = _cached(cache, diagram_tag, param, walk)
     except diagrams.ClosureCapError as exc:
         return _skip(family, param, exc)
-    rhs = _cached(cache, operator_tag, param, lambda: getattr(bases, operator_side)(arg))
+
+    def operator() -> Polynomial:
+        from . import bases  # only a cache miss computes
+
+        return getattr(bases, operator_side)(arg)
+
+    rhs = _cached(cache, operator_tag, param, operator)
     return _compare_case(family, param, lhs.substitute_beta(-1), rhs)
 
 
 def _run_pair_case(
     family: str, param: str, arg: tuple, cfg: dict, enumerated: str, operator: str
 ) -> VerificationCase:
+    from . import bases
+
     try:
         lhs = getattr(bases, enumerated)(arg)
     except perms.BoundExceededError as exc:
@@ -280,6 +338,8 @@ def _run_pair_case(
 
 
 def _run_theorem1_case(family: str, param: str, alpha: Composition, cfg: dict) -> VerificationCase:
+    from . import bases
+
     d = bases.minimal_blocks(alpha)
     try:
         extracted = bases.split_extract(bases.key_polynomial(alpha), d)
@@ -308,6 +368,8 @@ def _run_theorem1_case(family: str, param: str, alpha: Composition, cfg: dict) -
 
 
 def _run_talpha_case(family: str, param: str, alpha: Composition, cfg: dict) -> VerificationCase:
+    from . import tableaux
+
     t = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     word = tableaux.row_word(t)

@@ -177,10 +177,19 @@ class Polynomial:
     def to_json_obj(self) -> dict:
         """One entry per exponent in descending monomial order, with its
         [b-degree, count] pairs by ascending b-degree."""
-        grouped: dict[Exponent, list[tuple[int, int]]] = {}
-        for (e, deg), c in sorted(self.terms.items()):
-            grouped.setdefault(e, []).append((deg, c))
-        return {"terms": [{"coeff": coeff, "exps": list(e)} for e, coeff in grouped.items()]}
+        terms = self.terms
+        keys = sorted(terms)
+        out: list[dict] = []
+        last = None
+        # one pass over the sorted keys: a key's exponent either repeats the
+        # last entry's, which gains a pair, or starts a new entry
+        for (e, deg), c in zip(keys, map(terms.__getitem__, keys)):
+            if e == last:
+                out[-1]["coeff"].append((deg, c))
+            else:
+                out.append({"coeff": [(deg, c)], "exps": list(e)})
+                last = e
+        return {"terms": out}
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Polynomial":
@@ -189,10 +198,11 @@ class Polynomial:
         b-degree, and an exponent or a b-degree of one exponent given
         twice.
 
-        A cache hit decodes every polynomial it reads, so the checks take a
-        few Python steps per term: the exponent types are tested as one set,
-        an exponent is trimmed only when it ends in 0, and each [b-degree,
-        count] pair is type-checked inline."""
+        Only ``kohnert expand --input`` reads this format; the polynomial
+        cache stores its own flat layout (``harness.PolynomialCache``).  The
+        exponent types are tested as one set, an exponent is trimmed only
+        when it ends in 0, and each [b-degree, count] pair is type-checked
+        inline."""
         counts: dict[Term, int] = {}
         seen: set[Exponent] = set()
         ints = {int}

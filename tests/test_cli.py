@@ -559,6 +559,49 @@ class TestVerify:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 False"
 
+    def test_warm_closure_sweep_loads_no_bases_or_tableaux(self, tmp_path):
+        # A sweep that reads every polynomial from the cache computes no
+        # operator polynomial and no tableau; a cold one does.
+        cache = str(tmp_path / "cache")
+        script = (
+            "import sys\n"
+            "import kohnert.cli\n"
+            f"code = kohnert.cli.main(['verify', 'conj2', '--n', '4', '--cache', {cache!r}])\n"
+            "print(code, [m for m in ('kohnert.bases', 'kohnert.tableaux') if m in sys.modules])\n"
+        )
+        assert _python(script) == "0 ['kohnert.bases', 'kohnert.tableaux']"
+        assert _python(script) == "0 []"
+
+    def test_old_layout_entry_is_never_opened(self, tmp_path, capsys):
+        # Entries of the nested {"terms": ...} layout were named by the key
+        # alone.  Each holds a well-hashed wrong polynomial here, so reading
+        # one would warn or change the report.
+        version = kohnert.__version__
+        value = json.dumps({"terms": [{"coeff": [[0, 7]], "exps": [1]}]})
+        for w in perms.all_permutations(3):
+            param = perms.format_permutation(w)
+            for family in ("K", "grothendieck"):
+                entry = json.dumps(
+                    {
+                        "family": family,
+                        "param": param,
+                        "version": version,
+                        "value_sha256": hashlib.sha256(value.encode()).hexdigest(),
+                    }
+                )
+                name = hashlib.sha256(f"{family}|{param}|{version}".encode()).hexdigest()
+                (tmp_path / f"{name}.json").write_text(entry[:-1] + ', "value": ' + value + "}")
+        old = sorted(tmp_path.iterdir())
+        assert len(old) == 12
+        cold = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
+        assert cold.meta["cache"] == {"hits": 0, "misses": 12}
+        warm = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
+        assert warm.meta["cache"] == {"hits": 12, "misses": 0}
+        assert capsys.readouterr().err == ""
+        expected = harness.verify("conj2", n=3).deterministic_json()
+        assert cold.deterministic_json() == warm.deterministic_json() == expected
+        assert len(list(tmp_path.iterdir())) == 24
+
     def test_report_file_has_one_case_per_line(self, capsys, tmp_path, monkeypatch):
         built = []
         original = harness.verify
@@ -596,6 +639,80 @@ def no_cases(tasks, workers):
 
 def passing_cases(tasks, workers):
     return [harness.VerificationCase(family, param, "pass") for family, param, _ in tasks]
+
+
+def _python(script: str) -> str:
+    """The last line ``script`` prints in a fresh interpreter on this source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kohnert.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+# The names the package bound at import before it loaded them on first use.
+PACKAGE_NAMES = {
+    "perms": (
+        "composition", "descents", "format_composition", "format_permutation",
+        "lehmer_code", "parse_composition", "parse_permutation", "perm_descents",
+        "perm_from_code", "perm_length", "permutation", "reduced_words",
+        "strict_descents",
+    ),
+    "poly": ("Polynomial", "demazure", "divided_difference", "isobaric", "twisted_demazure"),
+    "diagrams": (
+        "Diagram", "closure", "closure_polynomial", "diagram_weight", "j_polynomial",
+        "k_polynomial", "rothe", "skyline", "successors",
+    ),
+    "tableaux": (
+        "Tableau", "compatible_pairs", "content", "coxeter_knuth_class", "egls_insert",
+        "insertion_tableau", "nil_left_key", "peeling_tableau", "row_word",
+        "split_blocks", "split_compatible_pair",
+    ),
+    "bases": (
+        "expand_in_basis", "grothendieck", "key_by_insertion_fiber", "key_polynomial",
+        "key_split_expansion", "omega_polynomial", "schubert",
+        "schubert_split_expansion", "schur_block", "split_extract",
+    ),
+}
+
+
+class TestPackageNames:
+    def test_import_loads_no_submodule(self):
+        script = "import sys, kohnert\nprint(sorted(m for m in sys.modules if 'kohnert.' in m))\n"
+        assert _python(script) == "[]"
+
+    def test_every_name_is_its_module_attribute(self):
+        listed = dir(kohnert)
+        for module, names in PACKAGE_NAMES.items():
+            owner = getattr(kohnert, module)
+            assert owner is sys.modules[f"kohnert.{module}"]
+            for name in names:
+                assert getattr(kohnert, name) is getattr(owner, name)
+                assert name in listed
+        from kohnert import Polynomial as imported, key_polynomial
+
+        assert imported is Polynomial and key_polynomial is bases.key_polynomial
+
+    def test_first_use_loads_the_module(self):
+        script = (
+            "import sys, kohnert\n"
+            "kohnert.key_polynomial\n"
+            "print(sorted(m for m in sys.modules if 'kohnert.' in m))\n"
+        )
+        loaded = ["kohnert.bases", "kohnert.diagrams", "kohnert.perms", "kohnert.poly", "kohnert.tableaux"]
+        assert _python(script) == str(loaded)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+            kohnert.nothing
+        with pytest.raises(ImportError):
+            from kohnert import nothing  # noqa: F401
+        assert not hasattr(kohnert, "trim")  # a poly name that was never exported
 
 
 class TestVerifyInput:

@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 import pickle
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnert import diagrams, harness
 from kohnert.harness import (
@@ -290,7 +293,8 @@ class TestCache:
         path = cache._path("test", "a")
         with open(path) as fh:
             obj = json.load(fh)
-        obj["value"]["terms"][0]["coeff"] = [[0, 99]]
+        assert obj["value"] == [[[1]], [0], [1]]
+        obj["value"][2][0] = 99
         with open(path, "w") as fh:
             json.dump(obj, fh)
         assert cache.get("test", "a") is None
@@ -333,10 +337,11 @@ class TestCache:
 
     def test_cache_files_are_pinned(self, tmp_path):
         # SHA-256 over the sorted (file name, bytes) pairs that a fill by
-        # `verify conj2 --n 4 --cache DIR` writes.  The digest was taken while
-        # a polynomial was still stored as nested exponent -> {b-degree ->
-        # int} maps, so it pins the on-disk format across that change.  File
-        # names hash the package version, so a version bump moves the digest.
+        # `verify conj2 --n 4 --cache DIR` writes.  The digest pins the flat
+        # value layout [exponents, b-degrees, counts] and the format tag in
+        # the file names; the nested {"terms": ...} layout before it had
+        # other names and another digest.  File names hash the package
+        # version, so a version bump moves the digest.
         verify_conjecture2(4, cache_dir=str(tmp_path))
         paths = sorted(tmp_path.iterdir())
         assert len(paths) == 48
@@ -344,7 +349,7 @@ class TestCache:
         for path in paths:
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == (
-            "4e97a4df40a0b5366d673a0036683ed15e1327e7278a0f323cfd721da8bb0763"
+            "c2a2ec8b1fbed037dccead2e902d7c3eb7a0b50aa9001fa2023c89cb1262ba74"
         )
 
     @staticmethod
@@ -374,25 +379,75 @@ class TestCache:
     @pytest.mark.parametrize(
         "terms",
         [
-            [{"coeff": [[0, 1.0]], "exps": [1]}],  # a float count
-            [{"coeff": [[0, 1], [0, 1]], "exps": [1]}],  # a repeated b-degree
-            [{"coeff": [[0, 1]], "exps": [1]}, {"coeff": [[1, 1]], "exps": [1, 0]}],
-            [{"coeff": [[0, 1]], "exps": [-1]}],
-            [{"exps": [1]}],
+            # the first five are the nested layout's five cases, in the flat one
+            [[[1]], [0], [1.0]],  # a float count
+            [[[1], [1]], [0, 0], [1, 1]],  # a repeated (exponent, b-degree) key
+            [[[1], [1, 0]], [0, 1], [1, 1]],  # an untrimmed exponent
+            [[[-1]], [0], [1]],  # a negative exponent
+            [[[1]], [0]],  # a missing list
+            [[[1.0]], [0], [1]],  # a float exponent
+            [[[1]], [0.0], [1]],  # a float b-degree
+            [[[1]], [0], [True]],  # a bool count
+            [[[True]], [0], [1]],  # a bool exponent
+            [[[1]], [False], [1]],  # a bool b-degree
+            [[[[1]]], [0], [1]],  # a nested exponent
+            [[[1]], [[0]], [1]],  # a nested b-degree
+            [[[1]], [0], [[1]]],  # a nested count
+            [[1], [0], [1]],  # an exponent that is not a list
+            [[[1], [2]], [0], [1]],  # lists of unequal length
+            [[[1]], [0, 1], [1]],
+            [[[1]], [0], [1, 2]],
+            [[[0]], [0], [1]],  # an untrimmed exponent
+            [[[1]], [0], [0]],  # a zero count
+            [[[1], [1]], [0, 0], [1, 2]],  # a repeated key
+            [[[1]], [-1], [1]],  # a negative b-degree
+            [[[1]], [0], [1], []],  # not three lists
+            [[[1]], 0, [1]],
+            [],
+            None,
+            "[[[1]], [0], [1]]",
+            {"terms": [{"coeff": [[0, 1]], "exps": [1]}]},  # the nested layout
         ],
     )
     def test_hashed_value_of_the_wrong_shape_is_dropped(self, tmp_path, capsys, terms):
         cache = PolynomialCache(str(tmp_path))
         cache.put("test", "a", x(1))
         path = Path(cache._path("test", "a"))
-        self.rewrite_value(path, {"terms": terms})
+        self.rewrite_value(path, terms)
         assert cache.get("test", "a") is None
         err = capsys.readouterr().err
         assert "dropping corrupt cache entry" in err and "hash" not in err
         # a well-formed value rewritten the same way is read
-        self.rewrite_value(path, (x(1) + x(2)).to_json_obj())
+        self.rewrite_value(path, [[[1], [0, 1]], [0, 0], [1, 1]])
         assert cache.get("test", "a") == x(1) + x(2)
         assert (cache.hits, cache.misses) == (1, 1)
+        # and a dropped entry is recomputed and written again
+        self.rewrite_value(path, terms)
+        assert cache.get_or_compute("test", "a", lambda: x(1)) == x(1)
+        assert cache.get("test", "a") == x(1)
+        assert "dropping corrupt cache entry" in capsys.readouterr().err
+
+    @given(
+        st.dictionaries(
+            st.tuples(
+                st.lists(st.integers(0, 5), max_size=4).map(tuple),
+                st.integers(0, 3),
+            ),
+            st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_put_get_round_trip(self, counts):
+        f = Polynomial(counts)
+        with tempfile.TemporaryDirectory() as directory:
+            cache = PolynomialCache(directory)
+            for param, g in enumerate([f, Polynomial(), Polynomial({((), 2): 10**30})]):
+                cache.put("test", str(param), g)
+                got = cache.get("test", str(param))
+                assert got == g
+                assert list(got.terms) == sorted(g.terms)
+            assert (cache.hits, cache.misses) == (3, 0)
 
     def test_param_holding_the_value_separator_round_trips(self, tmp_path):
         cache = PolynomialCache(str(tmp_path))
@@ -421,14 +476,13 @@ class TestCache:
         cache = PolynomialCache(str(tmp_path), version="v")
         f = Polynomial({((2, 0, 1), 0): 3, ((2, 0, 1), 2): -1, ((), 1): 5})
         cache.put("fam", 'p, "value": q', f)
-        value = f.to_json_obj()
+        # exponents, b-degrees and counts, in sorted term order
+        value = [[[], [2, 0, 1], [2, 0, 1]], [1, 0, 2], [5, 3, -1]]
         expected = {
             "family": "fam",
             "param": 'p, "value": q',
             "version": "v",
-            "value_sha256": hashlib.sha256(
-                json.dumps(value, sort_keys=True).encode()
-            ).hexdigest(),
+            "value_sha256": hashlib.sha256(json.dumps(value).encode()).hexdigest(),
             "value": value,
         }
         path = Path(cache._path("fam", 'p, "value": q'))
