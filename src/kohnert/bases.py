@@ -23,15 +23,33 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import diagrams, perms, tableaux
+from . import diagrams, perms
 from .perms import Composition, Partition, Permutation
 from .poly import ONE, ZERO, BetaCoeff, Polynomial
 from .poly import demazure, divided_difference, isobaric, trim, twisted_demazure
-from .tableaux import EMPTY_TABLEAU, Tableau
+
+if TYPE_CHECKING:
+    from .tableaux import Tableau
 
 LambdaTuple = tuple[Partition, ...]
+
+
+class _OnFirstUse:
+    """Stands in for the ``tableaux`` module until one of its names is
+    read, then puts the module in its place, so a process that only builds
+    operator polynomials (a closure sweep) never loads it and every later
+    use is a plain global lookup."""
+
+    def __getattr__(self, name: str):
+        from . import tableaux as module
+
+        globals()["tableaux"] = module
+        return getattr(module, name)
+
+
+tableaux = _OnFirstUse()
 
 
 class BlockSymmetryError(ValueError):
@@ -238,7 +256,7 @@ def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau 
     pass, the tableau is built unchecked.
     """
     if not block:
-        return EMPTY_TABLEAU
+        return tableaux.EMPTY_TABLEAU
     if min(block) <= lower:
         return None
     cuts = [i for i in range(1, len(block)) if block[i] >= block[i - 1]]
@@ -363,7 +381,7 @@ def key_split_expansion_via_pairs(
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
-    inserted: dict[tuple[int, ...], Tableau] = {(): EMPTY_TABLEAU}
+    inserted: dict[tuple[int, ...], Tableau] = {(): tableaux.EMPTY_TABLEAU}
     tuples: set[tuple[Tableau, ...]] = set()
     for blocks in tableaux.split_pairs(tableaux.compatible_pairs(w, t_ref), d):
         parts = []

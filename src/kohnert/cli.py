@@ -112,17 +112,23 @@ def _cmd_diagrams(args) -> int:
             f"{MAX_DIAGRAM_BOX} cells"
         )
     start = diagrams.skyline(alpha) if args.alpha is not None else diagrams.rothe(w)
+    rule = diagrams.RULES[args.rule]
+    # Only a listing builds the diagrams; the summary is read off the
+    # polynomial the walk counts.
     try:
-        found = diagrams.closure(start, diagrams.RULES[args.rule], args.cap)
+        if args.list:
+            ordered = sorted(diagrams.closure(start, rule, args.cap), key=lambda d: d.key())
+            poly = diagrams.ghost_weighted_sum(ordered)
+        else:
+            poly = diagrams.closure_polynomial(start, rule, args.cap)
     except diagrams.ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    ordered = sorted(found, key=lambda d: d.key())
+    # a coefficient of b^g counts diagrams with g ghosts
     by_ghosts: dict[int, int] = {}
-    for d in ordered:
-        by_ghosts[d.ghost_count()] = by_ghosts.get(d.ghost_count(), 0) + 1
-    poly = diagrams.ghost_weighted_sum(ordered)
-    print(f"diagrams: {len(ordered)}")
+    for (_, g), n in poly.terms.items():
+        by_ghosts[g] = by_ghosts.get(g, 0) + n
+    print(f"diagrams: {sum(by_ghosts.values())}")
     print(
         "by ghost count: "
         + ", ".join(f"{g}: {n}" for g, n in sorted(by_ghosts.items()))

@@ -18,28 +18,35 @@ positions but different '+'/'g' labels are distinct.
 Moves are made on one int per diagram.  In the bounding box of h rows and
 w columns, row r (from 0, bottom first) holds a '+' in column c at bit
 r*w + c - 1, so its '+' cells fill bits [r*w, (r+1)*w), and its ghosts sit
-at the same bits shifted up by h*w.  ``_moves`` is the one
-implementation of every ``MoveRule``: the cells with a cell above them
-are a few shifts of the occupied bits, and a move is a few big-int
-operations.  ``successors`` and ``closure`` pack a diagram once on the way
-in and unpack it at the boundary.
+at the same bits shifted up by h*w.  A walk goes one frontier at a time:
+``_expand`` makes every move from each diagram of a frontier, keeps the
+successors not seen before, and returns them as the next frontier.  It is
+the one implementation of every ``MoveRule``: the cells with a cell above
+them are a few shifts of the occupied bits, and a move is a few big-int
+operations.  ``successors`` is one expansion of one diagram.  ``skyline``
+and ``rothe`` write their rows directly, ``successors`` and ``closure``
+pack a diagram once on the way in and unpack it at the boundary, and the
+box's masks and tables are kept for the last few box sizes.
 
 The column weight of a diagram counts occupied cells (both kinds) per
 column.  Ghosts contribute to the weight; dropping them would not reproduce
 the generating polynomials this construction is defined by.
 ``closure_polynomial`` sums b^(ghost count) * x^(column weight) over a
-closure without building a Diagram per node.  The depth-first walk maps
-each packed diagram to its packed weight, one int holding the column
-weights in byte-wide fields (wider only when a column can hold more than
-255 cells) and the ghost count in the field above them.  A plain move adds
-one unit at the destination column and takes one from the source column; a
+closure without building a Diagram per node.  The walk maps each packed
+diagram to its packed weight, one int holding the column weights in
+byte-wide fields (wider only when a column can hold more than 255 cells)
+and the ghost count in the field above them.  The start's packed weight is
+read in the same pass that packs it; after that a plain move adds one unit
+at the destination column and takes one from the source column, and a
 ghost move adds one at the destination and one ghost.  Each distinct
 packed weight is decoded once, from its bytes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .perms import Composition, Permutation, composition, perm_inverse, permutation
@@ -152,23 +159,35 @@ class Diagram:
         return f"Diagram({list(self.key())})"
 
 
+def _of_rows(rows: Iterable[str]) -> Diagram:
+    """The diagram whose ``rows`` are ``rows`` themselves, for rows that are
+    in the stored form by construction."""
+    d = Diagram.__new__(Diagram)
+    d.rows = tuple(rows)
+    return d
+
+
 def skyline(alpha: Composition) -> Diagram:
     """Columns of '+' cells, alpha_i high in column i."""
     a = composition(alpha)
-    return Diagram({(i + 1, y): PLUS for i, h in enumerate(a) for y in range(1, h + 1)})
+    return _of_rows(
+        "".join([PLUS if h >= y else EMPTY for h in a]).rstrip(EMPTY)
+        for y in range(1, max(a, default=0) + 1)
+    )
 
 
 def rothe(w: Permutation) -> Diagram:
     """Inversion diagram: cells (x, y) with y < w(x) and x < w^{-1}(y)."""
     w = permutation(w)
     inv = perm_inverse(w)
-    n = len(w)
-    cells = {}
-    for col in range(1, n + 1):
-        for row in range(1, w[col - 1]):
-            if col < (inv[row - 1] if row <= len(inv) else row):
-                cells[(col, row)] = PLUS
-    return Diagram(cells)
+    # row y holds a cell in each column x left of w^{-1}(y) with w(x) > y
+    lines = [
+        "".join([PLUS if v > y else EMPTY for v in w[: inv[y - 1] - 1]]).rstrip(EMPTY)
+        for y in range(1, len(w) + 1)
+    ]
+    while lines and not lines[-1]:
+        lines.pop()
+    return _of_rows(lines)
 
 
 def _field_width(rows: int) -> int:
@@ -177,19 +196,27 @@ def _field_width(rows: int) -> int:
     return 8 if rows < 256 else rows.bit_length()
 
 
-def _pack(diagram: Diagram) -> int:
-    """The diagram as one int: with h rows and w columns, row r's plus mask
-    at bits [r*w, (r+1)*w) and its ghost mask h*w bits higher."""
+def _pack(diagram: Diagram) -> tuple[int, int]:
+    """The diagram as one int and its packed weight, in one pass.  With h
+    rows and w columns, row r's plus mask sits at bits [r*w, (r+1)*w) and
+    its ghost mask h*w bits higher.  The packed weight holds the column
+    weights in ``_field_width(h)``-bit fields, column 1 lowest, and the
+    ghost count in the field above them."""
+    rows = diagram.rows
     cols = diagram.max_col()
-    ghosts_at = len(diagram.rows) * cols
-    packed = 0
-    for r, line in enumerate(diagram.rows):
+    field = _field_width(len(rows))
+    ghosts_at = len(rows) * cols
+    one_ghost = 1 << cols * field
+    packed = weight = 0
+    for r, line in enumerate(rows):
         for c, marker in enumerate(line):
             if marker == PLUS:
                 packed |= 1 << r * cols + c
+                weight += 1 << c * field
             elif marker == GHOST:
                 packed |= 1 << ghosts_at + r * cols + c
-    return packed
+                weight += (1 << c * field) + one_ghost
+    return packed, weight
 
 
 def _unpack(packed: int, rows: int, cols: int) -> Diagram:
@@ -207,26 +234,17 @@ def _unpack(packed: int, rows: int, cols: int) -> Diagram:
                 for c in range((plus | ghost).bit_length())
             )
         )
-    d = Diagram.__new__(Diagram)
-    d.rows = tuple(lines)
-    return d
+    return _of_rows(lines)
 
 
-def _packed_weight(diagram: Diagram, field: int) -> int:
-    """The column weights in ``field``-bit fields, column 1 lowest, and the
-    ghost count in the field above them."""
-    weight = diagram.ghost_count() << diagram.max_col() * field
-    for c, count in enumerate(diagram_weight(diagram)):
-        weight += count << c * field
-    return weight
-
-
+@lru_cache(maxsize=64)
 def _box(rows: int, cols: int) -> tuple:
-    """What ``_moves`` needs of a box of ``rows`` by ``cols``: the mask of
+    """What ``_expand`` needs of a box of ``rows`` by ``cols``: the mask of
     the plus bits, the shift of the ghost bits, the shifts that OR every
     higher row onto a row, per bit position the lowest bit of its row and
     the unit of its column in a packed weight, and one ghost in a packed
-    weight."""
+    weight.  A sweep walks many starts in a few boxes, so the last boxes
+    are kept."""
     field = _field_width(rows)
     cells = rows * cols
     lifts = []
@@ -234,15 +252,19 @@ def _box(rows: int, cols: int) -> tuple:
     while span < rows - 1:
         lifts.append(span * cols)
         span *= 2
-    row_start = [1 << p - p % cols for p in range(cells)]
-    unit = [1 << p % cols * field for p in range(cells)]
-    return (1 << cells) - 1, cells, cols, lifts, row_start, unit, 1 << cols * field
+    row_start = tuple(1 << p - p % cols for p in range(cells))
+    unit = tuple(1 << p % cols * field for p in range(cells))
+    return (1 << cells) - 1, cells, cols, tuple(lifts), row_start, unit, 1 << cols * field
 
 
-def _moves(packed: int, box: tuple, rule: MoveRule) -> list[tuple[int, int]]:
-    """Every move under ``rule`` from a packed diagram in ``box`` (``_box``),
-    as (successor, change of the packed weight) pairs.  This is the one
-    place a move rule is applied.
+def _expand(
+    frontier: list[int], seen: dict[int, int], box: tuple, rule: MoveRule, cap: float
+) -> list[int]:
+    """One step of a walk: every move under ``rule`` from each packed
+    diagram of ``frontier`` in ``box`` (``_box``).  Each successor not in
+    ``seen`` is added to it with its packed weight, and the new ones are
+    returned as the next frontier.  Raises ClosureCapError when ``seen``
+    would grow past ``cap``.  This is the one place a move rule is applied.
 
     The cells with a cell above them are the occupied bits shifted down by
     one row and OR-ed down by doubling shifts; the '+' bits outside them
@@ -251,63 +273,66 @@ def _moves(packed: int, box: tuple, rule: MoveRule) -> list[tuple[int, int]]:
     move is ``packed ^ bit | 1 << dest`` and moves one unit of weight from
     the source column to the destination column; the ghost move also sets
     the vacated cell's ghost bit, and adds one unit at the destination and
-    one ghost."""
+    one ghost.  A successor's weight is its parent's plus that change, not
+    read off the successor."""
     ghosts = rule.ghosts
     plus_bits, ghosts_at, cols, lifts, row_start, unit, one_ghost = box
-    plus = packed & plus_bits
-    occupied = plus | packed >> ghosts_at
-    covered = occupied >> cols
-    for lift in lifts:
-        covered |= covered >> lift
-    movable = plus & ~covered
-    vacant = ~occupied
-    out = []
-    while movable:
-        bit = movable & -movable
-        movable ^= bit
-        at = bit.bit_length() - 1
-        free = vacant & (bit - row_start[at])
-        if free:
-            dest = free.bit_length() - 1
-            moved = packed ^ bit | 1 << dest
-            gain = unit[dest]
-            out.append((moved, gain - unit[at]))
-            if ghosts:
-                out.append((moved | bit << ghosts_at, gain + one_ghost))
-    return out
+    found = []
+    for packed in frontier:
+        weight = seen[packed]
+        plus = packed & plus_bits
+        occupied = plus | packed >> ghosts_at
+        covered = occupied >> cols
+        for lift in lifts:
+            covered |= covered >> lift
+        movable = plus & ~covered
+        vacant = ~occupied
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            at = bit.bit_length() - 1
+            free = vacant & (bit - row_start[at])
+            if free:
+                dest = free.bit_length() - 1
+                moved = packed ^ bit | 1 << dest
+                gained = weight + unit[dest]
+                if moved not in seen:
+                    if len(seen) >= cap:
+                        raise ClosureCapError(cap, len(seen))
+                    seen[moved] = gained - unit[at]
+                    found.append(moved)
+                if ghosts:
+                    moved |= bit << ghosts_at
+                    if moved not in seen:
+                        if len(seen) >= cap:
+                            raise ClosureCapError(cap, len(seen))
+                        seen[moved] = gained + one_ghost
+                        found.append(moved)
+    return found
 
 
 def successors(diagram: Diagram, rule: MoveRule = KOHNERT) -> set[Diagram]:
     """The diagrams one move away: per movable '+', the marker relocated
     and, under a rule with ghosts, also relocated leaving a ghost."""
     rows, cols = diagram.max_row(), diagram.max_col()
-    moves = _moves(_pack(diagram), _box(rows, cols), rule)
-    return {_unpack(nxt, rows, cols) for nxt, _ in moves}
+    packed, weight = _pack(diagram)
+    found = _expand([packed], {packed: weight}, _box(rows, cols), rule, math.inf)
+    return {_unpack(nxt, rows, cols) for nxt in found}
 
 
 def _walk(start: Diagram, rule: MoveRule, cap: int) -> dict[int, int]:
     """Every diagram reachable from ``start`` (inclusive), packed, mapped to
-    its packed weight (``_packed_weight``), found depth-first with an
-    explicit stack.  The weight is carried through each move rather than
-    read off the reached diagram.  Raises ClosureCapError when more than
-    ``cap`` distinct diagrams appear."""
-    rows, cols = start.max_row(), start.max_col()
-    box = _box(rows, cols)
-    packed = _pack(start)
-    seen = {packed: _packed_weight(start, _field_width(rows))}
-    stack = [packed]
-    while stack:
-        packed = stack.pop()
-        weight = seen[packed]
-        # Moves only go left and stay inside the start's bounding box; the
-        # '+' column sum strictly drops, which forces termination (the
-        # closure tests check this on every successor edge).
-        for nxt, gain in _moves(packed, box, rule):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapError(cap, len(seen))
-                seen[nxt] = weight + gain
-                stack.append(nxt)
+    its packed weight (``_pack``), found one frontier at a time.  Raises
+    ClosureCapError when more than ``cap`` distinct diagrams appear."""
+    box = _box(start.max_row(), start.max_col())
+    packed, weight = _pack(start)
+    seen = {packed: weight}
+    frontier = [packed]
+    # Moves only go left and stay inside the start's bounding box; the '+'
+    # column sum strictly drops, which forces termination (the closure
+    # tests check this on every successor edge).
+    while frontier:
+        frontier = _expand(frontier, seen, box, rule, cap)
     return seen
 
 

@@ -322,7 +322,9 @@ def _run_closure_case(
         return getattr(bases, operator_side)(arg)
 
     rhs = _cached(cache, operator_tag, param, operator)
-    return _compare_case(family, param, lhs.substitute_beta(-1), rhs)
+    if rule.ghosts:  # a rule without ghosts walks a b-free closure
+        lhs = lhs.substitute_beta(-1)
+    return _compare_case(family, param, lhs, rhs)
 
 
 def _run_pair_case(

@@ -163,6 +163,21 @@ class TestDiagrams:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv", [
+        ("kkohnert", "--alpha", "1,0,2"),
+        ("kohnert", "--alpha", "1,0,2"),
+        ("kkohnert", "--perm", "3142"),
+        ("kkohnert", "--alpha", "1,0,2", "--cap", "12"),
+    ])
+    def test_summary_counted_without_building_matches_listing(self, capsys, argv):
+        # Without --list the summary is read off the counted polynomial; with
+        # it, off the diagrams listed below it.
+        code, out, err = run(capsys, "diagrams", *argv)
+        listed_code, listed, listed_err = run(capsys, "diagrams", *argv, "--list")
+        assert (code, err) == (listed_code, listed_err)
+        assert code == (1 if "--cap" in argv else 0)
+        assert out == listed.split("\n\n")[0] + ("\n" if listed else "")
+
+    @pytest.mark.parametrize("argv", [
         ("kohnert", "--alpha", "1000000"),
         ("kkohnert", "--alpha", "0,501"),
         ("kkohnert", "--alpha", ",".join(["0"] * 1000 + ["1"])),
@@ -173,7 +188,7 @@ class TestDiagrams:
         def no_work(*args):
             raise AssertionError("diagrams ran past its bound")
 
-        for name in ("skyline", "rothe", "closure", "ghost_weighted_sum"):
+        for name in ("skyline", "rothe", "closure", "closure_polynomial", "ghost_weighted_sum"):
             monkeypatch.setattr(diagrams, name, no_work)
         code, out, err = run(capsys, "diagrams", *argv)
         assert code == 2
@@ -561,7 +576,7 @@ class TestVerify:
 
     def test_warm_closure_sweep_loads_no_bases_or_tableaux(self, tmp_path):
         # A sweep that reads every polynomial from the cache computes no
-        # operator polynomial and no tableau; a cold one does.
+        # operator polynomial; a cold one does, and neither builds a tableau.
         cache = str(tmp_path / "cache")
         script = (
             "import sys\n"
@@ -569,7 +584,7 @@ class TestVerify:
             f"code = kohnert.cli.main(['verify', 'conj2', '--n', '4', '--cache', {cache!r}])\n"
             "print(code, [m for m in ('kohnert.bases', 'kohnert.tableaux') if m in sys.modules])\n"
         )
-        assert _python(script) == "0 ['kohnert.bases', 'kohnert.tableaux']"
+        assert _python(script) == "0 ['kohnert.bases']"
         assert _python(script) == "0 []"
 
     def test_old_layout_entry_is_never_opened(self, tmp_path, capsys):
@@ -704,7 +719,8 @@ class TestPackageNames:
             "kohnert.key_polynomial\n"
             "print(sorted(m for m in sys.modules if 'kohnert.' in m))\n"
         )
-        loaded = ["kohnert.bases", "kohnert.diagrams", "kohnert.perms", "kohnert.poly", "kohnert.tableaux"]
+        # the tableau module waits for the first function that builds a tableau
+        loaded = ["kohnert.bases", "kohnert.diagrams", "kohnert.perms", "kohnert.poly"]
         assert _python(script) == str(loaded)
 
     def test_unknown_name_is_an_attribute_error(self):

@@ -92,6 +92,26 @@ class TestConstructors:
             assert len(d.cells) == perms.perm_length(w)
             assert diagram_weight(d) == perms.lehmer_code(w)
 
+    def test_rows_built_directly_match_the_cell_definitions(self):
+        # skyline and rothe write their rows without the checked cell-dict
+        # constructor; the definitions, through it, are the reference.
+        from kohnert import perms
+        from kohnert.harness import compositions_upto
+
+        for a in compositions_upto(7, 4):
+            cells = {(i + 1, y): PLUS for i, h in enumerate(a) for y in range(1, h + 1)}
+            assert skyline(a).rows == Diagram(cells).rows, a
+        for n in range(1, 7):
+            for w in perms.all_permutations(n):
+                inv = perms.perm_inverse(w)
+                cells = {
+                    (x, y): PLUS
+                    for x in range(1, len(w) + 1)
+                    for y in range(1, len(w) + 1)
+                    if y < w[x - 1] and x < inv[y - 1]
+                }
+                assert rothe(w).rows == Diagram(cells).rows, w
+
     def test_rendering(self):
         sky = skyline((1, 3, 0, 2, 2, 1))
         assert sky.render() == ".+....\n.+.++.\n++.+++"
@@ -332,6 +352,19 @@ class TestClosure:
             for rule in (KOHNERT, K_KOHNERT):
                 reference = ghost_weighted_sum(closure(start, rule))
                 assert closure_polynomial(start, rule) == reference
+
+    def test_closure_is_the_reference_fixpoint(self):
+        # The cell-dict rule, iterated to a fixpoint, gives every closure
+        # whatever order the walk visits it in.
+        for start in closure_starts():
+            for rule in (KOHNERT, K_KOHNERT):
+                reached, todo = {start}, [start]
+                while todo:
+                    for nxt in reference_successors(todo.pop(), rule):
+                        if nxt not in reached:
+                            reached.add(nxt)
+                            todo.append(nxt)
+                assert closure(start, rule) == reached
 
     def test_weights_sum_to_key_polynomial(self):
         total = ghost_weighted_sum(closure(skyline((3, 1)), KOHNERT))
