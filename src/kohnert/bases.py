@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import diagrams, perms
@@ -190,6 +191,16 @@ def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomia
     return schur_in_variables(lam, blocks[block_index - 1])
 
 
+# Steps of a peel, and the peels of one sweep, share their block shapes.
+# A few hundred distinct (shape, block) pairs cover a theorem1 sweep (413 at
+# weight <= 8 in <= 5 parts); the bound keeps a long-lived process from
+# holding every one it ever built.
+@lru_cache(maxsize=1024)
+def _block_schur(lam: Partition, first: int, last: int) -> Polynomial:
+    """The Schur polynomial of shape lam in x_first, ..., x_last."""
+    return schur_in_variables(lam, range(first, last + 1))
+
+
 def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     """Expand a block-symmetric polynomial into products of block Schur
     polynomials by repeatedly peeling the leading monomial (``_peel``).
@@ -200,6 +211,10 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     that ends at 0 writes f as a sum of block-symmetric products, so an
     input that is not block-symmetric reaches a leading monomial that is not
     weakly increasing in some block, and BlockSymmetryError is raised there.
+    Each block Schur factor of non-empty shape comes from ``_block_schur``,
+    a bounded memo that outlives the call, so the peels of one process
+    build each (shape, block) once; an empty shape is the factor 1 and is
+    not multiplied in.
 
     >>> split_extract(key_polynomial((1, 0, 2)), (1, 3))
     {((1,), (2,)): 1, ((2,), (1,)): 1}
@@ -213,9 +228,6 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
             f"polynomial involves x{f.max_variable()}, past the last block bound"
         )
     blocks = block_variables(d)
-    # Steps of the peel often share a block shape, so each block Schur
-    # polynomial is built once per call; no memo outlives the call.
-    schurs: dict[tuple[Partition, int], Polynomial] = {}
 
     def element(m: Composition) -> tuple[LambdaTuple, Polynomial]:
         # the block Schur product led by x^m: its shapes are m's blocks reversed
@@ -230,9 +242,9 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
                 )
             lam = trim(reversed(seg))
             lams.append(lam)
-            if (lam, j) not in schurs:
-                schurs[lam, j] = schur_in_variables(lam, block)
-            prod = prod * schurs[lam, j]
+            if lam:
+                factor = _block_schur(lam, block[0], block[-1])
+                prod = factor if prod is ONE else prod * factor
         return tuple(lams), prod
 
     return {lams: c[0] for lams, c in _peel(f, element).items()}
@@ -371,25 +383,26 @@ def key_split_expansion_via_pairs(
     compatible pairs in the insertion fiber of the peeling tableau through
     the block-splitting map and count distinct insertion-tableau tuples.
 
-    The P tableau of a block depends only on its word, so each distinct
-    non-empty block word is column-inserted once per call, and the
-    word-level checks of the split run once per fiber word
-    (``tableaux.split_pairs``).  The fiber is found by inserting every
-    reduced word, so this route refuses lengths past
-    ``perms.MAX_WORD_LENGTH``."""
+    Every pair goes through ``tableaux.split_pairs`` with all its checks,
+    whose word-level checks run once per fiber word.  Many pairs share
+    their block words, and the P tableau of a block depends only on its
+    word, so the splits are kept once each, in order of first appearance,
+    and each distinct non-empty block word is column-inserted once per
+    call.  The fiber is found by inserting every reduced word, so this
+    route refuses lengths past ``perms.MAX_WORD_LENGTH``."""
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
+    splits = dict.fromkeys(
+        tuple(block_word for block_word, _ in blocks)
+        for blocks in tableaux.split_pairs(tableaux.compatible_pairs(w, t_ref), d)
+    )
     inserted: dict[tuple[int, ...], Tableau] = {(): tableaux.EMPTY_TABLEAU}
-    tuples: set[tuple[Tableau, ...]] = set()
-    for blocks in tableaux.split_pairs(tableaux.compatible_pairs(w, t_ref), d):
-        parts = []
-        for block_word, _ in blocks:
-            if block_word not in inserted:
-                inserted[block_word] = tableaux.insertion_tableau(block_word)
-            parts.append(inserted[block_word])
-        tuples.add(tuple(parts))
+    for block_word in chain.from_iterable(splits):
+        if block_word not in inserted:
+            inserted[block_word] = tableaux.insertion_tableau(block_word)
+    tuples = {tuple(map(inserted.__getitem__, split)) for split in splits}
     return Counter(tuple(t.shape() for t in tup) for tup in tuples)
 
 

@@ -315,6 +315,13 @@ def _run_closure_case(
         lhs = _cached(cache, diagram_tag, param, walk)
     except diagrams.ClosureCapError as exc:
         return _skip(family, param, exc)
+    # Each diagram of the closure adds 1 to one coefficient, so a polynomial
+    # read from the cache is over the cap when its coefficients sum past it.
+    # It is skipped with the walk's own message, which the walk raises at
+    # its (cap + 1)-st diagram: a capped sweep skips the same cases with a
+    # cache or without.
+    if sum(lhs.terms.values()) > cap:
+        return _skip(family, param, diagrams.ClosureCapError(cap, cap))
 
     def operator() -> Polynomial:
         from . import bases  # only a cache miss computes

@@ -28,6 +28,8 @@ carried and the column is untouched.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from operator import add, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
 from . import perms
@@ -153,6 +155,10 @@ def _insert_letter(cols: list[list[int]], v: int) -> int:
     """Walk v through the columns; return the 0-based index of the column
     that gained a box.  The new box is always the last entry of its column.
     Columns are mutated in place.
+
+    Every step keeps a column strictly increasing, so one ``bisect_right``
+    finds both the smallest entry larger than v (at the returned index) and
+    whether v is present (just before it).
     """
     c = 0
     while True:
@@ -160,37 +166,55 @@ def _insert_letter(cols: list[list[int]], v: int) -> int:
             cols.append([v])
             return c
         col = cols[c]
-        larger = [z for z in col if z > v]
-        if not larger:
-            if col and col[-1] == v:
+        i = bisect_right(col, v)
+        present = i > 0 and col[i - 1] == v
+        if i == len(col):
+            if present:
                 raise NonReducedWordError(
                     f"insertion would duplicate {v}; word is not reduced"
                 )
             col.append(v)
             return c
-        z = min(larger)
-        if z == v + 1 and v in col:
+        z = col[i]
+        if z == v + 1 and present:
             v = v + 1
         else:
-            if v in col:
+            if present:
                 raise NonReducedWordError(
                     f"insertion would duplicate {v}; word is not reduced"
                 )
-            col[col.index(z)] = v
+            col[i] = v
             v = z
         c += 1
 
 
 def _check_stable_marks(word: Sequence[int], marks: Sequence[int]) -> None:
+    """Refuse marks of another length than the word, marks below 1, and
+    marks that do not weakly increase, strictly across each ascent of the
+    word, in that order.  The last check is one C-level pass; the loop runs
+    only to name the first failure."""
     if len(marks) != len(word):
         raise ValueError("marks must have the same length as the word")
-    if any(m < 1 for m in marks):
+    if marks and min(marks) < 1:
         raise ValueError("marks must be positive")
+    if all(map(le, map(add, marks, map(lt, word, word[1:])), marks[1:])):
+        return
     for j in range(len(word) - 1):
         if marks[j] > marks[j + 1]:
             raise ValueError(f"marks not weakly increasing at position {j + 1}")
         if word[j] < word[j + 1] and marks[j] >= marks[j + 1]:
             raise ValueError(f"marks must strictly increase across ascent at {j + 1}")
+
+
+def _reduced_letters(word: Sequence[int]) -> tuple[int, ...]:
+    """The word as a tuple of ints; raises ValueError for a letter below 1
+    and NonReducedWordError for a word that is not reduced."""
+    word = tuple(int(a) for a in word)
+    if any(a < 1 for a in word):
+        raise ValueError("word letters must be positive")
+    if not perms.is_reduced(word):
+        raise NonReducedWordError(f"{word} is not a reduced word")
+    return word
 
 
 def egls_insert(
@@ -206,11 +230,7 @@ def egls_insert(
     the column lengths weakly decrease, and the entries are the checked
     letters and marks.
     """
-    word = tuple(int(a) for a in word)
-    if any(a < 1 for a in word):
-        raise ValueError("word letters must be positive")
-    if not perms.is_reduced(word):
-        raise NonReducedWordError(f"{word} is not a reduced word")
+    word = _reduced_letters(word)
     if marks is None:
         marks = tuple(range(1, len(word) + 1))
     else:
@@ -229,8 +249,12 @@ def egls_insert(
 
 
 def insertion_tableau(word: Sequence[int]) -> Tableau:
-    """The P-tableau of ``egls_insert``."""
-    return egls_insert(word)[0]
+    """The P-tableau of ``egls_insert``, with the same checks and errors,
+    built without Q."""
+    cols: list[list[int]] = []
+    for a in _reduced_letters(word):
+        _insert_letter(cols, a)
+    return _of_columns(cols)
 
 
 def _reverse_insert(col: list[int], v: int) -> int:
@@ -418,10 +442,18 @@ def split_pairs(
     depend on the word alone run once per run of consecutive pairs that
     share a word, as the pairs of one word are in the output of
     ``compatible_pairs``.
+
+    The marks of a pair of a reduced word are checked with C-level passes
+    over the whole pair (each mark is at most its letter, and at most the
+    next mark, less one across an ascent) and cut by bisection.  A pair
+    that fails them, or whose word is not reduced, goes through
+    ``_split_checked``, which checks block by block and names the first
+    failure.
     """
     d = list(d)
     word: tuple[int, ...] | None = None
     reduced = False
+    ascents: list[bool] = []
     for pair in pairs:
         if pair[0] != word:
             word = pair[0]
@@ -430,32 +462,53 @@ def split_pairs(
             if not perms.perm_descents(w) <= set(d):
                 raise ValueError(f"block bounds {d} do not contain the descents of {w}")
             reduced = perms.is_reduced(word)
+            ascents = list(map(lt, word, word[1:]))
         marks = pair[1]
-        if any(m > a for m, a in zip(marks, word)):
-            raise ValueError("marks exceed their letters; pair is not compatible")
-        if marks and (not d or marks[-1] > d[-1]):
-            raise ValueError(f"marks {marks} exceed the last block bound")
-        blocks = []
-        pos = 0
-        prev = 0
-        for bound in d:
-            end = pos
-            while end < len(marks) and marks[end] <= bound:
-                end += 1
-            block_word, block_marks = word[pos:end], marks[pos:end]
-            if any(m <= prev for m in block_marks):
-                raise ValueError("marks are not weakly increasing")
-            if block_word:
-                # Every factor of a reduced word is reduced (Edelman-Greene),
-                # so the blocks need their own check only when the whole word
-                # is not.
-                if not reduced and not perms.is_reduced(block_word):
-                    raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
-                _check_stable_marks(block_word, block_marks)
-            blocks.append((block_word, block_marks))
-            pos = end
-            prev = bound
-        yield blocks
+        if (
+            reduced
+            and len(marks) == len(word)
+            and (not marks or marks[0] >= 1)
+            and not any(map(gt, marks, word))
+            and all(map(le, map(add, marks, ascents), marks[1:]))
+        ):
+            # The last letter of a reduced word is a descent of its
+            # permutation, so these marks end at or below the last bound.
+            cuts = [bisect_right(marks, bound) for bound in d]
+            yield [(word[a:b], marks[a:b]) for a, b in zip([0] + cuts, cuts)]
+        else:
+            yield _split_checked(word, marks, d, reduced)
+
+
+def _split_checked(
+    word: tuple[int, ...], marks: tuple[int, ...], d: list[int], reduced: bool
+) -> list[CompatiblePair]:
+    """The blocks of one pair of ``split_pairs``, checked one block at a
+    time in the order its docstring gives."""
+    if any(m > a for m, a in zip(marks, word)):
+        raise ValueError("marks exceed their letters; pair is not compatible")
+    if marks and (not d or marks[-1] > d[-1]):
+        raise ValueError(f"marks {marks} exceed the last block bound")
+    blocks = []
+    pos = 0
+    prev = 0
+    for bound in d:
+        end = pos
+        while end < len(marks) and marks[end] <= bound:
+            end += 1
+        block_word, block_marks = word[pos:end], marks[pos:end]
+        if any(m <= prev for m in block_marks):
+            raise ValueError("marks are not weakly increasing")
+        if block_word:
+            # Every factor of a reduced word is reduced (Edelman-Greene),
+            # so the blocks need their own check only when the whole word
+            # is not.
+            if not reduced and not perms.is_reduced(block_word):
+                raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
+            _check_stable_marks(block_word, block_marks)
+        blocks.append((block_word, block_marks))
+        pos = end
+        prev = bound
+    return blocks
 
 
 def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:

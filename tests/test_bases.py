@@ -478,12 +478,12 @@ class TestSplittingRoutes:
         from kohnert.harness import compositions_upto
 
         original_pairs = tableaux.compatible_pairs
-        original_insert = tableaux.egls_insert
+        original_insert = tableaux.insertion_tableau
         inserted = []
 
-        def counting(word, marks=None):
+        def counting(word):
             inserted.append(tuple(word))
-            return original_insert(word, marks)
+            return original_insert(word)
 
         for alpha in compositions_upto(6, 3):
             d = minimal_blocks(alpha)
@@ -494,7 +494,7 @@ class TestSplittingRoutes:
                     bw for pair in pairs for bw, _ in tableaux.split_blocks(pair, blocks) if bw
                 }
                 monkeypatch.setattr(tableaux, "compatible_pairs", lambda w, t: pairs)
-                monkeypatch.setattr(tableaux, "egls_insert", counting)
+                monkeypatch.setattr(tableaux, "insertion_tableau", counting)
                 inserted.clear()
                 key_split_expansion_via_pairs(alpha, blocks)
                 monkeypatch.undo()
@@ -628,19 +628,24 @@ class TestSplittingRoutes:
             return original(lam, variables)
 
         monkeypatch.setattr(bases, "schur_in_variables", counting)
-        calls = 0
-        for alpha in compositions_upto(6, 4):
-            f = key_polynomial(alpha)
-            d = minimal_blocks(alpha)
-            runs = []
-            for _ in range(2):  # the memo is per call
-                built.clear()
-                split_extract(f, d)
-                assert len(built) == len(set(built)), alpha
-                runs.append(sorted(built))
-            assert runs[0] == runs[1], alpha
-            calls += len(built)
-        assert calls > 200
+        # the memo outlives every call, so the count starts from an empty one
+        bases._block_schur.cache_clear()
+        alphas = compositions_upto(6, 4)
+        cases = [(key_polynomial(alpha), minimal_blocks(alpha)) for alpha in alphas]
+        for f, d in cases:
+            split_extract(f, d)
+        assert len(built) == len(set(built)) > 100
+        assert all(lam for lam, _ in built)  # an empty shape is the factor 1
+        first = list(built)
+        built.clear()
+        for f, d in cases:
+            split_extract(f, d)
+        assert built == []
+        for lam, variables in first:
+            fresh = original(lam, list(variables))
+            assert bases._block_schur(lam, variables[0], variables[-1]) == fresh
+        info = bases._block_schur.cache_info()
+        assert info.maxsize is not None and info.currsize == len(first)
 
     def test_schubert_splitting_all_valid_blocks_s4(self):
         from itertools import combinations

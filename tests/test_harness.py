@@ -319,6 +319,26 @@ class TestCache:
         )
         assert len(list(tmp_path.iterdir())) > 0
 
+    def test_capped_sweep_skips_the_same_cases_with_a_warm_cache(self, tmp_path):
+        # An uncapped sweep fills the cache with closures over the later
+        # caps; a capped sweep reads them and must still skip those cases.
+        sweeps = [
+            ("kohnert", {"max_weight": 4, "max_parts": 3, "n": 4}),
+            ("conj1", {"max_weight": 3, "max_parts": 3}),
+            ("conj2", {"n": 4}),
+        ]
+        skipped = 0
+        for family, bounds in sweeps:
+            cache_dir = str(tmp_path / family)
+            harness.verify(family, cache_dir=cache_dir, **bounds)
+            for cap in (1, 5, 20):
+                cold = harness.verify(family, cap=cap, **bounds)
+                warm = harness.verify(family, cap=cap, cache_dir=cache_dir, **bounds)
+                assert warm.meta["cache"]["misses"] == 0
+                assert warm.deterministic_json() == cold.deterministic_json(), (family, cap)
+                skipped += cold.totals["skipped"]
+        assert skipped > 0
+
     def test_one_cache_object_per_sweep(self, tmp_path, monkeypatch):
         created = []
         original = PolynomialCache.__init__

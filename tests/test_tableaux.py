@@ -1,13 +1,13 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohnert import perms
+from kohnert import perms, tableaux
 from kohnert.tableaux import (
     EMPTY_TABLEAU,
     NonReducedWordError,
@@ -89,6 +89,81 @@ def reference_split(pair, d):
         pos = end
         prev = bound
     return out
+
+
+def scan_insert_letter(cols, v):
+    """Column insertion of one letter by list scans, as it was before the
+    columns were bisected: the reference for ``_insert_letter``."""
+    c = 0
+    while True:
+        if c == len(cols):
+            cols.append([v])
+            return c
+        col = cols[c]
+        larger = [z for z in col if z > v]
+        if not larger:
+            if col and col[-1] == v:
+                raise NonReducedWordError(f"insertion would duplicate {v}; word is not reduced")
+            col.append(v)
+            return c
+        z = min(larger)
+        if z == v + 1 and v in col:
+            v = v + 1
+        else:
+            if v in col:
+                raise NonReducedWordError(f"insertion would duplicate {v}; word is not reduced")
+            col[col.index(z)] = v
+            v = z
+        c += 1
+
+
+def loop_check_stable_marks(word, marks):
+    """The marks check as one Python loop: the reference for
+    ``_check_stable_marks``."""
+    if len(marks) != len(word):
+        raise ValueError("marks must have the same length as the word")
+    if any(m < 1 for m in marks):
+        raise ValueError("marks must be positive")
+    for j in range(len(word) - 1):
+        if marks[j] > marks[j + 1]:
+            raise ValueError(f"marks not weakly increasing at position {j + 1}")
+        if word[j] < word[j + 1] and marks[j] >= marks[j + 1]:
+            raise ValueError(f"marks must strictly increase across ascent at {j + 1}")
+
+
+def loop_split_pair(pair, d):
+    """``split_blocks`` as one loop over the bounds with a check per block:
+    the reference for the C-level passes and bisection of ``split_pairs``."""
+    word, marks = pair
+    d = list(d)
+    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
+        raise ValueError(f"block bounds must be strictly increasing: {d}")
+    w = perms.word_to_perm(word)
+    if not perms.perm_descents(w) <= set(d):
+        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    reduced = perms.is_reduced(word)
+    if any(m > a for m, a in zip(marks, word)):
+        raise ValueError("marks exceed their letters; pair is not compatible")
+    if marks and (not d or marks[-1] > d[-1]):
+        raise ValueError(f"marks {marks} exceed the last block bound")
+    blocks = []
+    pos = 0
+    prev = 0
+    for bound in d:
+        end = pos
+        while end < len(marks) and marks[end] <= bound:
+            end += 1
+        block_word, block_marks = word[pos:end], marks[pos:end]
+        if any(m <= prev for m in block_marks):
+            raise ValueError("marks are not weakly increasing")
+        if block_word:
+            if not reduced and not perms.is_reduced(block_word):
+                raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
+            loop_check_stable_marks(block_word, block_marks)
+        blocks.append((block_word, block_marks))
+        pos = end
+        prev = bound
+    return blocks
 
 
 def reference_peeling_tableau(alpha):
@@ -386,13 +461,13 @@ class TestCompatiblePairs:
         from kohnert import tableaux
 
         inserted = []
-        original = tableaux.egls_insert
+        original = tableaux.insertion_tableau
 
-        def counting(word, marks=None):
+        def counting(word):
             inserted.append(tuple(word))
-            return original(word, marks)
+            return original(word)
 
-        monkeypatch.setattr(tableaux, "egls_insert", counting)
+        monkeypatch.setattr(tableaux, "insertion_tableau", counting)
         for w in perms.all_permutations(4):
             marked = sorted({a for a, _ in compatible_pairs(w)})
             t = insertion_tableau(min(perms.reduced_words(w)))
@@ -562,6 +637,116 @@ class TestCompatiblePairs:
                             )
                         total += count * ways
                     assert total == len(pairs)
+
+
+class TestFastPathsMatchTheLoops:
+    def test_bisection_inserts_as_the_list_scan(self):
+        # Insertion of a letter depends only on the columns so far, so one
+        # step from every column state that words over 1..5 reach compares
+        # the insertion of every such word: P, Q (the column each letter
+        # lands in) and the error of a non-reduced one.  The states of the
+        # reduced words of S_1 to S_6 are among them.
+        def step(insert, state, v):
+            cols = [list(col) for col in state]
+            try:
+                return insert(cols, v), tuple(map(tuple, cols))
+            except NonReducedWordError as exc:
+                return None, str(exc)
+
+        seen = {()}
+        frontier = [()]
+        refused = 0
+        while frontier:
+            found = []
+            for state in frontier:
+                for v in range(1, 6):
+                    got = step(tableaux._insert_letter, state, v)
+                    assert got == step(scan_insert_letter, state, v), (state, v)
+                    column, nxt = got
+                    if column is None:
+                        refused += 1
+                    elif sum(map(len, nxt)) <= 15 and nxt not in seen:
+                        seen.add(nxt)
+                        found.append(nxt)
+            frontier = found
+        assert len(seen) > 1000 and refused > 1000
+        # two reduced words of the longest element of S_6
+        for word in [
+            (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1),
+            (5, 4, 3, 2, 1, 5, 4, 3, 2, 5, 4, 3, 5, 4, 5),
+        ]:
+            assert tuple(map(tuple, insertion_tableau(word).columns())) in seen
+
+    def test_insertion_tableau_is_the_p_of_egls_insert(self):
+        words = [
+            word
+            for n in range(1, 6)
+            for w in perms.all_permutations(n)
+            for word in perms.reduced_words(w)
+        ]
+        words += [word for n in range(5) for word in product(range(0, 4), repeat=n)]
+        checked = refused = 0
+        for word in words:
+            expected = outcome(egls_insert, word)
+            got = outcome(insertion_tableau, word)
+            if isinstance(expected, tuple) and isinstance(expected[0], Tableau):
+                assert got == expected[0], word
+                checked += 1
+            else:
+                assert got == expected, word
+                refused += 1
+        assert checked > 1000 and refused > 100
+
+    def test_stable_marks_check_refuses_as_the_loop(self):
+        # The check reads the word only through its ascents: one word of
+        # each length <= 5 per ascent pattern, each letter one above the
+        # last at an ascent and equal to it elsewhere.
+        checked = refused = 0
+        for n in range(6):
+            for steps in product((0, 1), repeat=max(n - 1, 0)):
+                word = tuple(accumulate(steps, initial=1))[:n]
+                for size in {n, n + 1} if n < 4 else {n}:
+                    for marks in product(range(0, 4), repeat=size):
+                        expected = outcome(loop_check_stable_marks, word, marks)
+                        assert outcome(tableaux._check_stable_marks, word, marks) == expected
+                        checked += 1
+                        refused += expected is not None
+        assert refused > 10000 and checked - refused > 100
+
+    def test_split_pairs_splits_and_refuses_as_the_loop(self):
+        # Words over 1..3 of length <= 4, reduced or not, and the reduced
+        # words of length 5 in S_5.  Marks <= 4: every sequence of the
+        # word's length up to length 3, with one more or one fewer mark up
+        # to length 2, and the weakly increasing ones for longer words.
+        # Block bounds: the descents, and below length 5 also with a bound 4
+        # above them.
+        words = [word for n in range(5) for word in product((1, 2, 3), repeat=n)]
+        words += [
+            word
+            for w in perms.all_permutations(5)
+            if perms.perm_length(w) == 5
+            for word in perms.reduced_words(w)
+        ]
+        checked = refused = 0
+        for word in words:
+            n = len(word)
+            if n <= 3:
+                sizes = (n - 1, n, n + 1) if n <= 2 else (n,)
+                marks_list = [
+                    m for size in sizes if size >= 0 for m in product(range(5), repeat=size)
+                ]
+            else:
+                marks_list = list(combinations_with_replacement(range(5), n))
+            descents = tuple(sorted(perms.perm_descents(perms.word_to_perm(word))))
+            with_four = tuple(sorted({*descents, 4}))
+            for d in (with_four,) if n == 5 else sorted({descents, with_four}):
+                for marks in marks_list:
+                    pair = (word, marks)
+                    expected = outcome(loop_split_pair, pair, d)
+                    assert outcome(next, split_pairs((pair,), d)) == expected, (pair, d)
+                    checked += 1
+                    refused += isinstance(expected, tuple)
+        assert refused > 10000 and checked - refused > 300
 
 
 def schur_by_integer_evaluation(lam, values):
