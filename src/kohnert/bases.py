@@ -175,14 +175,13 @@ def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
         return ONE
     if len(lam) > len(variables):
         return ZERO
-    counts = Counter()
-    for t in tableaux.semistandard_tableaux(lam, len(variables)):
-        exps = [0] * (max(variables))
-        for row in t.rows:
-            for v in row:
-                exps[variables[v - 1] - 1] += 1
-        counts[tuple(exps), 0] += 1
-    return Polynomial(counts)
+    index = (0, *variables)  # entry v of a tableau stands for x_index[v]
+    top = max(variables)
+    exponents = (
+        perms.multiplicities(map(index.__getitem__, chain.from_iterable(t.rows)), top)
+        for t in tableaux.semistandard_tableaux(lam, len(variables))
+    )
+    return Polynomial(Counter((tuple(exps), 0) for exps in exponents))
 
 
 def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomial:
@@ -409,13 +408,8 @@ def key_split_expansion_via_pairs(
 def _mark_polynomial(pairs) -> Polynomial:
     """The sum over the pairs (word, marks) of the product of x_m over the
     marks m."""
-    counts = Counter()
-    for _, marks in pairs:
-        exps = [0] * max(marks, default=0)
-        for m in marks:
-            exps[m - 1] += 1
-        counts[tuple(exps), 0] += 1
-    return Polynomial(counts)
+    exponents = (perms.multiplicities(marks, max(marks, default=0)) for _, marks in pairs)
+    return Polynomial(Counter((tuple(exps), 0) for exps in exponents))
 
 
 def schubert_from_compatible_pairs(w: Permutation) -> Polynomial:
@@ -439,12 +433,12 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
 DEFAULT_EXPANSION_CAP = 10_000
 
 
-def _basis_generator(basis: str, closure_cap: int):
+def _basis_generator(basis: str):
     """The function alpha -> basis element for 'key', 'J' or 'omega'."""
     if basis == "key":
         return key_polynomial
     if basis == "J":
-        return lambda alpha: diagrams.j_polynomial(alpha, closure_cap)
+        return diagrams.j_polynomial
     if basis == "omega":
         return omega_polynomial
     raise ValueError(f"unknown basis {basis!r}")
@@ -454,7 +448,6 @@ def expand_in_basis(
     f: Polynomial,
     basis: str,
     step_cap: int = DEFAULT_EXPANSION_CAP,
-    closure_cap: int = diagrams.DEFAULT_CLOSURE_CAP,
 ) -> dict[Composition, BetaCoeff]:
     """Expand a b-free polynomial over the chosen basis ('key', 'J' or
     'omega') by peeling leading monomials (``_peel``): the basis element
@@ -468,19 +461,17 @@ def expand_in_basis(
     >>> expand_in_basis(schubert((2, 1, 4, 3)), "key")
     {(1, 0, 1): {0: 1}, (2,): {0: 1}}
     """
-    generator = _basis_generator(basis, closure_cap)
+    generator = _basis_generator(basis)
     if not f.is_beta_free():
         raise ValueError("basis expansion requires a b-free input polynomial")
     return _peel(f, lambda theta: (theta, generator(theta)), step_cap)
 
 
 def reconstruct_from_expansion(
-    coeffs: Mapping[Composition, Mapping[int, int]],
-    basis: str,
-    closure_cap: int = diagrams.DEFAULT_CLOSURE_CAP,
+    coeffs: Mapping[Composition, Mapping[int, int]], basis: str
 ) -> Polynomial:
     """Inverse of ``expand_in_basis``: sum of coeff * basis element."""
-    generator = _basis_generator(basis, closure_cap)
+    generator = _basis_generator(basis)
     total = Polynomial()
     for alpha, c in coeffs.items():
         total = total + generator(perms.composition(alpha)).scale(c)

@@ -49,8 +49,9 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
-from .perms import Composition, Permutation, composition, perm_inverse, permutation
-from .poly import Exponent, Polynomial, _of
+from .perms import Composition, Permutation, composition, multiplicities
+from .perms import perm_inverse, permutation
+from .poly import Exponent, Polynomial, _of, trim
 
 PLUS = "+"
 GHOST = "g"
@@ -381,21 +382,17 @@ def closure_polynomial(
     else:
         low = (1 << field) - 1
         for weight, count in counts.items():
-            exps = [weight >> c * field & low for c in range(cols)]
-            while exps and not exps[-1]:
-                exps.pop()
-            terms[tuple(exps), weight >> shift] = count
+            exps = trim([weight >> c * field & low for c in range(cols)])
+            terms[exps, weight >> shift] = count
     return _of(terms)
 
 
 def diagram_weight(diagram: Diagram) -> Exponent:
     """Occupied-cell count per column ('+' and 'g' alike)."""
-    counts = [0] * diagram.max_col()
-    for line in diagram.rows:
-        for c, marker in enumerate(line):
-            if marker != EMPTY:
-                counts[c] += 1
-    return tuple(counts)
+    occupied = (
+        c for line in diagram.rows for c, marker in enumerate(line, 1) if marker != EMPTY
+    )
+    return tuple(multiplicities(occupied, diagram.max_col()))
 
 
 def ghost_weighted_sum(diagrams: Iterable[Diagram]) -> Polynomial:

@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import permutations as _all_windows
 from typing import Iterable, Iterator
 
+from .poly import trim
+
 Composition = tuple[int, ...]
 Permutation = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -40,9 +42,20 @@ def composition(parts: Iterable[int]) -> Composition:
     out = list(parts)
     if any(p < 0 for p in out):
         raise ValueError(f"composition parts must be non-negative: {out}")
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return trim(out)
+
+
+def multiplicities(indices: Iterable[int], size: int) -> list[int]:
+    """How often each of 1, ..., size occurs in ``indices``, which lie in
+    that range: the exponent vector of the monomial x_{i_1} x_{i_2} ....
+
+    >>> multiplicities((3, 1, 3), 4)
+    [1, 0, 2, 0]
+    """
+    counts = [0] * (size + 1)
+    for i in indices:
+        counts[i] += 1
+    return counts[1:]
 
 
 def parse_composition(text: str) -> Composition:

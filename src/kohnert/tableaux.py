@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import chain
 from operator import add, gt, le, lt
 from typing import Iterable, Iterator, Sequence
 
@@ -60,40 +61,32 @@ class Tableau:
         return tuple(len(r) for r in self.rows)
 
     def columns(self) -> list[list[int]]:
-        ncols = len(self.rows[0]) if self.rows else 0
-        return [
-            [row[c] for row in self.rows if len(row) > c] for c in range(ncols)
-        ]
+        return [list(col) for col in _transpose(self.rows)]
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "Tableau":
-        cols = [list(c) for c in cols if c]
+        cols = [c for c in cols if c]
         if any(len(cols[i]) < len(cols[i + 1]) for i in range(len(cols) - 1)):
             raise ValueError("column lengths not weakly decreasing")
-        nrows = len(cols[0]) if cols else 0
-        return cls(
-            [c[r] for c in cols if len(c) > r] for r in range(nrows)
+        return cls(_transpose(cols))
+
+    def _ordered(self, along_row) -> bool:
+        """Whether ``along_row`` holds between neighbours in every row and
+        each row lies entrywise strictly below the next.  The rows are
+        left-justified and weakly decrease in length, so the second is
+        "every column strictly increases", read without building a column."""
+        rows = self.rows
+        return all(all(map(along_row, row, row[1:])) for row in rows) and all(
+            all(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:])
         )
 
     def is_increasing(self) -> bool:
         """Strictly increasing along rows and down columns."""
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for col in self.columns():
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return True
+        return self._ordered(lt)
 
     def is_semistandard(self) -> bool:
         """Weakly increasing along rows, strictly increasing down columns."""
-        for row in self.rows:
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for col in self.columns():
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return True
+        return self._ordered(le)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tableau):
@@ -126,14 +119,19 @@ def _of(rows: tuple[tuple[int, ...], ...]) -> Tableau:
     return t
 
 
+def _transpose(lines: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The columns of left-justified rows, or the rows of top-justified
+    columns, given lines of weakly decreasing length."""
+    return tuple(
+        tuple([line[i] for line in lines if len(line) > i])
+        for i in range(len(lines[0]) if lines else 0)
+    )
+
+
 def _of_columns(cols: list[list[int]]) -> Tableau:
     """``Tableau.from_columns`` for columns that are valid by construction:
     non-empty lists of positive ints, of weakly decreasing length."""
-    if not cols:
-        return EMPTY_TABLEAU
-    return _of(
-        tuple(tuple([c[r] for c in cols if len(c) > r]) for r in range(len(cols[0])))
-    )
+    return _of(_transpose(cols)) if cols else EMPTY_TABLEAU
 
 
 def row_word(t: Tableau) -> tuple[int, ...]:
@@ -143,12 +141,8 @@ def row_word(t: Tableau) -> tuple[int, ...]:
 
 def content(t: Tableau) -> Composition:
     """Multiplicity vector of the entries."""
-    counts: dict[int, int] = {}
-    for row in t.rows:
-        for v in row:
-            counts[v] = counts.get(v, 0) + 1
-    top = max(counts, default=0)
-    return perms.composition(counts.get(i, 0) for i in range(1, top + 1))
+    entries = list(chain.from_iterable(t.rows))
+    return perms.composition(perms.multiplicities(entries, max(entries, default=0)))
 
 
 def _insert_letter(cols: list[list[int]], v: int) -> int:
@@ -281,7 +275,7 @@ def nil_left_key(t: Tableau) -> Tableau:
     """
     if not t.rows:
         return EMPTY_TABLEAU
-    source = t.columns()
+    source = _transpose(t.rows)
     out_cols: list[list[int]] = [list(source[0])]
     for c in range(1, len(source)):
         work = [list(col) for col in source[:c]]
@@ -436,12 +430,12 @@ def split_pairs(
     marks lie in (d_{j-1}, d_j], with d_0 = 0; the split is unique because
     the marks weakly increase, and the blocks concatenate to the pair.
     Raises ValueError unless the bounds strictly increase from 1 and contain
-    the descents of the word's permutation, every mark is at most its letter
-    and the last bound, and every non-empty block is a reduced word
-    (NonReducedWordError) with stable marks, in that order.  The checks that
-    depend on the word alone run once per run of consecutive pairs that
-    share a word, as the pairs of one word are in the output of
-    ``compatible_pairs``.
+    the descents of the word's permutation, the marks are as many as the
+    letters, every mark is at most its letter and the last bound, and every
+    non-empty block is a reduced word (NonReducedWordError) with stable
+    marks, in that order.  The checks that depend on the word alone run
+    once per run of consecutive pairs that share a word, as the pairs of
+    one word are in the output of ``compatible_pairs``.
 
     The marks of a pair of a reduced word are checked with C-level passes
     over the whole pair (each mark is at most its letter, and at most the
@@ -484,6 +478,8 @@ def _split_checked(
 ) -> list[CompatiblePair]:
     """The blocks of one pair of ``split_pairs``, checked one block at a
     time in the order its docstring gives."""
+    if len(marks) != len(word):
+        raise ValueError("marks must have the same length as the word")
     if any(m > a for m, a in zip(marks, word)):
         raise ValueError("marks exceed their letters; pair is not compatible")
     if marks and (not d or marks[-1] > d[-1]):

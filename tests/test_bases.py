@@ -210,6 +210,10 @@ class TestSplitExtract:
     def test_constant(self):
         assert split_extract(ONE, ()) == {(): 1}
 
+    def test_polynomial_in_b_is_refused(self):
+        with pytest.raises(ValueError, match="split extraction requires a b-free polynomial"):
+            split_extract(Polynomial.monomial((1,), 1, 1), (1,))
+
     def test_rejects_asymmetric_input(self):
         with pytest.raises(BlockSymmetryError, match="block 1"):
             split_extract(x(1), (2,))
@@ -430,6 +434,10 @@ class TestSplittingRoutes:
             key_split_expansion((1, 0, 2), (3, 1))
         with pytest.raises(ValueError, match="strictly increasing"):
             schubert_split_expansion((1, 3, 2), (2, 1))
+
+    def test_schubert_rejects_a_descent_not_covered(self):
+        with pytest.raises(ValueError, match=r"blocks \(\) miss a descent of \(2, 1\)"):
+            schubert_split_expansion((2, 1), ())
 
     @pytest.mark.parametrize("d", [(2, 1), (1, 3, 3), (0, 1, 3), (-2,), (0,)])
     def test_block_variables_and_split_blocks_refuse_alike(self, d):

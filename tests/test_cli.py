@@ -479,6 +479,28 @@ class TestExpand:
             assert "usage error" in err and f"x{n}, past the bound x{bound}" in err and not out
 
 
+class TestRefusedInput:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["split", "--alpha", "1,0,2", "--descents", "1,x"], "bad descent list '1,x'"),
+            (["egls", "--word", "1a2"], "bad word '1a2'"),
+            (["poly", "schubert", "--alpha", "1,2"], "--perm is required for schubert"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"usage error: {message}\n"
+
+    def test_expand_of_a_polynomial_in_b(self, capsys, tmp_path):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial.monomial((1,), 1, 1).to_json_obj()))
+        code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
+        assert code == 2 and not out
+        assert err == "usage error: basis expansion requires a b-free input polynomial\n"
+
+
 def test_split_and_expand_bounds_leave_room_on_the_stack():
     # At either bound's corner the key polynomial recurses one operator step
     # per part below the last.  An operator that does no work recurses as

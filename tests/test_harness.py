@@ -149,6 +149,10 @@ class TestSweeps:
         assert verify_theorem4(3, 3).failed() == 0
         assert verify_talpha_props(3, 3).failed() == 0
 
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(harness.SweepInputError, match="unknown sweep family 'nope'"):
+            harness.verify("nope")
+
     def test_skipped_is_not_passed(self):
         report = verify_conjecture1(3, 3, cap=2)
         assert report.totals["skipped"] > 0
@@ -300,6 +304,18 @@ class TestCache:
         assert cache.get("test", "a") is None
         assert "corrupt cache entry" in capsys.readouterr().err
         assert cache.get_or_compute("test", "a", lambda: x(1)) == x(1)
+        assert cache.get("test", "a") == x(1)
+
+    def test_entry_of_another_key_recomputed_with_warning(self, tmp_path, capsys):
+        # a well-formed entry whose key fields name another family and param
+        cache = PolynomialCache(str(tmp_path))
+        cache.put("test", "a", x(1))
+        Path(cache._path("test", "b")).write_bytes(Path(cache._path("test", "a")).read_bytes())
+        assert cache.get("test", "b") is None
+        err = capsys.readouterr().err
+        assert "dropping corrupt cache entry for test:b (key mismatch)" in err
+        assert cache.get_or_compute("test", "b", lambda: x(2)) == x(2)
+        assert cache.get("test", "b") == x(2)
         assert cache.get("test", "a") == x(1)
 
     def test_version_bump_misses(self, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations as windows, product
 
 import pytest
@@ -56,7 +57,26 @@ class TestCompositions:
         assert perms.sort_decreasing((1, 3, 0, 2, 2, 1)) == (3, 2, 2, 1, 1)
 
 
+class TestMultiplicities:
+    def test_counts_as_counter(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            size = rng.randint(1, 9)
+            indices = [rng.randint(1, size) for _ in range(rng.randint(0, 15))]
+            counts = Counter(indices)
+            expected = [counts[i] for i in range(1, size + 1)]
+            assert perms.multiplicities(indices, size) == expected
+            assert perms.multiplicities(iter(indices), size) == expected
+        assert perms.multiplicities((), 0) == []
+        assert perms.multiplicities((), 2) == [0, 0]
+
+
 class TestPermutations:
+    def test_empty_text_is_refused(self):
+        for text in ("", "  "):
+            with pytest.raises(ValueError, match="empty permutation"):
+                perms.parse_permutation(text)
+
     def test_canonicalization(self):
         assert perms.permutation((2, 1, 3, 4)) == (2, 1)
         assert perms.permutation((1, 2, 3)) == (1,)

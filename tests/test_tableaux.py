@@ -142,6 +142,8 @@ def loop_split_pair(pair, d):
     if not perms.perm_descents(w) <= set(d):
         raise ValueError(f"block bounds {d} do not contain the descents of {w}")
     reduced = perms.is_reduced(word)
+    if len(marks) != len(word):
+        raise ValueError("marks must have the same length as the word")
     if any(m > a for m, a in zip(marks, word)):
         raise ValueError("marks exceed their letters; pair is not compatible")
     if marks and (not d or marks[-1] > d[-1]):
@@ -164,6 +166,62 @@ def loop_split_pair(pair, d):
         pos = end
         prev = bound
     return blocks
+
+
+def comprehension_columns(rows):
+    """The columns of left-justified rows, one comprehension per column, as
+    ``Tableau.columns`` built them: a reference for ``_transpose``."""
+    ncols = len(rows[0]) if rows else 0
+    return [[row[c] for row in rows if len(row) > c] for c in range(ncols)]
+
+
+def comprehension_rows(cols):
+    """The rows of top-justified columns, one comprehension per row, as
+    ``Tableau.from_columns`` built them: a reference for ``_transpose``."""
+    nrows = len(cols[0]) if cols else 0
+    return [[c[r] for c in cols if len(c) > r] for r in range(nrows)]
+
+
+def loop_is_increasing(t):
+    """Each row, then each column, pair by pair: the reference for
+    ``Tableau.is_increasing``."""
+    for row in t.rows:
+        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for col in comprehension_columns(t.rows):
+        if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
+            return False
+    return True
+
+
+def loop_is_semistandard(t):
+    """Each row, then each column, pair by pair: the reference for
+    ``Tableau.is_semistandard``."""
+    for row in t.rows:
+        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            return False
+    for col in comprehension_columns(t.rows):
+        if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
+            return False
+    return True
+
+
+def partitions(n, largest=None):
+    """The partitions of n with no part above ``largest``, largest first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def fillings(shape, entries):
+    """Every tableau of ``shape`` whose entries, read row by row, are one of
+    the sequences of ``entries``, ordered or not."""
+    for seq in entries:
+        it = iter(seq)
+        yield Tableau([[next(it) for _ in range(r)] for r in shape])
 
 
 def reference_peeling_tableau(alpha):
@@ -554,6 +612,16 @@ class TestCompatiblePairs:
         assert outcome(split_compatible_pair, pair, d) == expected
         assert outcome(next, split_pairs((pair,), d)) == expected
 
+    @pytest.mark.parametrize("pair,d", [(((1, 2), (1,)), (2,)), (((), (1,)), (1,))])
+    def test_marks_of_another_length_than_the_word_are_refused(self, pair, d):
+        message = "marks must have the same length as the word"
+        with pytest.raises(ValueError, match=message):
+            split_blocks(pair, d)
+        with pytest.raises(ValueError, match=message):
+            split_compatible_pair(pair, d)
+        with pytest.raises(ValueError, match=message):
+            next(split_pairs([pair], d))
+
     def test_split_accepts_what_the_reference_accepts(self):
         # a non-reduced word whose blocks are each reduced is split, as before
         pair, d = ((2, 2), (1, 2)), (1, 2)
@@ -715,7 +783,7 @@ class TestFastPathsMatchTheLoops:
 
     def test_split_pairs_splits_and_refuses_as_the_loop(self):
         # Words over 1..3 of length <= 4, reduced or not, and the reduced
-        # words of length 5 in S_5.  Marks <= 4: every sequence of the
+        # words of length 4 and 5 in S_5.  Marks <= 4: every sequence of the
         # word's length up to length 3, with one more or one fewer mark up
         # to length 2, and the weakly increasing ones for longer words.
         # Block bounds: the descents, and below length 5 also with a bound 4
@@ -724,7 +792,7 @@ class TestFastPathsMatchTheLoops:
         words += [
             word
             for w in perms.all_permutations(5)
-            if perms.perm_length(w) == 5
+            if perms.perm_length(w) in (4, 5)
             for word in perms.reduced_words(w)
         ]
         checked = refused = 0
@@ -781,6 +849,56 @@ def schur_by_integer_evaluation(lam, values):
     ratio = det(num) / det(den)
     assert ratio.denominator == 1
     return int(ratio)
+
+
+class TestOneScanOneTranspose:
+    def test_order_scan_answers_as_the_loops(self):
+        # Every filling of every shape of at most 6 cells with entries in
+        # 1..4, ordered or not; the tally shows that rows in order with a
+        # column out of order are met, strict and weak alike.
+        tally = {"increasing": 0, "semistandard": 0, "strict rows": 0, "weak rows": 0}
+        for n in range(7):
+            for shape in partitions(n):
+                for t in fillings(shape, product(range(1, 5), repeat=n)):
+                    increasing, semistandard = t.is_increasing(), t.is_semistandard()
+                    assert increasing == loop_is_increasing(t), t
+                    assert semistandard == loop_is_semistandard(t), t
+                    tally["increasing"] += increasing
+                    tally["semistandard"] += semistandard
+                    rows = [list(zip(row, row[1:])) for row in t.rows]
+                    if not increasing and all(a < b for row in rows for a, b in row):
+                        tally["strict rows"] += 1
+                    if not semistandard and all(a <= b for row in rows for a, b in row):
+                        tally["weak rows"] += 1
+        # 1001 is the sum of the hook-content counts s_lambda(1, 1, 1, 1)
+        assert tally == {
+            "increasing": 131,
+            "semistandard": 1001,
+            "strict rows": 8851,
+            "weak rows": 15519,
+        }
+
+    def test_transpose_as_the_comprehensions(self):
+        # Each shape of at most 8 cells, filled 1, 2, ... row by row, so a
+        # misplaced entry shows.
+        for n in range(9):
+            for shape in partitions(n):
+                (t,) = fillings(shape, [range(1, n + 1)])
+                cols = comprehension_columns(t.rows)
+                assert t.columns() == cols
+                assert tableaux._transpose(t.rows) == tuple(map(tuple, cols))
+                assert comprehension_rows(cols) == [list(row) for row in t.rows]
+                assert Tableau.from_columns(cols).rows == t.rows
+                assert tableaux._of_columns(cols).rows == t.rows
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="empty row in tableau"):
+            Tableau([[1], []])
+        with pytest.raises(ValueError, match="column lengths not weakly decreasing"):
+            Tableau.from_columns([[1], [2, 3]])
+        tableaux_of_a_composition = semistandard_tableaux((1, 2), 3)
+        with pytest.raises(ValueError, match=r"shape must be a partition: \(1, 2\)"):
+            next(tableaux_of_a_composition)
 
 
 class TestSemistandardEnumeration:
