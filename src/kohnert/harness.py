@@ -5,7 +5,10 @@ permutation), comparing two routes to the same polynomial exactly.  A case
 passes, fails with a minimal term diff, or is skipped when an enumeration
 cap is hit; skipped cases are never counted as passes.  Case order and
 report content are deterministic and independent of the worker count.
-``SWEEPS`` lists the sweep families; ``verify`` runs one.
+``SWEEPS`` is the one table of sweep families: each holds its default
+bounds and its case families, and a case family gives the param string and
+value of each case, the runner of a case and that runner's arguments.
+``verify`` runs one sweep family.
 
 Set the environment variable KOHNERT_FAULT_INJECT to "family:param" to
 perturb one coefficient of the computed side in that case; the sweep must
@@ -26,7 +29,7 @@ from typing import Callable, NamedTuple
 # bases and tableaux are imported by the runners that call them, so a sweep
 # that reads every polynomial from the cache never loads them.
 from . import __version__, diagrams, perms
-from .perms import Composition
+from .perms import Composition, Permutation
 from .poly import Polynomial, _of
 
 FAULT_ENV = "KOHNERT_FAULT_INJECT"
@@ -251,23 +254,19 @@ class PolynomialCache:
                 os.unlink(tmp)
             raise
 
-    def get_or_compute(
-        self, family: str, param: str, compute: Callable[[], Polynomial]
-    ) -> Polynomial:
-        cached = self.get(family, param)
-        if cached is not None:
-            return cached
-        poly = compute()
-        self.put(family, param, poly)
-        return poly
-
 
 def _cached(
     cache: PolynomialCache | None, family: str, param: str, compute: Callable[[], Polynomial]
 ) -> Polynomial:
+    """``compute()`` read through ``cache``, if there is one: an entry that
+    is found is returned, and a miss is computed and written."""
     if cache is None:
         return compute()
-    return cache.get_or_compute(family, param, compute)
+    poly = cache.get(family, param)
+    if poly is None:
+        poly = compute()
+        cache.put(family, param, poly)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +301,30 @@ def _skip(family: str, param: str, exc: Exception) -> VerificationCase:
     return VerificationCase(family, param, "skipped", {"reason": str(exc)})
 
 
+class ClosureRow(NamedTuple):
+    """The two sides of a closure case family.  The closure of the start
+    diagram under ``rule``, summed at b = -1, must equal the operator
+    polynomial; a rule without ghosts walks a b-free closure, J or K at
+    b = 0, which b = -1 leaves unchanged.  Each side is cached under its
+    tag."""
+
+    diagram_tag: str
+    start: str  # a function in ``diagrams``
+    rule: diagrams.MoveRule
+    operator_tag: str
+    operator: str  # a function in ``bases``
+
+
 def _run_closure_case(
-    family: str, param: str, arg: tuple, cfg: dict,
-    diagram_tag: str, start: str, rule: diagrams.MoveRule, operator_tag: str, operator_side: str,
+    family: str, param: str, arg: tuple, cfg: dict, row: ClosureRow
 ) -> VerificationCase:
     cap, cache = cfg["cap"], cfg["cache"]
 
     def walk() -> Polynomial:
-        return diagrams.closure_polynomial(getattr(diagrams, start)(arg), rule, cap)
+        return diagrams.closure_polynomial(getattr(diagrams, row.start)(arg), row.rule, cap)
 
     try:
-        lhs = _cached(cache, diagram_tag, param, walk)
+        lhs = _cached(cache, row.diagram_tag, param, walk)
     except diagrams.ClosureCapError as exc:
         return _skip(family, param, exc)
     # Each diagram of the closure adds 1 to one coefficient, so a polynomial
@@ -326,10 +338,10 @@ def _run_closure_case(
     def operator() -> Polynomial:
         from . import bases  # only a cache miss computes
 
-        return getattr(bases, operator_side)(arg)
+        return getattr(bases, row.operator)(arg)
 
-    rhs = _cached(cache, operator_tag, param, operator)
-    if rule.ghosts:  # a rule without ghosts walks a b-free closure
+    rhs = _cached(cache, row.operator_tag, param, operator)
+    if row.rule.ghosts:
         lhs = lhs.substitute_beta(-1)
     return _compare_case(family, param, lhs, rhs)
 
@@ -337,6 +349,8 @@ def _run_closure_case(
 def _run_pair_case(
     family: str, param: str, arg: tuple, cfg: dict, enumerated: str, operator: str
 ) -> VerificationCase:
+    """The enumerative generating function against the operator polynomial
+    it must equal, both named in ``bases``; neither is cached."""
     from . import bases
 
     try:
@@ -422,67 +436,32 @@ def compositions_upto(max_weight: int, max_parts: int) -> list[Composition]:
     return found
 
 
-def _comp_params(bounds: dict) -> list[str]:
+def _compositions(bounds: dict) -> list[tuple[str, Composition]]:
+    """(param, composition) for each composition within the bounds."""
     return [
-        perms.format_composition(a)
+        (perms.format_composition(a), a)
         for a in compositions_upto(bounds["max_weight"], bounds["max_parts"])
     ]
 
 
-def _perm_params(bounds: dict) -> list[str]:
+def _permutations(bounds: dict) -> list[tuple[str, Permutation]]:
+    """(param, permutation) for each element of S_n, shorter params first."""
     return sorted(
-        (perms.format_permutation(w) for w in perms.all_permutations(bounds["n"])),
-        key=lambda s: (len(s), s),
+        ((perms.format_permutation(w), w) for w in perms.all_permutations(bounds["n"])),
+        key=lambda case: (len(case[0]), case[0]),
     )
 
 
-# A parameter kind: a sweep's parameters from its bounds, and their parser.
-class _Kind(NamedTuple):
-    params: Callable[[dict], list[str]]
-    parse: Callable[[str], tuple]
+class CaseFamily(NamedTuple):
+    """A family of cases: ``params(bounds)`` gives the (param, value) pair of
+    each case, and ``runner(family, param, value, cfg, *args)`` runs one."""
+
+    params: Callable[[dict], list[tuple[str, tuple]]]
+    runner: Callable[..., VerificationCase]
+    args: tuple = ()
 
 
-_COMPOSITIONS = _Kind(_comp_params, perms.parse_composition)
-_PERMUTATIONS = _Kind(_perm_params, perms.parse_permutation)
-
-# Every case family: its parameter kind, its runner, and the runner's own
-# arguments after (family, param, parsed param, cfg).
-# - A closure row names the diagram side's cache tag, its start diagram (a
-#   function in ``diagrams``) and the move rule whose closure it sums at
-#   b = -1, then the operator side's cache tag and its function in
-#   ``bases``.  The kohnert families walk the plain closure, which has no
-#   ghosts, so b = -1 leaves its polynomial, J or K at b = 0, unchanged.
-# - A pair row names the enumerative generating function and the operator
-#   polynomial it must equal, both in ``bases``; they are never cached.
-# Functions are looked up by name when a case runs, so a wrapper installed
-# on the module after import is the one called.
-_CASES = {
-    "conj1": (_COMPOSITIONS, _run_closure_case,
-              ("J", "skyline", diagrams.K_KOHNERT, "omega", "omega_polynomial")),
-    "kohnert_key": (_COMPOSITIONS, _run_closure_case,
-                    ("J0", "skyline", diagrams.KOHNERT, "key", "key_polynomial")),
-    "conj2": (_PERMUTATIONS, _run_closure_case,
-              ("K", "rothe", diagrams.K_KOHNERT, "grothendieck", "grothendieck")),
-    "kohnert_schubert": (_PERMUTATIONS, _run_closure_case,
-                         ("K0", "rothe", diagrams.KOHNERT, "schubert", "schubert")),
-    "bjs": (_PERMUTATIONS, _run_pair_case, ("schubert_from_compatible_pairs", "schubert")),
-    "theorem4": (_COMPOSITIONS, _run_pair_case, ("key_by_insertion_fiber", "key_polynomial")),
-    "theorem1": (_COMPOSITIONS, _run_theorem1_case, ()),
-    "talpha_props": (_COMPOSITIONS, _run_talpha_case, ()),
-}
-
-
-def _run_case(task: tuple) -> VerificationCase:
-    family, param, cfg = task
-    kind, runner, args = _CASES[family]
-    return runner(family, param, kind.parse(param), cfg, *args)
-
-
-# ---------------------------------------------------------------------------
-# sweep drivers
-
-
-# _perm_params holds and sorts all n! permutations in memory: 8! = 40320.
+# _permutations holds and sorts all n! permutations in memory: 8! = 40320.
 MAX_N = 8
 # No case list may be longer than the longest permutation list.
 MAX_CASES = math.factorial(MAX_N)
@@ -503,38 +482,74 @@ def _composition_count(max_weight: int, max_parts: int) -> int:
 
 
 class SweepFamily(NamedTuple):
-    """One ``kohnert verify`` family: its case families (rows of ``_CASES``)
-    and the bound names their parameter generators read, with defaults."""
+    """One ``kohnert verify`` family: its case families by name, and the
+    bound names their parameter functions read, with defaults."""
 
-    cases: tuple[str, ...]
+    cases: dict[str, CaseFamily]
     bounds: dict[str, int]
 
     @property
     def closure(self) -> bool:
         """Whether the cases build diagram closures, which alone take a
         closure cap and a polynomial cache."""
-        return any(_CASES[name][1] is _run_closure_case for name in self.cases)
+        return any(case.runner is _run_closure_case for case in self.cases.values())
 
 
+# Functions are looked up by name when a case runs, so a wrapper installed
+# on the module after import is the one called.
 SWEEPS = {
     # the skyline ghost closure at b = -1 against the omega polynomial
-    "conj1": SweepFamily(("conj1",), {"max_weight": 7, "max_parts": 4}),
+    "conj1": SweepFamily(
+        {"conj1": CaseFamily(_compositions, _run_closure_case, (
+            ClosureRow("J", "skyline", diagrams.K_KOHNERT, "omega", "omega_polynomial"),))},
+        {"max_weight": 7, "max_parts": 4}),
     # the Rothe ghost closure at b = -1 against the Grothendieck polynomial
-    "conj2": SweepFamily(("conj2",), {"n": 5}),
+    "conj2": SweepFamily(
+        {"conj2": CaseFamily(_permutations, _run_closure_case, (
+            ClosureRow("K", "rothe", diagrams.K_KOHNERT, "grothendieck", "grothendieck"),))},
+        {"n": 5}),
     # plain Kohnert closures of skylines and Rothe diagrams against key and
     # Schubert polynomials
     "kohnert": SweepFamily(
-        ("kohnert_key", "kohnert_schubert"), {"max_weight": 7, "max_parts": 4, "n": 5}
-    ),
+        {
+            "kohnert_key": CaseFamily(_compositions, _run_closure_case, (
+                ClosureRow("J0", "skyline", diagrams.KOHNERT, "key", "key_polynomial"),)),
+            "kohnert_schubert": CaseFamily(_permutations, _run_closure_case, (
+                ClosureRow("K0", "rothe", diagrams.KOHNERT, "schubert", "schubert"),)),
+        },
+        {"max_weight": 7, "max_parts": 4, "n": 5}),
     # three routes to the key splitting coefficients agree, all non-negative
-    "theorem1": SweepFamily(("theorem1",), {"max_weight": 6, "max_parts": 4}),
+    "theorem1": SweepFamily(
+        {"theorem1": CaseFamily(_compositions, _run_theorem1_case)},
+        {"max_weight": 6, "max_parts": 4}),
     # the compatible-pair generating function against the Schubert polynomial
-    "bjs": SweepFamily(("bjs",), {"n": 5}),
+    "bjs": SweepFamily(
+        {"bjs": CaseFamily(
+            _permutations, _run_pair_case, ("schubert_from_compatible_pairs", "schubert"))},
+        {"n": 5}),
     # the insertion-fiber formula against the key polynomial
-    "theorem4": SweepFamily(("theorem4",), {"max_weight": 6, "max_parts": 4}),
+    "theorem4": SweepFamily(
+        {"theorem4": CaseFamily(
+            _compositions, _run_pair_case, ("key_by_insertion_fiber", "key_polynomial"))},
+        {"max_weight": 6, "max_parts": 4}),
     # shape, reading word, reinsertion and nil left key of the peeling tableau
-    "talpha_props": SweepFamily(("talpha_props",), {"max_weight": 7, "max_parts": 4}),
+    "talpha_props": SweepFamily(
+        {"talpha_props": CaseFamily(_compositions, _run_talpha_case)},
+        {"max_weight": 7, "max_parts": 4}),
 }
+
+# Every case family by name, for a worker that gets the name with its task.
+_CASES = {name: case for spec in SWEEPS.values() for name, case in spec.cases.items()}
+
+
+def _run_case(task: tuple) -> VerificationCase:
+    family, param, value, cfg = task
+    case = _CASES[family]
+    return case.runner(family, param, value, cfg, *case.args)
+
+
+# ---------------------------------------------------------------------------
+# sweep drivers
 
 
 class SweepInputError(ValueError):
@@ -594,7 +609,7 @@ def _run_counted(task: tuple) -> tuple[VerificationCase, int, int]:
     """Run one case in a worker process, with the cache hits and misses it
     made: the worker reads through its own pickled copy of the cache, whose
     counts the sweep's cache object never sees."""
-    cache = task[2]["cache"]
+    cache = task[3]["cache"]
     if cache is None:
         return _run_case(task), 0, 0
     hits, misses = cache.hits, cache.misses
@@ -612,7 +627,7 @@ def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         counted = list(pool.map(_run_counted, tasks, chunksize=1))
-    cache = tasks[0][2]["cache"]
+    cache = tasks[0][3]["cache"]
     if cache is not None:
         cache.hits += sum(hits for _, hits, _ in counted)
         cache.misses += sum(misses for _, _, misses in counted)
@@ -635,9 +650,9 @@ def verify(
     cache = None if cache_dir is None else PolynomialCache(cache_dir)
     cfg = {"cap": config.get("cap"), "cache": cache}
     tasks = [
-        (case_family, param, cfg)
-        for case_family in SWEEPS[family].cases
-        for param in _CASES[case_family][0].params(config)
+        (name, param, value, cfg)
+        for name, case in SWEEPS[family].cases.items()
+        for param, value in case.params(config)
     ]
     workers = clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     started = time.time()
@@ -651,24 +666,3 @@ def verify(
     if cache is not None:
         meta["cache"] = {"hits": cache.hits, "misses": cache.misses}
     return SweepReport(config, cases, meta=meta)
-
-
-def _sweep_function(family: str) -> Callable[..., SweepReport]:
-    names = tuple(SWEEPS[family].bounds)
-
-    def run(*args: int, **kwargs) -> SweepReport:
-        if len(args) > len(names):
-            raise TypeError(f"{family} takes at most {len(names)} positional bounds")
-        return verify(family, **dict(zip(names, args)), **kwargs)
-
-    run.__doc__ = f"verify({family!r}, ...), taking {', '.join(names)} positionally too."
-    return run
-
-
-verify_conjecture1 = _sweep_function("conj1")
-verify_conjecture2 = _sweep_function("conj2")
-verify_kohnert = _sweep_function("kohnert")
-verify_theorem1 = _sweep_function("theorem1")
-verify_bjs = _sweep_function("bjs")
-verify_theorem4 = _sweep_function("theorem4")
-verify_talpha_props = _sweep_function("talpha_props")

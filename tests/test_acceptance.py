@@ -130,7 +130,7 @@ def test_criterion_4_rothe_closure_polynomial():
 
 def test_criterion_5_skyline_ghost_identity_sweep():
     with _Criterion(5, "b = -1 skyline identity, weight <= 7, <= 4 parts", 300.0):
-        report = harness.verify_conjecture1(7, 4, jobs=1)
+        report = harness.verify("conj1", max_weight=7, max_parts=4, jobs=1)
         assert report.totals["skipped"] == 0
         failing = [c.param for c in report.cases if c.status == "fail"]
         assert report.failed() == 0, (
@@ -145,13 +145,13 @@ def test_criterion_5_skyline_ghost_identity_sweep():
 
 def test_criterion_6_rothe_ghost_identity_sweep():
     with _Criterion(6, "b = -1 Rothe identity over all of S_5", 300.0):
-        report = harness.verify_conjecture2(5, jobs=1)
+        report = harness.verify("conj2", n=5, jobs=1)
         assert report.totals == {"pass": 120, "fail": 0, "skipped": 0, "total": 120}
 
 
 def test_criterion_7_ghost_free_slices():
     with _Criterion(7, "b = 0 slices equal key and Schubert polynomials", 300.0):
-        report = harness.verify_kohnert(7, 4, 5, jobs=1)
+        report = harness.verify("kohnert", max_weight=7, max_parts=4, n=5, jobs=1)
         assert report.failed() == 0 and report.totals["skipped"] == 0
         by_family = {}
         for c in report.cases:
@@ -161,7 +161,7 @@ def test_criterion_7_ghost_free_slices():
 
 def test_criterion_8_splitting_oracle_equivalence():
     with _Criterion(8, "three routes to the key splitting agree, weight <= 6", 300.0):
-        report = harness.verify_theorem1(6, 4, jobs=1)
+        report = harness.verify("theorem1", max_weight=6, max_parts=4, jobs=1)
         assert report.totals == {"pass": 210, "fail": 0, "skipped": 0, "total": 210}
         # non-negativity is part of the case check; spot-assert it again
         ex = bases.split_extract(
@@ -172,8 +172,8 @@ def test_criterion_8_splitting_oracle_equivalence():
 
 def test_criterion_9_identity_suite():
     with _Criterion(9, "compatible-pair, fiber, decomposition and basis identities", 300.0):
-        assert harness.verify_bjs(5, jobs=1).failed() == 0
-        assert harness.verify_theorem4(6, 4, jobs=1).failed() == 0
+        assert harness.verify("bjs", n=5, jobs=1).failed() == 0
+        assert harness.verify("theorem4", max_weight=6, max_parts=4, jobs=1).failed() == 0
 
         # all-shapes key decomposition of Schubert polynomials over S_4
         for w in perms.all_permutations(4):

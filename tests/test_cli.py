@@ -675,7 +675,7 @@ def no_cases(tasks, workers):
 
 
 def passing_cases(tasks, workers):
-    return [harness.VerificationCase(family, param, "pass") for family, param, _ in tasks]
+    return [harness.VerificationCase(family, param, "pass") for family, param, _, _ in tasks]
 
 
 def _python(script: str) -> str:

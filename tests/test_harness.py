@@ -14,13 +14,6 @@ from kohnert.harness import (
     PolynomialCache,
     compositions_upto,
     poly_diff,
-    verify_bjs,
-    verify_conjecture1,
-    verify_conjecture2,
-    verify_kohnert,
-    verify_talpha_props,
-    verify_theorem1,
-    verify_theorem4,
 )
 from kohnert.poly import Polynomial, x
 
@@ -109,19 +102,19 @@ class TestPolyDiff:
 
 class TestSweeps:
     def test_conjecture2_small(self):
-        report = verify_conjecture2(3)
+        report = harness.verify("conj2", n=3)
         assert report.totals == {"pass": 6, "fail": 0, "skipped": 0, "total": 6}
         assert [c.param for c in report.cases] == sorted(
             [c.param for c in report.cases], key=lambda s: (len(s), s)
         )
 
     def test_conjecture1_small_true_range(self):
-        report = verify_conjecture1(3, 3)
+        report = harness.verify("conj1", max_weight=3, max_parts=3)
         assert report.failed() == 0
         assert any(c.param == "1,0,2" for c in report.cases)
 
     def test_conjecture1_weight_zero(self):
-        report = verify_conjecture1(0, 0)
+        report = harness.verify("conj1", max_weight=0, max_parts=0)
         assert report.totals["total"] == 1
         assert report.cases[0].param == "0"
         assert report.cases[0].status == "pass"
@@ -130,7 +123,7 @@ class TestSweeps:
         # the ghost-move rule pinned by the worked examples does not satisfy
         # the b = -1 identity at (0,0,1,2); the sweep must surface it with a
         # term diff rather than hide it
-        report = verify_conjecture1(3, 4)
+        report = harness.verify("conj1", max_weight=3, max_parts=4)
         failing = [c for c in report.cases if c.status == "fail"]
         assert [c.param for c in failing] == ["0,0,1,2"]
         detail = failing[0].detail
@@ -138,23 +131,23 @@ class TestSweeps:
         assert "lhs" in detail and "rhs" in detail
 
     def test_kohnert_slices(self):
-        report = verify_kohnert(3, 3, 3)
+        report = harness.verify("kohnert", max_weight=3, max_parts=3, n=3)
         assert report.failed() == 0
         families = {c.family for c in report.cases}
         assert families == {"kohnert_key", "kohnert_schubert"}
 
     def test_theorem1_bjs_theorem4_talpha(self):
-        assert verify_theorem1(3, 3).failed() == 0
-        assert verify_bjs(3).failed() == 0
-        assert verify_theorem4(3, 3).failed() == 0
-        assert verify_talpha_props(3, 3).failed() == 0
+        assert harness.verify("theorem1", max_weight=3, max_parts=3).failed() == 0
+        assert harness.verify("bjs", n=3).failed() == 0
+        assert harness.verify("theorem4", max_weight=3, max_parts=3).failed() == 0
+        assert harness.verify("talpha_props", max_weight=3, max_parts=3).failed() == 0
 
     def test_unknown_family_is_refused(self):
         with pytest.raises(harness.SweepInputError, match="unknown sweep family 'nope'"):
             harness.verify("nope")
 
     def test_skipped_is_not_passed(self):
-        report = verify_conjecture1(3, 3, cap=2)
+        report = harness.verify("conj1", max_weight=3, max_parts=3, cap=2)
         assert report.totals["skipped"] > 0
         skipped = [c for c in report.cases if c.status == "skipped"]
         assert all("cap" in c.detail["reason"] for c in skipped)
@@ -193,8 +186,8 @@ class TestSweeps:
         assert fewer > 0
 
     def test_reports_identical_across_jobs(self):
-        sequential = verify_conjecture2(3, jobs=1)
-        parallel = verify_conjecture2(3, jobs=3)
+        sequential = harness.verify("conj2", n=3, jobs=1)
+        parallel = harness.verify("conj2", n=3, jobs=3)
         assert sequential.deterministic_json() == parallel.deterministic_json()
         assert parallel.meta["jobs"] == 3
 
@@ -222,7 +215,7 @@ class TestSweeps:
         assert json.loads(report.json_text()) == report.to_json_obj()
 
     def test_report_json_schema(self):
-        report = verify_bjs(2)
+        report = harness.verify("bjs", n=2)
         obj = report.to_json_obj()
         assert set(obj) == {"config", "cases", "totals", "meta"}
         case = obj["cases"][0]
@@ -233,6 +226,8 @@ class TestSweeps:
 class TestCaseTable:
     def test_every_case_family_is_in_exactly_one_sweep(self):
         listed = [name for spec in harness.SWEEPS.values() for name in spec.cases]
+        # a name repeated across sweeps would shadow the other in _CASES
+        assert len(listed) == len(harness._CASES)
         assert sorted(listed) == sorted(harness._CASES)
 
     def test_closure_sweeps_are_derived_from_the_runner(self):
@@ -241,8 +236,8 @@ class TestCaseTable:
 
     def test_closure_rows_hold_a_rule(self):
         rules = [
-            args[2] for _, runner, args in harness._CASES.values()
-            if runner is harness._run_closure_case
+            case.args[0].rule for case in harness._CASES.values()
+            if case.runner is harness._run_closure_case
         ]
         assert len(rules) == 4
         assert all(rule is diagrams.RULES[rule.name] for rule in rules)
@@ -252,7 +247,7 @@ class TestCaseTable:
 class TestFaultInjection:
     def test_injected_fault_fails_with_minimal_diff(self, monkeypatch):
         monkeypatch.setenv(harness.FAULT_ENV, "conj2:312")
-        report = verify_conjecture2(3)
+        report = harness.verify("conj2", n=3)
         failing = [c for c in report.cases if c.status == "fail"]
         assert [c.param for c in failing] == ["312"]
         diff = failing[0].detail["diff"]["terms"]
@@ -260,15 +255,16 @@ class TestFaultInjection:
         assert report.failed() == 1
 
     def test_clean_rerun_passes(self):
-        assert verify_conjecture2(3).failed() == 0
+        assert harness.verify("conj2", n=3).failed() == 0
 
-    @pytest.mark.parametrize("family", sorted(harness.SWEEPS))
-    def test_every_family_fails_exactly_the_injected_case(self, monkeypatch, family):
+    @pytest.mark.parametrize("case_family", sorted(harness._CASES))
+    def test_every_family_fails_exactly_the_injected_case(self, monkeypatch, case_family):
+        (family,) = [name for name, spec in harness.SWEEPS.items() if case_family in spec.cases]
         small = {"max_weight": 3, "max_parts": 3, "n": 3}
         bounds = {name: small[name] for name in harness.SWEEPS[family].bounds}
         clean = harness.verify(family, **bounds)
         assert clean.failed() == 0
-        first = clean.cases[0]
+        first = next(c for c in clean.cases if c.family == case_family)
         monkeypatch.setenv(harness.FAULT_ENV, f"{first.family}:{first.param}")
         report = harness.verify(family, **bounds)
         failing = [(c.family, c.param) for c in report.cases if c.status == "fail"]
@@ -285,8 +281,8 @@ class TestCache:
             calls.append(1)
             return x(1) + x(2)
 
-        first = cache.get_or_compute("test", "a", compute)
-        second = cache.get_or_compute("test", "a", compute)
+        first = harness._cached(cache, "test", "a", compute)
+        second = harness._cached(cache, "test", "a", compute)
         assert first == second == x(1) + x(2)
         assert len(calls) == 1
         assert cache.get("test", "missing") is None
@@ -303,7 +299,7 @@ class TestCache:
             json.dump(obj, fh)
         assert cache.get("test", "a") is None
         assert "corrupt cache entry" in capsys.readouterr().err
-        assert cache.get_or_compute("test", "a", lambda: x(1)) == x(1)
+        assert harness._cached(cache, "test", "a", lambda: x(1)) == x(1)
         assert cache.get("test", "a") == x(1)
 
     def test_entry_of_another_key_recomputed_with_warning(self, tmp_path, capsys):
@@ -314,7 +310,7 @@ class TestCache:
         assert cache.get("test", "b") is None
         err = capsys.readouterr().err
         assert "dropping corrupt cache entry for test:b (key mismatch)" in err
-        assert cache.get_or_compute("test", "b", lambda: x(2)) == x(2)
+        assert harness._cached(cache, "test", "b", lambda: x(2)) == x(2)
         assert cache.get("test", "b") == x(2)
         assert cache.get("test", "a") == x(1)
 
@@ -325,9 +321,9 @@ class TestCache:
         assert new.get("test", "a") is None
 
     def test_sweep_with_cache_matches_cold_run(self, tmp_path):
-        cold = verify_conjecture2(3)
-        warm1 = verify_conjecture2(3, cache_dir=str(tmp_path))
-        warm2 = verify_conjecture2(3, cache_dir=str(tmp_path))
+        cold = harness.verify("conj2", n=3)
+        warm1 = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
+        warm2 = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
         assert (
             cold.deterministic_json()
             == warm1.deterministic_json()
@@ -364,10 +360,10 @@ class TestCache:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(PolynomialCache, "__init__", counting)
-        report = verify_conjecture2(3, cache_dir=str(tmp_path))
+        report = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
         assert report.totals["total"] == 6
         assert len(created) == 1
-        verify_conjecture2(3, cache_dir=str(tmp_path))
+        harness.verify("conj2", n=3, cache_dir=str(tmp_path))
         assert len(created) == 2
         assert created[1].hits == 12 and created[1].misses == 0
 
@@ -378,7 +374,7 @@ class TestCache:
         # the file names; the nested {"terms": ...} layout before it had
         # other names and another digest.  File names hash the package
         # version, so a version bump moves the digest.
-        verify_conjecture2(4, cache_dir=str(tmp_path))
+        harness.verify("conj2", n=4, cache_dir=str(tmp_path))
         paths = sorted(tmp_path.iterdir())
         assert len(paths) == 48
         digest = hashlib.sha256()
@@ -408,7 +404,7 @@ class TestCache:
             path.write_bytes(data[:cut])
             assert cache.get("test", "a") is None
             assert "dropping corrupt cache entry for test:a" in capsys.readouterr().err
-        assert cache.get_or_compute("test", "a", lambda: f) == f
+        assert harness._cached(cache, "test", "a", lambda: f) == f
         assert path.read_bytes() == data
         assert cache.get("test", "a") == f
 
@@ -459,7 +455,7 @@ class TestCache:
         assert (cache.hits, cache.misses) == (1, 1)
         # and a dropped entry is recomputed and written again
         self.rewrite_value(path, terms)
-        assert cache.get_or_compute("test", "a", lambda: x(1)) == x(1)
+        assert harness._cached(cache, "test", "a", lambda: x(1)) == x(1)
         assert cache.get("test", "a") == x(1)
         assert "dropping corrupt cache entry" in capsys.readouterr().err
 
@@ -505,7 +501,7 @@ class TestCache:
         path.write_text(json.dumps(json.loads(written), indent=1))
         assert cache.get("test", "a") is None
         assert "dropping corrupt cache entry" in capsys.readouterr().err
-        assert cache.get_or_compute("test", "a", lambda: f) == f
+        assert harness._cached(cache, "test", "a", lambda: f) == f
         assert path.read_bytes() == written
 
     def test_entry_is_one_dumps_of_the_object(self, tmp_path):
@@ -526,15 +522,15 @@ class TestCache:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_report_counts_hits_and_misses(self, tmp_path, jobs):
-        cold = verify_conjecture2(3, jobs=jobs, cache_dir=str(tmp_path))
+        cold = harness.verify("conj2", n=3, jobs=jobs, cache_dir=str(tmp_path))
         assert cold.meta["cache"] == {"hits": 0, "misses": 12}
-        warm = verify_conjecture2(3, jobs=jobs, cache_dir=str(tmp_path))
+        warm = harness.verify("conj2", n=3, jobs=jobs, cache_dir=str(tmp_path))
         assert warm.meta["cache"] == {"hits": 12, "misses": 0}
         assert cold.deterministic_json() == warm.deterministic_json()
-        assert warm.deterministic_json() == verify_conjecture2(3).deterministic_json()
-        assert "cache" not in verify_conjecture2(3, jobs=jobs).meta
+        assert warm.deterministic_json() == harness.verify("conj2", n=3).deterministic_json()
+        assert "cache" not in harness.verify("conj2", n=3, jobs=jobs).meta
 
     def test_mixed_hit_miss_sweep(self, tmp_path):
-        verify_conjecture2(2, cache_dir=str(tmp_path))
-        mixed = verify_conjecture2(3, cache_dir=str(tmp_path))
-        assert mixed.deterministic_json() == verify_conjecture2(3).deterministic_json()
+        harness.verify("conj2", n=2, cache_dir=str(tmp_path))
+        mixed = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
+        assert mixed.deterministic_json() == harness.verify("conj2", n=3).deterministic_json()

@@ -71,6 +71,8 @@ def reference_split(pair, d):
     w = perms.word_to_perm(word)
     if not perms.perm_descents(w) <= set(d):
         raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    if len(marks) != len(word):
+        raise ValueError("marks must have the same length as the word")
     if any(m > a for m, a in zip(marks, word)):
         raise ValueError("marks exceed their letters; pair is not compatible")
     if marks and (not d or marks[-1] > d[-1]):
@@ -602,6 +604,8 @@ class TestCompatiblePairs:
         (((2, 2, 3, 4), (1, 1, 3, 3)), (2, 4)),  # unstable after non-reduced
         (((1,), (0,)), (1,)),  # a mark below 1
         (((0,), (1,)), (1,)),  # a letter below 1
+        (((1, 2), (1,)), (2,)),  # fewer marks than letters
+        (((), (1,)), (1,)),  # marks and no letter
     ]
 
     @pytest.mark.parametrize("pair,d", BAD_SPLITS)
