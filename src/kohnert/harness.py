@@ -365,6 +365,11 @@ def _run_theorem1_case(family: str, param: str, alpha: Composition, cfg: dict) -
 
     d = bases.minimal_blocks(alpha)
     try:
+        # The compatible-pair route enumerates the reduced words of the
+        # coded permutation, whose length is |alpha|, and refuses past the
+        # bound.  The tableau-tuple route alone has no length bound, so the
+        # case is refused with that error before any route runs.
+        perms.check_word_length(sum(alpha))
         extracted = bases.split_extract(bases.key_polynomial(alpha), d)
         counted = {k: v[0] for k, v in bases.key_split_expansion(alpha, d).items()}
         via_pairs = bases.key_split_expansion_via_pairs(alpha, d)

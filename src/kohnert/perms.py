@@ -235,19 +235,26 @@ def _reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
 MAX_WORD_LENGTH = 12
 
 
-def reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
-    """All reduced words of w (sequences a with s_{a_1}...s_{a_l} = w, l = length).
-
-    Refuses when the length exceeds ``MAX_WORD_LENGTH``; the error carries
-    the crude l! estimate.
-    """
-    w = permutation(w)
-    ell = perm_length(w)
+def check_word_length(ell: int) -> None:
+    """Refuse to enumerate the reduced words of a permutation of length
+    ``ell`` past ``MAX_WORD_LENGTH``; the error carries the crude l!
+    estimate.  A caller that will enumerate them later may ask first, so
+    that it refuses before any other work, with the same message."""
     if ell > MAX_WORD_LENGTH:
         raise BoundExceededError(
             f"length {ell} exceeds bound {MAX_WORD_LENGTH}; "
             f"up to {math.factorial(ell)} reduced words"
         )
+
+
+def reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
+    """All reduced words of w (sequences a with s_{a_1}...s_{a_l} = w, l = length).
+
+    Refuses when the length exceeds ``MAX_WORD_LENGTH``
+    (``check_word_length``).
+    """
+    w = permutation(w)
+    check_word_length(perm_length(w))
     return _reduced_words(w)
 
 

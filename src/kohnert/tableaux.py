@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain
-from operator import add, gt, le, lt
+from functools import lru_cache
+from itertools import accumulate, chain, combinations_with_replacement, groupby, repeat
+from operator import add, gt, le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import perms
@@ -242,13 +243,19 @@ def egls_insert(
     return _of_columns(cols), _of_columns(marks_cols)
 
 
-def insertion_tableau(word: Sequence[int]) -> Tableau:
-    """The P-tableau of ``egls_insert``, with the same checks and errors,
-    built without Q."""
+def _insert_columns(word: Sequence[int]) -> list[list[int]]:
+    """The columns of the P-tableau of ``egls_insert``, with the same checks
+    and errors, built without Q: ``Tableau.columns()`` of the tableau."""
     cols: list[list[int]] = []
     for a in _reduced_letters(word):
         _insert_letter(cols, a)
-    return _of_columns(cols)
+    return cols
+
+
+def insertion_tableau(word: Sequence[int]) -> Tableau:
+    """The P-tableau of ``egls_insert``, with the same checks and errors,
+    built without Q."""
+    return _of_columns(_insert_columns(word))
 
 
 def _reverse_insert(col: list[int], v: int) -> int:
@@ -297,13 +304,27 @@ def peeling_tableau(alpha: Composition) -> Tableau:
     Each column starts at the largest descent of the running permutation and
     repeatedly takes the largest descent smaller than the letter just used,
     multiplying it away, until none remains; the letters collected form the
-    column, bottom to top.  Multiplying by s_d changes only the comparisons
-    at d - 1, d and d + 1, so the next descent below d is the first one a
-    scan on down from d - 1 meets: each column is one downward scan of one
-    list, and the peel ends at the first scan that meets no descent.  The
-    reading word is a reduced word for the coded permutation, the tableau is
-    fixed by reinsertion, and the content of its nil left key is alpha.
+    column, bottom to top.  The reading word is a reduced word for the coded
+    permutation, the tableau is fixed by reinsertion, and the content of its
+    nil left key is alpha.
+
+    Every route of a splitting case starts from this tableau, so it comes
+    from a bounded memo that outlives the call, keyed by the canonical
+    composition (``_peeling_tableau``); tableaux are never mutated, so the
+    callers share it.
     """
+    return _peeling_tableau(perms.composition(alpha))
+
+
+# A sweep asks for one composition's tableau once per route, case after
+# case; the bound keeps a long-lived process from holding every one.
+@lru_cache(maxsize=256)
+def _peeling_tableau(alpha: Composition) -> Tableau:
+    """The tableau of ``peeling_tableau``, built.  Multiplying by s_d
+    changes only the comparisons at d - 1, d and d + 1, so the next descent
+    below d is the first one a scan on down from d - 1 meets: each column
+    is one downward scan of one list, and the peel ends at the first scan
+    that meets no descent."""
     u = list(perms.perm_from_code(alpha))
     cols: list[list[int]] = []
     while True:
@@ -377,26 +398,53 @@ def coxeter_knuth_class(
 CompatiblePair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _mark_choices(word: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The marks of a word in lexicographic order: each at least 1 and at
-    most its letter, weakly increasing, and strictly across each ascent."""
-    # Every mark sequence lies on or above the least one, which starts at 1
-    # and steps up exactly at the ascents; for most reduced words it passes
-    # a letter, and then there is none.
+def _has_marks(word: tuple[int, ...]) -> bool:
+    """Whether the word has some marks.  Every mark sequence lies on or
+    above the least one, which starts at 1 and steps up exactly at the
+    ascents; for most reduced words it passes a letter, and the scan stops
+    there."""
     least = prev = 0
     for letter in word:
         if prev < letter:
             least += 1
         if least > letter:
-            return []
+            return False
         prev = letter
-    if not word:
-        return [()]
-    marks = [(v,) for v in range(1, word[0] + 1)]
-    for prev, letter in zip(word, word[1:]):
-        step = 1 if prev < letter else 0
-        marks = [m + (v,) for m in marks for v in range(m[-1] + step, letter + 1)]
-    return marks
+    return True
+
+
+def _mark_choices(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The marks of a word in lexicographic order: each at least 1 and at
+    most its letter, weakly increasing, and strictly across each ascent.
+
+    Shifting each mark down by the number of ascents before it turns the
+    marks into the weakly increasing sequences from 1 with each entry at
+    most its letter less those ascents, and so at most the least such bound
+    from it on (the suffix minimum, which weakly increases).  Positions of
+    equal suffix minimum form runs, and the entries of a run are one
+    ``combinations_with_replacement`` from the entry before it up to that
+    bound, so the shifted sequences are built a run at a time, in
+    lexicographic order, and shifted back.  A first bound below 1 leaves
+    the first run, and so the list, empty.
+
+    >>> _mark_choices((2, 4, 3))
+    [(1, 2, 2), (1, 2, 3), (1, 3, 3), (2, 3, 3)]
+    >>> _mark_choices((2, 3, 1)), _mark_choices(())
+    ([], [()])
+    """
+    shifts = list(accumulate(map(lt, word, word[1:]), initial=0))
+    bounds = list(accumulate(reversed(list(map(sub, word, shifts))), min))[::-1]
+    shifted: list[tuple[int, ...]] = [()]
+    for bound, run in groupby(bounds):
+        size = len(list(run))
+        shifted = [
+            head + tail
+            for head in shifted
+            for tail in combinations_with_replacement(
+                range(head[-1] if head else 1, bound + 1), size
+            )
+        ]
+    return [tuple(map(add, marks, shifts)) for marks in shifted]
 
 
 def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[CompatiblePair]:
@@ -404,13 +452,16 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     across ascents of the word, and bounded above by the letters.
 
     With ``t`` given, only the pairs whose word inserts to t, in the same
-    order; a word is inserted once, and only if it has some marks.
+    order.  Each word is first scanned for its least marks
+    (``_has_marks``); only a word that has some is inserted, once, and its
+    columns compared with those of t; only a word in the fiber has its
+    marks built.
     """
-    out = []
+    cols = None if t is None else t.columns()
+    out: list[CompatiblePair] = []
     for word in sorted(perms.reduced_words(w)):
-        pairs = [(word, marks) for marks in _mark_choices(word)]
-        if pairs and (t is None or insertion_tableau(word) == t):
-            out.extend(pairs)
+        if _has_marks(word) and (cols is None or _insert_columns(word) == cols):
+            out.extend(zip(repeat(word), _mark_choices(word)))
     return out
 
 

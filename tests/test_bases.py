@@ -286,12 +286,37 @@ SPLIT_EXTRA_BLOCK_DIGEST = "78454ed3f5a4ed6d98af6fe4a2001080937c02c2b653cd3b11ec
 EXPAND_DIGEST = "9b1d0c259d1bbd30eb6d57b415f11dc02ffa2d47e1dcfc84629e7c1ef6b2d4cc"
 
 
+def copy_peel(f, element, step_cap=None):
+    """The greedy peel as it was before it subtracted in place: each step
+    builds c times the element and a new remainder.  The reference for
+    ``bases._peel``."""
+    out = {}
+    g = f
+    while not g.is_zero():
+        if step_cap is not None and len(out) >= step_cap:
+            raise ExpansionCapError(step_cap, out, g)
+        m = g.leading_monomial()
+        key, b = element(m)
+        assert b.leading_monomial() == m and b.coefficient(m) == {0: 1}
+        c = out[key] = g.coefficient(m)
+        g = g - b.scale(c)
+    return out
+
+
 def sha256_json(obj):
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
 def expansion_items(got):
     return [[list(alpha), sorted(c.items())] for alpha, c in got.items()]
+
+
+BLOCK_SYMMETRY_CASES = [
+    (x(1), (2,), "(1,) not weakly increasing in block 1"),
+    (x(2) * x(2) + x(1), (2,), "(1,) not weakly increasing in block 1"),
+    (x(1) + x(2) + x(3) * x(3) * x(4), (2, 4), "(0, 0, 2, 1) not weakly increasing in block 2"),
+    (m((0, 1, 2, 0, 1)), (1, 3, 5), "(0, 1, 2, 1) not weakly increasing in block 3"),
+]
 
 
 class TestPeelIsPinned:
@@ -327,13 +352,7 @@ class TestPeelIsPinned:
         assert sha256_json(outputs) == EXPAND_DIGEST
 
     def test_block_symmetry_messages(self):
-        cases = [
-            (x(1), (2,), "(1,) not weakly increasing in block 1"),
-            (x(2) * x(2) + x(1), (2,), "(1,) not weakly increasing in block 1"),
-            (x(1) + x(2) + x(3) * x(3) * x(4), (2, 4), "(0, 0, 2, 1) not weakly increasing in block 2"),
-            (m((0, 1, 2, 0, 1)), (1, 3, 5), "(0, 1, 2, 1) not weakly increasing in block 3"),
-        ]
-        for f, d, message in cases:
+        for f, d, message in BLOCK_SYMMETRY_CASES:
             with pytest.raises(BlockSymmetryError) as exc:
                 split_extract(f, d)
             assert str(exc.value) == "leading monomial " + message
@@ -349,6 +368,54 @@ class TestPeelIsPinned:
             assert list(exc.value.partial.items()) == list(full.items())[:cap]
             assert exc.value.remainder == remainder
         assert list(expand_in_basis(f, "omega", step_cap=3).items()) == list(full.items())
+
+
+class TestPeelInPlace:
+    def peels(self):
+        """TestPeelIsPinned's inputs, each as a call that gives the list of
+        the peel's (key, coefficient) pairs or the type, message, partial
+        and remainder of its error."""
+        from kohnert.harness import compositions_upto
+
+        def run(call, *args, **kwargs):
+            try:
+                return list(call(*args, **kwargs).items())
+            except (ExpansionCapError, BlockSymmetryError) as exc:
+                partial = getattr(exc, "partial", None)
+                return type(exc), str(exc), partial, getattr(exc, "remainder", None)
+
+        for alpha in compositions_upto(7, 4) + compositions_upto(4, 7):
+            d = minimal_blocks(alpha)
+            yield run, split_extract, key_polynomial(alpha), d
+            yield run, split_extract, key_polynomial(alpha), d + ((d[-1] if d else 0) + 1,)
+        s5 = list(perms.all_permutations(5))
+        for w in s5:
+            yield run, expand_in_basis, schubert(w), "key"
+        for w in s5[:60]:
+            yield run, expand_in_basis, grothendieck(w), "omega"
+            yield run, expand_in_basis, schubert(w), "J"
+        for cap in (1, 2, 3):
+            yield run, expand_in_basis, schubert((2, 1, 4, 3)), "omega", cap
+        for f, d, _ in BLOCK_SYMMETRY_CASES:
+            yield run, split_extract, f, d
+
+    def test_matches_the_copy_per_step_peel(self, monkeypatch):
+        inputs = list(self.peels())
+        got = [run(*args) for run, *args in inputs]
+        monkeypatch.setattr(bases, "_peel", copy_peel)
+        expected = [run(*args) for run, *args in inputs]
+        assert len(got) == 1567
+        for args, g, e in zip(inputs, got, expected):
+            assert g == e, args[1:]
+        assert sum(isinstance(e, tuple) for e in expected) == 6
+
+    def test_subtracts_in_place_from_one_copy(self):
+        # the input is copied once and never changed; b-degrees of the
+        # coefficient ride along with the element's terms
+        f = schubert((2, 1, 4, 3))
+        before = dict(f.terms)
+        assert expand_in_basis(f, "J") == {(1, 0, 1): {0: 1}, (2,): {0: 1}, (1, 1, 1): {1: -1}}
+        assert f.terms == before
 
 
 class TestSplittingRoutes:
@@ -636,8 +703,9 @@ class TestSplittingRoutes:
             return original(lam, variables)
 
         monkeypatch.setattr(bases, "schur_in_variables", counting)
-        # the memo outlives every call, so the count starts from an empty one
+        # the memos outlive every call, so the count starts from empty ones
         bases._block_schur.cache_clear()
+        bases._block_schur_product.cache_clear()
         alphas = compositions_upto(6, 4)
         cases = [(key_polynomial(alpha), minimal_blocks(alpha)) for alpha in alphas]
         for f, d in cases:
@@ -654,6 +722,38 @@ class TestSplittingRoutes:
             assert bases._block_schur(lam, variables[0], variables[-1]) == fresh
         info = bases._block_schur.cache_info()
         assert info.maxsize is not None and info.currsize == len(first)
+
+    def test_extraction_builds_each_product_once_and_as_fresh(self, monkeypatch):
+        from kohnert.harness import compositions_upto
+
+        def fresh(lams, d):
+            prod = ONE
+            for lam, lower, bound in zip(lams, (0, *d), d):
+                prod = prod * bases.schur_in_variables(lam, range(lower + 1, bound + 1))
+            return prod
+
+        original = bases._block_schur_product
+        keys = []
+
+        def recording(lams, d):
+            keys.append((lams, d))
+            return original(lams, d)
+
+        monkeypatch.setattr(bases, "_block_schur_product", recording)
+        original.cache_clear()
+        for alpha in compositions_upto(6, 4):
+            d = minimal_blocks(alpha)
+            for blocks in (d, d + ((d[-1] if d else 0) + 1,)):
+                split_extract(key_polynomial(alpha), blocks)
+        info = original.cache_info()
+        distinct = set(keys)
+        # one product per distinct (shapes, bounds), then from the memo
+        assert info.misses == len(distinct) > 100 and info.hits == len(keys) - len(distinct) > 100
+        # one tuple of shapes under two block bounds names two products
+        assert len(distinct) > len({lams for lams, _ in distinct})
+        for lams, d in distinct:
+            assert original(lams, d) == fresh(lams, d), (lams, d)
+        assert info.maxsize is not None and info.currsize == len(distinct) <= info.maxsize
 
     def test_schubert_splitting_all_valid_blocks_s4(self):
         from itertools import combinations

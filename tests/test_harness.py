@@ -142,6 +142,33 @@ class TestSweeps:
         assert harness.verify("theorem4", max_weight=3, max_parts=3).failed() == 0
         assert harness.verify("talpha_props", max_weight=3, max_parts=3).failed() == 0
 
+    @pytest.mark.parametrize("alpha", [(13,), (7, 6), (0, 2, 11)])
+    def test_theorem1_skips_an_overlong_case_before_any_route(self, monkeypatch, alpha):
+        # Each codes a permutation of length 13.  The compatible-pair route
+        # refuses it, and the tableau-tuple route alone has no length bound:
+        # it would walk the whole Coxeter-Knuth class before the skip.
+        from kohnert import bases, perms
+
+        with pytest.raises(perms.BoundExceededError) as refused:
+            perms.reduced_words(perms.perm_from_code(alpha))
+
+        def route(*args):
+            raise AssertionError("a route ran on a case that is skipped")
+
+        for name in ("split_extract", "key_split_expansion", "key_split_expansion_via_pairs"):
+            monkeypatch.setattr(bases, name, route)
+        param = perms.format_composition(alpha)
+        case = harness._run_theorem1_case("theorem1", param, alpha, {"cap": None, "cache": None})
+        assert case == harness.VerificationCase(
+            "theorem1", param, "skipped", {"reason": str(refused.value)}
+        )
+
+    def test_theorem1_runs_every_route_up_to_the_length_bound(self):
+        alpha = (0, 2, 10)
+        param = "0,2,10"
+        case = harness._run_theorem1_case("theorem1", param, alpha, {"cap": None, "cache": None})
+        assert case == harness.VerificationCase("theorem1", param, "pass")
+
     def test_unknown_family_is_refused(self):
         with pytest.raises(harness.SweepInputError, match="unknown sweep family 'nope'"):
             harness.verify("nope")

@@ -93,6 +93,26 @@ def reference_split(pair, d):
     return out
 
 
+def level_mark_choices(word):
+    """The marks of a word one level per letter, each extending every mark
+    of the last level, as ``_mark_choices`` built them before it built a
+    run of letters at a time: the reference for its list and its order."""
+    least = prev = 0
+    for letter in word:
+        if prev < letter:
+            least += 1
+        if least > letter:
+            return []
+        prev = letter
+    if not word:
+        return [()]
+    marks = [(v,) for v in range(1, word[0] + 1)]
+    for prev, letter in zip(word, word[1:]):
+        step = 1 if prev < letter else 0
+        marks = [m + (v,) for m in marks for v in range(m[-1] + step, letter + 1)]
+    return marks
+
+
 def scan_insert_letter(cols, v):
     """Column insertion of one letter by list scans, as it was before the
     columns were bisected: the reference for ``_insert_letter``."""
@@ -520,14 +540,16 @@ class TestCompatiblePairs:
     def test_fiber_filter_inserts_each_marked_word_once(self, monkeypatch):
         from kohnert import tableaux
 
+        # the fiber test inserts a word into columns and compares them with
+        # the columns of t, so the insertion is counted there
         inserted = []
-        original = tableaux.insertion_tableau
+        original = tableaux._insert_columns
 
         def counting(word):
             inserted.append(tuple(word))
             return original(word)
 
-        monkeypatch.setattr(tableaux, "insertion_tableau", counting)
+        monkeypatch.setattr(tableaux, "_insert_columns", counting)
         for w in perms.all_permutations(4):
             marked = sorted({a for a, _ in compatible_pairs(w)})
             t = insertion_tableau(min(perms.reduced_words(w)))
@@ -819,6 +841,51 @@ class TestFastPathsMatchTheLoops:
                     checked += 1
                     refused += isinstance(expected, tuple)
         assert refused > 10000 and checked - refused > 300
+
+    def test_mark_choices_build_runs_as_the_levels(self):
+        # every word over 1..5 of length <= 6, reduced or not: the list and
+        # its order
+        checked = marked = 0
+        for n in range(7):
+            for word in product(range(1, 6), repeat=n):
+                got = _mark_choices(word)
+                assert got == level_mark_choices(word), word
+                checked += 1
+                marked += len(got) > 1
+        assert checked == 19531 and marked > 1000
+
+    def test_fiber_test_by_columns_as_tableau_equality(self):
+        # Every fiber of S_5 and of S_6 up to the length bound that holds a
+        # word with marks (a word without marks gives no pair), and a tableau
+        # that is no fiber, against the pairs whose word inserts to it.
+        fibers = 0
+        for n in (5, 6):
+            for w in perms.all_permutations(n):
+                if perms.perm_length(w) > perms.MAX_WORD_LENGTH:
+                    continue
+                pairs = compatible_pairs(w)
+                inserted = {word: insertion_tableau(word) for word, _ in pairs}
+                for t in {*inserted.values(), Tableau([[9]])}:
+                    assert compatible_pairs(w, t) == [
+                        (word, marks) for word, marks in pairs if inserted[word] == t
+                    ], (w, t)
+                    fibers += 1
+        assert fibers > 1500
+
+    def test_peeling_tableau_memo_is_fresh_and_bounded(self):
+        from kohnert.harness import compositions_upto
+
+        alphas = compositions_upto(7, 4) + compositions_upto(4, 7)
+        for alpha in alphas:
+            t = peeling_tableau(alpha)
+            assert t == reference_peeling_tableau(alpha), alpha
+            # trailing zeros and a list name the same composition
+            assert peeling_tableau(list(alpha) + [0]) is t
+        info = tableaux._peeling_tableau.cache_info()
+        assert info.hits >= len(alphas)
+        assert info.maxsize is not None and info.currsize <= info.maxsize < len(alphas)
+        with pytest.raises(ValueError):
+            peeling_tableau((1, -1))
 
 
 def schur_by_integer_evaluation(lam, values):
