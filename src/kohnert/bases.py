@@ -213,22 +213,6 @@ def _block_schur(lam: Partition, first: int, last: int) -> Polynomial:
     return schur_in_variables(lam, range(first, last + 1))
 
 
-# The peels of one sweep share whole products too: 416 distinct keys cover
-# the 701 peel steps of theorem1 at weight <= 7 in <= 4 parts, and 556 the
-# 864 at weight <= 4 in <= 7.  Bounded like ``_block_schur``.
-@lru_cache(maxsize=1024)
-def _block_schur_product(lams: LambdaTuple, d: tuple[int, ...]) -> Polynomial:
-    """The product over the blocks cut at d of the Schur polynomial of each
-    block's shape in its variables, a factor ``_block_schur``; an empty
-    shape is the factor 1 and is not multiplied in."""
-    prod = ONE
-    for lam, lower, bound in zip(lams, (0, *d), d):
-        if lam:
-            factor = _block_schur(lam, lower + 1, bound)
-            prod = factor if prod is ONE else prod * factor
-    return prod
-
-
 def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     """Expand a block-symmetric polynomial into products of block Schur
     polynomials by repeatedly peeling the leading monomial (``_peel``).
@@ -239,11 +223,10 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     that ends at 0 writes f as a sum of block-symmetric products, so an
     input that is not block-symmetric reaches a leading monomial that is not
     weakly increasing in some block, and BlockSymmetryError is raised there.
-    Each product of block Schur factors comes from
-    ``_block_schur_product``, a bounded memo keyed by (shapes, block
-    bounds) that outlives the call, and each of its factors from
-    ``_block_schur``, so the peels of one process build each product and
-    each (shape, block) once.
+    Each block Schur factor comes from ``_block_schur``, a bounded memo
+    that outlives the call, so the peels of one process build each
+    (shape, block) once; an empty shape is the factor 1 and is not
+    multiplied in.
 
     >>> split_extract(key_polynomial((1, 0, 2)), (1, 3))
     {((1,), (2,)): 1, ((2,), (1,)): 1}
@@ -257,21 +240,24 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
             f"polynomial involves x{f.max_variable()}, past the last block bound"
         )
     blocks = block_variables(d)
-    d = tuple(d)
 
     def element(m: Composition) -> tuple[LambdaTuple, Polynomial]:
         # the block Schur product led by x^m: its shapes are m's blocks reversed
         ext = m + (0,) * (n - len(m))
         lams = []
+        prod = ONE
         for j, block in enumerate(blocks, start=1):
             seg = ext[block[0] - 1 : block[-1]]
             if any(a > b for a, b in zip(seg, seg[1:])):
                 raise BlockSymmetryError(
                     f"leading monomial {m} not weakly increasing in block {j}"
                 )
-            lams.append(trim(reversed(seg)))
-        lams = tuple(lams)
-        return lams, _block_schur_product(lams, d)
+            lam = trim(reversed(seg))
+            lams.append(lam)
+            if lam:
+                factor = _block_schur(lam, block[0], block[-1])
+                prod = factor if prod is ONE else prod * factor
+        return tuple(lams), prod
 
     return {lams: c[0] for lams, c in _peel(f, element).items()}
 
@@ -318,10 +304,8 @@ def _word_split_tuples(
     rows as the block has variables.  Raises ValueError unless the block
     bounds are strictly increasing from 1.
 
-    The words share most of their factors, so each distinct (block, j) is
-    accepted or refused once per call; no memo outlives the call.  Only
-    blocks whose letters all exceed their bound, and after which every letter
-    exceeds the next bound, are offered for acceptance."""
+    Only blocks whose letters all exceed their bound, and after which every
+    letter exceeds the next bound, are offered for acceptance."""
     k = len(d)
     bounds = [0] + list(d)
     widths = [len(block) for block in block_variables(d)]
@@ -330,13 +314,6 @@ def _word_split_tuples(
         if any(not word for word in words):
             out.add(())
         return out
-    accepted: dict[tuple[tuple[int, ...], int], Tableau | None] = {}
-
-    def accept(block: tuple[int, ...], j: int) -> Tableau | None:
-        if (block, j) not in accepted:
-            accepted[block, j] = _accept_block(block, bounds[j], widths[j])
-        return accepted[block, j]
-
     def rec(
         word: tuple[int, ...], last: list[int], start: int, j: int, acc: tuple[Tableau, ...]
     ) -> None:
@@ -344,12 +321,12 @@ def _word_split_tuples(
         # after the last letter at or below bounds[j + 1], which no later
         # block may hold, so the same holds one block on.
         if j == k - 1:
-            t = accept(word[start:], j)
+            t = _accept_block(word[start:], bounds[j], widths[j])
             if t is not None:
                 out.add(acc + (t,))
             return
         for end in range(max(start, last[j + 1] + 1), len(word) + 1):
-            t = accept(word[start:end], j)
+            t = _accept_block(word[start:end], bounds[j], widths[j])
             if t is not None:
                 rec(word, last, end, j + 1, acc + (t,))
 

@@ -151,9 +151,12 @@ MAX_SPLIT_PARTS = 400
 
 # Largest Coxeter-Knuth class ``split`` walks for its witnesses.  The class
 # of the peeling tableau has one reduced word per standard tableau of its
-# shape, the sorted composition, so it is counted before the walk:
-# ``--alpha 11,11`` (58 786 words) splits in under 2 s, ``14,14``
-# (2 674 440 words) took 83 s.
+# shape, the sorted composition, so it is counted before the walk.  Of the
+# shapes the bound admits, ``--alpha 0,6,0,6,0,6`` (87 516 words in three
+# blocks) splits in 3.8-6.5 s CPU at a 40 MB peak, ``6,6,6`` (the same class
+# in one block) in 2-3 s and ``11,11`` (58 786 words) in 1.5-2.3 s, on a
+# shared 2-CPU Xeon under Python 3.11; ``14,14`` (2 674 440 words) took
+# 83 s.
 MAX_SPLIT_WORDS = 100_000
 
 # Largest key polynomial ``split`` builds, in terms, as bounded by

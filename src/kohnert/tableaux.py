@@ -484,9 +484,10 @@ def split_pairs(
     the descents of the word's permutation, the marks are as many as the
     letters, every mark is at most its letter and the last bound, and every
     non-empty block is a reduced word (NonReducedWordError) with stable
-    marks, in that order.  The checks that depend on the word alone run
-    once per run of consecutive pairs that share a word, as the pairs of
-    one word are in the output of ``compatible_pairs``.
+    marks, in that order.  The bounds are checked once, at the first pair;
+    the checks that depend on the word alone run once per run of
+    consecutive pairs that share a word, as the pairs of one word are in
+    the output of ``compatible_pairs``.
 
     The marks of a pair of a reduced word are checked with C-level passes
     over the whole pair (each mark is at most its letter, and at most the
@@ -496,15 +497,17 @@ def split_pairs(
     failure.
     """
     d = list(d)
+    bound_set = set(d)
     word: tuple[int, ...] | None = None
     reduced = False
     ascents: list[bool] = []
     for pair in pairs:
         if pair[0] != word:
+            if word is None:
+                _check_block_bounds(d)
             word = pair[0]
-            _check_block_bounds(d)
             w = perms.word_to_perm(word)
-            if not perms.perm_descents(w) <= set(d):
+            if not perms.perm_descents(w) <= bound_set:
                 raise ValueError(f"block bounds {d} do not contain the descents of {w}")
             reduced = perms.is_reduced(word)
             ascents = list(map(lt, word, word[1:]))

@@ -602,33 +602,6 @@ class TestSplittingRoutes:
                     )
                 monkeypatch.undo()
 
-    def test_word_route_accepts_each_block_once(self, monkeypatch):
-        from kohnert.harness import compositions_upto
-
-        original = bases._accept_block
-        accepted = []
-
-        def counting(block, lower, max_rows):
-            accepted.append((block, lower))
-            return original(block, lower, max_rows)
-
-        monkeypatch.setattr(bases, "_accept_block", counting)
-        calls = 0
-        # weight <= 7: blocks that cannot lead to a tuple are no longer
-        # offered, so weight <= 6 makes too few calls to count on
-        for alpha in compositions_upto(7, 4):
-            d = minimal_blocks(alpha)
-            runs = []
-            for _ in range(2):  # the memo is per call
-                accepted.clear()
-                key_split_expansion(alpha, d)
-                # the lower bound is d_{j-1}, so it names the block index j
-                assert len(accepted) == len(set(accepted)), alpha
-                runs.append(sorted(accepted))
-            assert runs[0] == runs[1], alpha
-            calls += len(accepted)
-        assert calls > 5000
-
     def test_word_route_offers_only_blocks_that_can_lead_to_a_tuple(self, monkeypatch):
         # The word route before it bounded each block's end, kept as a
         # reference: every block from each start is offered to
@@ -687,9 +660,9 @@ class TestSplittingRoutes:
             assert got == ref_out, (words, d)
             # no block is offered that its bound refuses
             assert all(min(block, default=lower + 1) > lower for block, lower in offered)
-            assert len(offered) == len(set(offered)) and set(offered) <= ref_offered
+            assert set(offered) <= ref_offered
             before += len(ref_offered)
-            after += len(offered)
+            after += len(set(offered))
         assert before > 5000 and after < before / 2
 
     def test_extraction_builds_each_block_schur_once(self, monkeypatch):
@@ -703,9 +676,8 @@ class TestSplittingRoutes:
             return original(lam, variables)
 
         monkeypatch.setattr(bases, "schur_in_variables", counting)
-        # the memos outlive every call, so the count starts from empty ones
+        # the memo outlives every call, so the count starts from an empty one
         bases._block_schur.cache_clear()
-        bases._block_schur_product.cache_clear()
         alphas = compositions_upto(6, 4)
         cases = [(key_polynomial(alpha), minimal_blocks(alpha)) for alpha in alphas]
         for f, d in cases:
@@ -722,38 +694,6 @@ class TestSplittingRoutes:
             assert bases._block_schur(lam, variables[0], variables[-1]) == fresh
         info = bases._block_schur.cache_info()
         assert info.maxsize is not None and info.currsize == len(first)
-
-    def test_extraction_builds_each_product_once_and_as_fresh(self, monkeypatch):
-        from kohnert.harness import compositions_upto
-
-        def fresh(lams, d):
-            prod = ONE
-            for lam, lower, bound in zip(lams, (0, *d), d):
-                prod = prod * bases.schur_in_variables(lam, range(lower + 1, bound + 1))
-            return prod
-
-        original = bases._block_schur_product
-        keys = []
-
-        def recording(lams, d):
-            keys.append((lams, d))
-            return original(lams, d)
-
-        monkeypatch.setattr(bases, "_block_schur_product", recording)
-        original.cache_clear()
-        for alpha in compositions_upto(6, 4):
-            d = minimal_blocks(alpha)
-            for blocks in (d, d + ((d[-1] if d else 0) + 1,)):
-                split_extract(key_polynomial(alpha), blocks)
-        info = original.cache_info()
-        distinct = set(keys)
-        # one product per distinct (shapes, bounds), then from the memo
-        assert info.misses == len(distinct) > 100 and info.hits == len(keys) - len(distinct) > 100
-        # one tuple of shapes under two block bounds names two products
-        assert len(distinct) > len({lams for lams, _ in distinct})
-        for lams, d in distinct:
-            assert original(lams, d) == fresh(lams, d), (lams, d)
-        assert info.maxsize is not None and info.currsize == len(distinct) <= info.maxsize
 
     def test_schubert_splitting_all_valid_blocks_s4(self):
         from itertools import combinations
@@ -863,3 +803,30 @@ class TestExpandInBasis:
     def test_unknown_basis(self):
         with pytest.raises(ValueError, match="unknown basis"):
             expand_in_basis(ONE, "schur")
+
+
+# The two memos that may grow for the whole process (ROADMAP item 10).
+UNBOUNDED_MEMOS = {"kohnert.bases._from_dominant", "kohnert.perms._reduced_words"}
+
+
+def test_memo_inventory():
+    from kohnert import harness, poly
+
+    memos = {}
+    for module in (perms, poly, diagrams, tableaux, bases, harness):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_info", None)):
+                memos[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    assert set(memos) == UNBOUNDED_MEMOS | {
+        "kohnert.bases._block_schur",
+        "kohnert.diagrams._box",
+        "kohnert.tableaux._peeling_tableau",
+    }
+    unbounded = {name for name, maxsize in memos.items() if maxsize is None}
+    assert unbounded == UNBOUNDED_MEMOS, (
+        "ROADMAP item 10 asks for one memo policy: every process-lifetime "
+        "memo bounded and tested.  Only _from_dominant and _reduced_words "
+        "are allowed to grow (CHANGES.md, the FOUND line on "
+        "perms._reduced_words); bound a new memo, or bound one of the two "
+        f"and take it off UNBOUNDED_MEMOS.  Unbounded now: {sorted(unbounded)}"
+    )
