@@ -92,7 +92,9 @@ def _cmd_poly(args) -> int:
 # permutation of n at most n by n.  A move costs a few operations on ints
 # of twice the box in bits, and printing a diagram costs its box, so the
 # 1001 diagrams of ``kkohnert --alpha 0,500`` take about 2 s; the number of
-# diagrams is bounded by --cap.
+# diagrams is bounded by --cap.  ``expand --basis J`` takes the same bound
+# on the box of its input's largest exponent by its last variable: the
+# exponents the peel meets stay within both.
 MAX_DIAGRAM_BOX = 1000
 
 
@@ -142,10 +144,14 @@ def _cmd_diagrams(args) -> int:
 
 
 # Largest composition ``split`` accepts.  The tableaux of a block Schur
-# polynomial recurse one frame per cell, and the key polynomial's operator
-# recursion two frames per step, up to one step per part, so both stay well
-# below the recursion limit: a single part of weight 500 splits in under a
-# second, 399 zeros before a 1 in about 2 s, and 500 parts ran out of stack.
+# polynomial recurse one frame per cell: a single part of weight 500 splits
+# in under a second.  The key polynomial's operator recursion takes one step
+# per inversion of alpha (a pair of parts, the later one larger), two frames
+# each, and its memo keeps every intermediate polynomial: 399 zeros before a
+# 1 (399 steps) split in about 2 s, and 499 zeros before a 1 ran out of
+# stack.  These bounds do not bound the inversions: 100 zeros before 1,1
+# (200 steps) take 2.6 s and 247 MB, 200 zeros before 1,1 ran out of memory
+# under a 3 GB limit, and 300 zeros before 1,1 end in a RecursionError.
 MAX_SPLIT_WEIGHT = 500
 MAX_SPLIT_PARTS = 400
 
@@ -217,6 +223,10 @@ def _cmd_split(args) -> int:
             d = tuple(int(p) for p in args.descents.split(","))
         except ValueError:
             raise UsageError(f"bad descent list {args.descents!r}")
+        # the strict descents of alpha never pass len(alpha), itself at most
+        # MAX_SPLIT_PARTS, while each block lists its variables
+        if max(d) > MAX_SPLIT_PARTS:
+            raise UsageError(f"block bound {max(d)} is past the bound {MAX_SPLIT_PARTS}")
     else:
         d = bases.minimal_blocks(alpha)
     try:
@@ -305,14 +315,18 @@ def _cmd_talpha(args) -> int:
     return 0
 
 
-# Largest variable ``expand`` accepts.  The basis element led by x_n comes
-# from an operator recursion two frames deep per step, up to n - 1 steps:
-# the key expansion of x_400 takes about 2 s, and x_900 ran out of stack.
+# Largest variable ``expand`` accepts.  The basis element led by x^theta
+# comes from an operator recursion two frames deep per step, one step per
+# inversion of theta: the key expansion of x_400 (399 steps) takes about
+# 2 s, and x_900 ran out of stack.  The bound does not bound the
+# inversions: x_151*x_152 (300 steps) took 9.6 s and 1 GB, and x_399*x_400
+# ends in a RecursionError.
 MAX_EXPAND_VARIABLE = 400
 
 # Largest variable ``expand --basis omega`` accepts.  The omega polynomial
 # led by x_n has 2^n - 1 terms: the omega expansion of x_12 takes 1.4 s,
-# x_13 3.7 s, x_14 7 s and x_16 41 s.
+# x_13 3.7 s, x_14 7 s and x_16 41 s.  It does not bound the degree: x_2^1000
+# takes 3.7 s and 455 MB, and x_2^3000 passed 2.9 GB.
 MAX_OMEGA_EXPAND_VARIABLE = 12
 
 
@@ -331,6 +345,15 @@ def _cmd_expand(args) -> int:
         raise UsageError(
             f"the polynomial involves x{poly.max_variable()}, past the bound x{bound}"
         )
+    if args.basis == "J":
+        # each J element is a closure inside its exponent's skyline box
+        rows = max((max(e, default=0) for e, _ in poly.terms), default=0)
+        cols = poly.max_variable()
+        if rows * cols > MAX_DIAGRAM_BOX:
+            raise UsageError(
+                f"a J element in a box of {rows} by {cols} is past the bound of "
+                f"{MAX_DIAGRAM_BOX} cells"
+            )
     try:
         coeffs = bases.expand_in_basis(poly, args.basis)
     except (bases.ExpansionCapError, diagrams.ClosureCapError) as exc:

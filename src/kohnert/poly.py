@@ -59,8 +59,11 @@ def _of(terms: dict[Term, int]) -> "Polynomial":
     return res
 
 
-def _not_an_integer(value) -> ValueError:
-    return ValueError(f"expected an integer in polynomial JSON, got {value!r}")
+def _json_int(value) -> int:
+    """``value``, refused unless it is an int."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer in polynomial JSON, got {value!r}")
+    return value
 
 
 class Polynomial:
@@ -199,46 +202,28 @@ class Polynomial:
         twice.
 
         Only ``kohnert expand --input`` reads this format; the polynomial
-        cache stores its own flat layout (``harness.PolynomialCache``).  The
-        exponent types are tested as one set, an exponent is trimmed only
-        when it ends in 0, and each [b-degree, count] pair is type-checked
-        inline."""
+        cache stores its own flat layout (``harness.PolynomialCache``)."""
         counts: dict[Term, int] = {}
         seen: set[Exponent] = set()
-        ints = {int}
         try:
             for t in obj["terms"]:
-                exps = t["exps"]
-                if set(map(type, exps)) - ints:
-                    raise _not_an_integer(next(v for v in exps if type(v) is not int))
-                e = tuple(exps)
-                if e and e[-1] == 0:
-                    e = trim(e)
+                e = trim([_json_int(v) for v in t["exps"]])
                 if e in seen:
                     raise ValueError(f"duplicate exponent {e} in polynomial JSON")
                 if e and min(e) < 0:
                     raise ValueError("negative exponent in polynomial JSON")
                 seen.add(e)
                 for deg, c in t["coeff"]:
-                    if type(deg) is not int:
-                        raise _not_an_integer(deg)
-                    if deg < 0:
+                    if _json_int(deg) < 0:
                         raise ValueError("negative b-degree in polynomial JSON")
-                    key = (e, deg)
-                    if key in counts:
+                    if (e, deg) in counts:
                         raise ValueError(f"duplicate b-degree {deg} of exponent {e} in polynomial JSON")
-                    if type(c) is not int:
-                        raise _not_an_integer(c)
-                    counts[key] = c
+                    counts[e, deg] = _json_int(c)
         except TypeError as exc:
             # Indexing, iterating or unpacking a value of the wrong JSON type;
-            # the numbers are type-checked above.
+            # the numbers are type-checked as they are read.
             raise ValueError(f"polynomial JSON of the wrong shape: {exc}") from None
-        # Canonical already: each exponent is trimmed and no key is repeated,
-        # so dropping zero counts is all that is left to do.
-        if 0 in counts.values():
-            counts = {key: c for key, c in counts.items() if c}
-        return _of(counts)
+        return cls(counts)
 
     def __str__(self) -> str:
         return render_text(self)

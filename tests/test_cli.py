@@ -271,6 +271,55 @@ class TestSplit:
         assert code == 2
         assert "usage error" in err and f"in {parts} parts" in err and not out
 
+    @pytest.mark.parametrize(
+        "alpha,descents",
+        [
+            ("1,0,2", f"1,3,{MAX_SPLIT_PARTS + 1}"),
+            ("1,0,2", "1,3,10000000"),
+            ("1,0,2", "1,3,1000000000"),
+            ("1", ",".join(map(str, range(1, 2001)))),
+            ("0,0,0,1", "4,100000000000000000000"),
+        ],
+        ids=["401", "1e7", "1e9", "2000-bounds", "1e20"],
+    )
+    def test_block_bound_past_parts_is_refused_before_any_work(
+        self, capsys, monkeypatch, alpha, descents
+    ):
+        # 1,3,10000000 took 4.7 s and 627 MB listing the last block's
+        # variables, 1,3,1000000000 ran out of memory, 2000 bounds ended in
+        # a RecursionError and 4,10^20 in an OverflowError
+        def no_work(*args):
+            raise AssertionError("split ran past its block bound")
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract", "block_variables"):
+            monkeypatch.setattr(bases, name, no_work)
+        code, out, err = run(capsys, "split", "--alpha", alpha, "--descents", descents)
+        assert code == 2 and not out
+        bound = max(map(int, descents.split(",")))
+        assert err == f"usage error: block bound {bound} is past the bound {MAX_SPLIT_PARTS}\n"
+
+    def test_block_bound_admits_its_corners(self, capsys, monkeypatch):
+        # an empty last block still splits, and 400 ones reach the work with
+        # one block per part
+        code, out, _ = run(capsys, "split", "--alpha", "1,0,2", "--descents", "1,3,4")
+        assert code == 0 and "blocks: 1,3,4" in out
+
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, work)
+        corners = [
+            ("1,0,2", f"1,3,{MAX_SPLIT_PARTS}"),
+            (",".join(["1"] * MAX_SPLIT_PARTS), ",".join(map(str, range(1, MAX_SPLIT_PARTS + 1)))),
+        ]
+        for alpha, descents in corners:
+            with pytest.raises(Reached):
+                main(["split", "--alpha", alpha, "--descents", descents])
+
     def test_large_key_polynomial_is_refused_before_any_work(self, capsys, monkeypatch):
         # 9 zeros before a 20 (h_20 in 10 variables, 10 015 005 terms) passed
         # every other bound and ran for over 40 s; 9 zeros before a 10
@@ -477,6 +526,63 @@ class TestExpand:
             code, out, err = run(capsys, *argv)
             assert code == 2
             assert "usage error" in err and f"x{n}, past the bound x{bound}" in err and not out
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[(MAX_DIAGRAM_BOX + 1,)], [(100_000,)], [(1_000_000,)], [(0, 501)],
+         [(3,), (0,) * 399 + (1,)]],
+        ids=["1001", "1e5", "1e6", "x2", "two-terms"],
+    )
+    def test_large_j_box_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, terms):
+        # the J expansion of x1^100000 took 0.68 s and 656 MB, and of
+        # x1^1000000 ran out of memory; the box takes the largest exponent
+        # and the last variable of any term, and key and omega take no box
+        # bound
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        monkeypatch.setattr(bases, "expand_in_basis", work)
+        monkeypatch.setattr(diagrams, "j_polynomial", work)
+        path = tmp_path / "poly.json"
+        poly = Polynomial({(e, 0): 1 for e in terms})
+        path.write_text(json.dumps(poly.to_json_obj()))
+        code, out, err = run(capsys, "expand", "--basis", "J", "--input", str(path))
+        assert code == 2 and not out
+        rows, cols = max(max(e) for e in terms), max(map(len, terms))
+        assert err == (
+            f"usage error: a J element in a box of {rows} by {cols} is past "
+            f"the bound of {MAX_DIAGRAM_BOX} cells\n"
+        )
+        for basis, bound in (("key", MAX_EXPAND_VARIABLE), ("omega", MAX_OMEGA_EXPAND_VARIABLE)):
+            if cols <= bound:
+                with pytest.raises(Reached):
+                    main(["expand", "--basis", basis, "--input", str(path)])
+
+    @pytest.mark.parametrize(
+        "exps", [(MAX_DIAGRAM_BOX,), (0, 500), (5,) + (0,) * 198 + (1,), (0,) * 399 + (2,)]
+    )
+    def test_j_box_bound_admits_its_corners(self, tmp_path, capsys, monkeypatch, exps):
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        monkeypatch.setattr(bases, "expand_in_basis", work)
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial.monomial(exps).to_json_obj()))
+        with pytest.raises(Reached):
+            main(["expand", "--basis", "J", "--input", str(path)])
+
+    def test_j_expansion_at_the_box_bound(self, tmp_path, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial.monomial((MAX_DIAGRAM_BOX,)).to_json_obj()))
+        code, out, _ = run(capsys, "expand", "--basis", "J", "--input", str(path))
+        assert code == 0
+        assert json.loads(out) == [{"alpha": [MAX_DIAGRAM_BOX], "coeff": [[0, 1]]}]
 
 
 class TestRefusedInput:

@@ -61,36 +61,10 @@ def reference_mark_choices(word):
 
 
 def reference_split(pair, d):
-    """The block-splitting map as one function that checks, cuts and
-    inserts block by block: the reference for ``split_blocks`` and
-    ``split_compatible_pair``."""
-    word, marks = pair
-    d = list(d)
-    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
-        raise ValueError(f"block bounds must be strictly increasing: {d}")
-    w = perms.word_to_perm(word)
-    if not perms.perm_descents(w) <= set(d):
-        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
-    if len(marks) != len(word):
-        raise ValueError("marks must have the same length as the word")
-    if any(m > a for m, a in zip(marks, word)):
-        raise ValueError("marks exceed their letters; pair is not compatible")
-    if marks and (not d or marks[-1] > d[-1]):
-        raise ValueError(f"marks {marks} exceed the last block bound")
-    out = []
-    pos = 0
-    prev = 0
-    for bound in d:
-        end = pos
-        while end < len(marks) and marks[end] <= bound:
-            end += 1
-        block_word, block_marks = word[pos:end], marks[pos:end]
-        if any(m <= prev for m in block_marks):
-            raise ValueError("marks are not weakly increasing")
-        out.append(egls_insert(block_word, block_marks) if block_word else (EMPTY_TABLEAU, EMPTY_TABLEAU))
-        pos = end
-        prev = bound
-    return out
+    """The block-splitting map as ``egls_insert`` over the blocks of
+    ``loop_split_pair``, which checks and cuts block by block: the
+    reference for ``split_blocks`` and ``split_compatible_pair``."""
+    return [egls_insert(*block) for block in loop_split_pair(pair, d)]
 
 
 def level_mark_choices(word):
