@@ -145,15 +145,35 @@ def _cmd_diagrams(args) -> int:
 
 # Largest composition ``split`` accepts.  The tableaux of a block Schur
 # polynomial recurse one frame per cell: a single part of weight 500 splits
-# in under a second.  The key polynomial's operator recursion takes one step
-# per inversion of alpha (a pair of parts, the later one larger), two frames
-# each, and its memo keeps every intermediate polynomial: 399 zeros before a
-# 1 (399 steps) split in about 2 s, and 499 zeros before a 1 ran out of
-# stack.  These bounds do not bound the inversions: 100 zeros before 1,1
-# (200 steps) take 2.6 s and 247 MB, 200 zeros before 1,1 ran out of memory
-# under a 3 GB limit, and 300 zeros before 1,1 end in a RecursionError.
+# in under a second.  Each block lists its variables, so the parts bound
+# bounds every block bound of --descents too.  The operator recursion is
+# bounded by ``MAX_OPERATOR_STEPS`` and ``MAX_OPERATOR_ENTRIES``.
 MAX_SPLIT_WEIGHT = 500
 MAX_SPLIT_PARTS = 400
+
+# Most steps of the operator recursion that ``split`` starts.  The key
+# polynomial of alpha takes one step per inversion of alpha (a pair of
+# parts, the later one larger), two frames deep each: 399 zeros before a 1
+# (399 steps) split in 1.9 s, while 499 zeros before a 1, 300 zeros before
+# 1,1 (600) and the key expansion of x_399*x_400 (796) ran out of stack.
+MAX_OPERATOR_STEPS = 399
+
+# Most exponent entries the operator recursion of ``split`` may keep.  Its
+# memo keeps the polynomial of each step and the dominant monomial, each
+# with at most the terms of the key polynomial, as bounded by
+# ``_key_terms_bound``, and the parts of alpha: (steps + 1) * terms * parts.
+# As commands, in CPU seconds and peak RSS (2-CPU box, Python 3.11): 399
+# zeros before a 1 (64 million) split in 1.9 s, 25 zeros before four 1s
+# (70 million) in 2.2 s at 222 MB, 18 zeros before five 1s (70 million) in
+# 2.4 s at 234 MB, 12 zeros before seven 1s (81 million) in 2.9 s at
+# 288 MB and 97 zeros before 1,1 (94 million) in 2.3 s at 222 MB.  Past the
+# bound: 100 zeros before 1,1 (106 million) took 2.5 s at 247 MB, 20 zeros
+# before five 1s (134 million) 4.8 s at 409 MB, 10 zeros before nine 1s
+# (160 million) 6.3 s at 527 MB, 36 zeros before four 1s (530 million)
+# 14 s at 1.3 GB and 66 zeros before 1,1,1 (719 million) 15 s at 1.6 GB,
+# and 200 zeros before 1,1 (1.6 billion) ran out of memory under a 3 GB
+# limit.
+MAX_OPERATOR_ENTRIES = 100_000_000
 
 # Largest Coxeter-Knuth class ``split`` walks for its witnesses.  The class
 # of the peeling tableau has one reduced word per standard tableau of its
@@ -195,6 +215,12 @@ def _key_terms_bound(alpha) -> int:
     )
 
 
+def _inversions(alpha) -> int:
+    """The pairs of parts of alpha whose later part is larger: the steps of
+    its operator recursion."""
+    return sum(a < b for i, a in enumerate(alpha) for b in alpha[i + 1 :])
+
+
 def _cmd_split(args) -> int:
     from . import bases, tableaux
 
@@ -217,6 +243,18 @@ def _cmd_split(args) -> int:
             f"the key polynomial of {perms.format_composition(alpha)} may have "
             f"{terms} terms of weight {sum(alpha)}, {cells} cells, past the bound "
             f"{MAX_SPLIT_CELLS}"
+        )
+    steps = _inversions(alpha)
+    if steps > MAX_OPERATOR_STEPS:
+        raise UsageError(
+            f"the key polynomial of {perms.format_composition(alpha)} takes {steps} "
+            f"operator steps, past the bound {MAX_OPERATOR_STEPS}"
+        )
+    entries = (steps + 1) * terms * len(alpha)
+    if entries > MAX_OPERATOR_ENTRIES:
+        raise UsageError(
+            f"the operator recursion of {perms.format_composition(alpha)} may keep "
+            f"{entries} exponent entries, past the bound {MAX_OPERATOR_ENTRIES}"
         )
     if args.descents:
         try:
@@ -315,19 +353,51 @@ def _cmd_talpha(args) -> int:
     return 0
 
 
-# Largest variable ``expand`` accepts.  The basis element led by x^theta
-# comes from an operator recursion two frames deep per step, one step per
-# inversion of theta: the key expansion of x_400 (399 steps) takes about
-# 2 s, and x_900 ran out of stack.  The bound does not bound the
-# inversions: x_151*x_152 (300 steps) took 9.6 s and 1 GB, and x_399*x_400
-# ends in a RecursionError.
+# Largest variable ``expand --basis key`` or ``J`` accepts.  The key
+# polynomial led by x^theta comes from an operator recursion two frames
+# deep per step, one step per inversion of theta: the key expansion of
+# x_400 (399 steps) takes about 2 s, and x_900 ran out of stack.  A J
+# element is a ghost closure, which the closure cap bounds: the J
+# expansions of x_101 and of x_399*x_400 stop at the cap after 0.8 s and
+# 1.7 s (331 MB).
 MAX_EXPAND_VARIABLE = 400
 
-# Largest variable ``expand --basis omega`` accepts.  The omega polynomial
-# led by x_n has 2^n - 1 terms: the omega expansion of x_12 takes 1.4 s,
-# x_13 3.7 s, x_14 7 s and x_16 41 s.  It does not bound the degree: x_2^1000
-# takes 3.7 s and 455 MB, and x_2^3000 passed 2.9 GB.
+# Most exponent entries ``expand --basis key`` may keep, as bounded by
+# ``_degree_variables``: with the input's terms of degree d in x_1, ...,
+# x_n, the peel and the operator recursion keep at most C(d + n - 1, n - 1)
+# polynomials of at most that many terms of n parts.  The bound is loose,
+# but it grows with the cost.  As commands (2-CPU box, Python 3.11): x_400
+# (64 million) expands in 1.8 s at 111 MB, x_100*x_101 (2.7 billion) in
+# 2.4 s at 231 MB, x_15^5 (2.0 billion) in 1.8 s at 197 MB and x_20^4
+# (1.6 billion) in 1.8 s at 192 MB.  Past the bound: x_16^5 (3.8 billion)
+# took 2.8 s at 289 MB, x_10^8 (5.9 billion) 3.1 s, x_151*x_152
+# (21 billion) 9.6 s at 1 GB, x_20^5 (36 billion) 13 s at 1.1 GB and
+# x_10^10 (85 billion) 17 s at 1.2 GB.  Within this bound and the variable
+# bound no exponent has more than ``MAX_OPERATOR_STEPS`` inversions.
+MAX_KEY_EXPAND_ENTRIES = 3_000_000_000
+
+# Largest variable and degree ``expand --basis omega`` accepts.  The omega
+# polynomial led by x_n has 2^n - 1 terms: the omega expansion of x_12
+# takes 1.4 s, x_13 3.7 s, x_14 7 s and x_16 41 s.  In degree, x_2^500
+# takes 1.1 s at 119 MB, x_2^700 2.0 s at 224 MB and x_2^1000 3.8 s at
+# 455 MB, and x_2^3000 passed 2.9 GB.  The two bounds do not bound the
+# cost together: x_3^30 took 9.6 s, x_4^10 9.8 s and x_12^2 over 25 s.
 MAX_OMEGA_EXPAND_VARIABLE = 12
+MAX_OMEGA_EXPAND_DEGREE = 500
+
+
+def _degree_variables(poly: Polynomial) -> dict[int, int]:
+    """Each degree d of ``poly``'s terms with the last variable n, at least
+    1, of its terms of degree d.  Key polynomials are homogeneous, and the
+    one led by x^theta lies in x_1, ..., x_len(theta), so the key expansion
+    keeps the terms of degree d in x_1, ..., x_n: every exponent it peels
+    and every composition the operator recursion keeps is one of the
+    compositions of d into n parts."""
+    variables: dict[int, int] = {}
+    for e, _ in poly.terms:
+        d = sum(e)
+        variables[d] = max(variables.get(d, 1), len(e))
+    return variables
 
 
 def _cmd_expand(args) -> int:
@@ -345,6 +415,19 @@ def _cmd_expand(args) -> int:
         raise UsageError(
             f"the polynomial involves x{poly.max_variable()}, past the bound x{bound}"
         )
+    if args.basis == "omega":
+        degree = max((sum(e) for e, _ in poly.terms), default=0)
+        if degree > MAX_OMEGA_EXPAND_DEGREE:
+            raise UsageError(
+                f"the polynomial has degree {degree}, past the bound {MAX_OMEGA_EXPAND_DEGREE}"
+            )
+    if args.basis == "key":
+        for d, n in sorted(_degree_variables(poly).items()):
+            if math.comb(d + n - 1, n - 1) ** 2 * n > MAX_KEY_EXPAND_ENTRIES:
+                raise UsageError(
+                    f"the key expansion of the terms of degree {d} in x1..x{n} may keep "
+                    f"more than {MAX_KEY_EXPAND_ENTRIES} exponent entries"
+                )
     if args.basis == "J":
         # each J element is a closure inside its exponent's skyline box
         rows = max((max(e, default=0) for e, _ in poly.terms), default=0)

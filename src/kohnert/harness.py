@@ -160,22 +160,29 @@ class PolynomialCache:
 
     Keys are (family tag, canonical parameter, code version); values are the
     polynomial in the flat layout ``[exponents, b_degrees, counts]`` of
-    ``_flat_value`` plus the SHA-256 of its bytes.  A file is the JSON object
-    ``{"family", "param", "version", "value_sha256", "value"}`` with the value
-    last, written by one ``json.dumps``, and its name hashes the key and
-    ``_FORMAT``, so an entry of another layout is never opened: it is a miss,
-    recomputed and written once under the new name.  A read splits the file
-    at its last ``, "value": `` (JSON escapes every quote inside a string, so
-    no string can hold that text) and checks, in order: the key fields, the
+    ``_flat_value`` plus the SHA-256 of its bytes.  The entries of one family
+    tag and version share an append-only log, whose name hashes both and
+    ``_FORMAT``, so a file of another layout is never opened.  An entry is
+    one line, the JSON object ``{"family", "param", "version",
+    "value_sha256", "value"}`` with the value last, written by one
+    ``json.dumps`` and appended between two newlines in one ``O_APPEND``
+    write, so a record appended after a torn tail starts a line of its own.
+    The object reads each log once, on its first use of that family, and
+    indexes where each param's line sits (offset and length, not its bytes):
+    the last line whose key fields parse wins, a line whose key fields do
+    not parse is reported, and a line ``put`` appends joins the index.  A
+    hit reads its line's bytes alone, splits them at the last
+    ``, "value": `` (JSON escapes every quote inside a string, so no string
+    can hold that text) and checks, in order: the key fields, the
     SHA-256 of the exact value bytes it then decodes, and the value's shape
-    (``_from_flat_value``).  An entry that fails any check, a file
-    reformatted by hand included, is dropped with a warning and recomputed.
-    ``hits`` and ``misses`` count the reads of this object.
+    (``_from_flat_value``).  An entry that fails any check, a line
+    reformatted by hand included, is dropped with a warning, recomputed and
+    appended again.  ``hits`` and ``misses`` count the reads of this object.
     """
 
-    # The value layout, hashed into every file name.
-    _FORMAT = "flat1"
-    # What separates the key fields from the value in a written file.
+    # The layout of the cache files, hashed into every log's name.
+    _FORMAT = "log1"
+    # What separates the key fields from the value in a written line.
     _VALUE_FIELD = b', "value": '
 
     def __init__(self, directory: str, version: str = __version__):
@@ -184,22 +191,63 @@ class PolynomialCache:
         os.makedirs(directory, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        # family tag -> (its log, {param: (offset, length) of its line})
+        self._logs: dict[str, tuple[str, dict[str, tuple[int, int]]]] = {}
 
-    def _path(self, family: str, param: str) -> str:
+    def _path(self, family: str, param: str | None = None) -> str:
+        """The log that holds the entry of (family, param): every param of
+        a family tag shares it."""
         import hashlib  # only the cache hashes; a sweep without one never loads it
 
         digest = hashlib.sha256(
-            f"{family}|{param}|{self.version}|{self._FORMAT}".encode()
+            f"{family}|{self.version}|{self._FORMAT}".encode()
         ).hexdigest()
-        return os.path.join(self.directory, digest + ".json")
+        return os.path.join(self.directory, digest + ".log")
+
+    def _log(self, family: str) -> tuple[str, dict[str, tuple[int, int]]]:
+        """``family``'s log and where each param's line sits in it, read on
+        first use one line at a time: only positions are kept."""
+        log = self._logs.get(family)
+        if log is None:
+            path = self._path(family)
+            log = self._logs[family] = (path, {})
+            try:
+                fh = open(path, "rb")
+            except FileNotFoundError:
+                return log
+            with fh:
+                end = 0
+                for line in fh:
+                    start, end = end, end + len(line)
+                    length = len(line) - line.endswith(b"\n")
+                    if not length:
+                        continue
+                    head = line.partition(self._VALUE_FIELD)[0]
+                    try:
+                        log[1][json.loads(head + b"}")["param"]] = (start, length)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        # no later line can replace it, so each read reports it
+                        print(
+                            f"warning: dropping corrupt cache entry for {family} at "
+                            f"byte {start} of {path} ({exc})",
+                            file=sys.stderr,
+                        )
+        return log
 
     def get(self, family: str, param: str) -> Polynomial | None:
         import hashlib
 
-        path = self._path(family, param)
+        path, index = self._log(family)
+        if param not in index:
+            self.misses += 1
+            return None
+        offset, length = index[param]
+        fd = os.open(path, os.O_RDONLY)
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            data = os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
+        try:
             head, found, tail = data.rpartition(self._VALUE_FIELD)
             if not found or not tail.endswith(b"}"):
                 raise ValueError("no value field at the end")
@@ -214,9 +262,6 @@ class PolynomialCache:
             if hashlib.sha256(value).hexdigest() != key["value_sha256"]:
                 raise ValueError("content hash mismatch")
             poly = _from_flat_value(json.loads(value))
-        except FileNotFoundError:
-            self.misses += 1
-            return None
         except (ValueError, KeyError) as exc:
             print(
                 f"warning: dropping corrupt cache entry for {family}:{param} ({exc})",
@@ -240,19 +285,16 @@ class PolynomialCache:
             }
         )
         # json.dumps of the whole entry, value last, with the value encoded once
-        data = key[:-1].encode() + self._VALUE_FIELD + value + b"}"
-        path = self._path(family, param)
-        import tempfile  # only a cache write needs it
-
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        line = key[:-1].encode() + self._VALUE_FIELD + value + b"}"
+        path, index = self._log(family)
+        # Mode "ab" opens with O_APPEND, and the buffered file hands the
+        # whole record to one write, after which the file's offset is the
+        # record's end whatever other writers appended.
+        with open(path, "ab") as fh:
+            fh.write(b"\n" + line + b"\n")
+            fh.flush()
+            end = fh.tell()
+        index[param] = (end - 1 - len(line), len(line))
 
 
 def _cached(
@@ -610,15 +652,26 @@ def clamp_jobs(jobs: int, cases: int, cpus: int) -> int:
     return max(1, min(jobs, cpus, cases))
 
 
+# The cache of a worker process, set by ``_start_worker`` when the pool
+# starts the process; each worker reads each log once through it.
+_worker_cache: PolynomialCache | None = None
+
+
+def _start_worker(cache: PolynomialCache | None) -> None:
+    global _worker_cache
+    _worker_cache = cache
+
+
 def _run_counted(task: tuple) -> tuple[VerificationCase, int, int]:
-    """Run one case in a worker process, with the cache hits and misses it
-    made: the worker reads through its own pickled copy of the cache, whose
-    counts the sweep's cache object never sees."""
-    cache = task[3]["cache"]
+    """Run one case in a worker process through the worker's own cache,
+    with the cache hits and misses it made, which the sweep's cache object
+    never sees."""
+    cache = _worker_cache
     if cache is None:
         return _run_case(task), 0, 0
+    family, param, value, cfg = task
     hits, misses = cache.hits, cache.misses
-    case = _run_case(task)
+    case = _run_case((family, param, value, {**cfg, "cache": cache}))
     return case, cache.hits - hits, cache.misses - misses
 
 
@@ -630,9 +683,14 @@ def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
     # Imported here: a one-worker sweep would pay ~25 ms of start-up for it.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        counted = list(pool.map(_run_counted, tasks, chunksize=1))
+    # Each worker gets the cache once, when it starts, and no task holds it.
     cache = tasks[0][3]["cache"]
+    cfg = {**tasks[0][3], "cache": None}
+    sent = [(family, param, value, cfg) for family, param, value, _ in tasks]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(cache,)
+    ) as pool:
+        counted = list(pool.map(_run_counted, sent, chunksize=1))
     if cache is not None:
         cache.hits += sum(hits for _, hits, _ in counted)
         cache.misses += sum(misses for _, _, misses in counted)
@@ -651,7 +709,7 @@ def verify(
     (defaults from the registry).  Every setting is checked before any case
     runs; ``cap`` and ``cache_dir`` apply only to closure sweeps."""
     config = _checked_config(family, jobs, cache_dir, cap, **bounds)
-    # One cache object per sweep; a worker process gets a copy with each task.
+    # One cache object per sweep; each worker process gets a copy when it starts.
     cache = None if cache_dir is None else PolynomialCache(cache_dir)
     cfg = {"cap": config.get("cap"), "cache": cache}
     tasks = [

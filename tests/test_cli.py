@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,11 @@ from kohnert.cli import (
     MAX_EGLS_LENGTH,
     MAX_EGLS_LETTER,
     MAX_EXPAND_VARIABLE,
+    MAX_KEY_EXPAND_ENTRIES,
+    MAX_OMEGA_EXPAND_DEGREE,
     MAX_OMEGA_EXPAND_VARIABLE,
+    MAX_OPERATOR_ENTRIES,
+    MAX_OPERATOR_STEPS,
     MAX_POLY_N,
     MAX_POLY_PARTS,
     MAX_POLY_WEIGHT,
@@ -27,7 +32,7 @@ from kohnert.cli import (
     MAX_TALPHA_WEIGHT,
     main,
 )
-from kohnert.poly import Polynomial
+from kohnert.poly import Polynomial, x
 
 
 def run(capsys, *argv):
@@ -373,6 +378,67 @@ class TestSplit:
         assert [bound(alpha) for alpha in admitted] == [580, 1, 400, 1]
         assert bound((0,) * 9 + (10,)) <= MAX_SPLIT_TERMS < bound((0,) * 9 + (11,))
 
+    @pytest.mark.parametrize(
+        "alpha,steps",
+        [
+            ((0,) * 300 + (1, 1), 600),  # ended in a RecursionError
+            ((0,) * 200 + (1, 1), 400),  # ran out of memory under a 3 GB limit
+            ((0,) * 66 + (1, 1, 1), 198),  # took 15 s and 1.6 GB
+            ((0,) * 10 + (1,) * 9, 90),  # took 6.3 s and 527 MB
+            ((0,) * 100 + (1, 1), 200),  # took 2.5 s and 247 MB
+        ],
+    )
+    def test_large_operator_recursion_is_refused_before_any_work(
+        self, capsys, monkeypatch, alpha, steps
+    ):
+        def no_work(*args):
+            raise AssertionError("split ran past its operator bounds")
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract", "_from_dominant"):
+            monkeypatch.setattr(bases, name, no_work)
+        text = perms.format_composition(alpha)
+        code, out, err = run(capsys, "split", "--alpha", text)
+        assert code == 2 and not out
+        assert cli._inversions(alpha) == steps
+        entries = (steps + 1) * cli._key_terms_bound(alpha) * len(alpha)
+        if steps > MAX_OPERATOR_STEPS:
+            refusal = (
+                f"the key polynomial of {text} takes {steps} operator steps, past the "
+                f"bound {MAX_OPERATOR_STEPS}"
+            )
+        else:
+            assert entries > MAX_OPERATOR_ENTRIES
+            refusal = (
+                f"the operator recursion of {text} may keep {entries} exponent entries, "
+                f"past the bound {MAX_OPERATOR_ENTRIES}"
+            )
+        assert err == f"usage error: {refusal}\n"
+
+    def test_operator_bounds_admit_their_corners(self, capsys, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, work)
+        # each split in 1.9-2.9 s as a command
+        corners = [(0,) * 399 + (1,), (0,) * 25 + (1,) * 4, (0,) * 18 + (1,) * 5,
+                   (0,) * 12 + (1,) * 7, (0,) * 97 + (1, 1)]
+        assert cli._inversions(corners[0]) == MAX_OPERATOR_STEPS
+        for alpha in corners:
+            entries = (cli._inversions(alpha) + 1) * cli._key_terms_bound(alpha) * len(alpha)
+            assert entries <= MAX_OPERATOR_ENTRIES
+            with pytest.raises(Reached):
+                main(["split", "--alpha", perms.format_composition(alpha)])
+
+    def test_inversions_count_the_recursion_steps(self):
+        for alpha in harness.compositions_upto(6, 4):
+            steps = []
+            bases._from_dominant(lambda i, f: steps.append(i) or f, alpha)
+            assert cli._inversions(alpha) == len(steps)
+
     def test_word_bound_admits_eleven_eleven(self):
         # 11,11 (Catalan(11) words) still splits; 12,12 and 14,14 do not
         count = tableaux.standard_tableaux_count
@@ -556,10 +622,15 @@ class TestExpand:
             f"usage error: a J element in a box of {rows} by {cols} is past "
             f"the bound of {MAX_DIAGRAM_BOX} cells\n"
         )
-        for basis, bound in (("key", MAX_EXPAND_VARIABLE), ("omega", MAX_OMEGA_EXPAND_VARIABLE)):
-            if cols <= bound:
-                with pytest.raises(Reached):
-                    main(["expand", "--basis", basis, "--input", str(path)])
+        # the omega expansion takes the degree bound too, which x1^1001 passes
+        admitted = {
+            "key": cols <= MAX_EXPAND_VARIABLE,
+            "omega": cols <= MAX_OMEGA_EXPAND_VARIABLE
+            and max(map(sum, terms)) <= MAX_OMEGA_EXPAND_DEGREE,
+        }
+        for basis in [basis for basis, ok in admitted.items() if ok]:
+            with pytest.raises(Reached):
+                main(["expand", "--basis", basis, "--input", str(path)])
 
     @pytest.mark.parametrize(
         "exps", [(MAX_DIAGRAM_BOX,), (0, 500), (5,) + (0,) * 198 + (1,), (0,) * 399 + (2,)]
@@ -576,6 +647,134 @@ class TestExpand:
         path.write_text(json.dumps(Polynomial.monomial(exps).to_json_obj()))
         with pytest.raises(Reached):
             main(["expand", "--basis", "J", "--input", str(path)])
+
+    @pytest.mark.parametrize(
+        "terms,refused",
+        [
+            ([(0,) * 399 + (1,)], None),  # x_400, 1.8 s
+            ([(0,) * 99 + (1, 1)], None),  # x_100 x_101, 2.4 s at 231 MB
+            ([(0,) * 14 + (5,)], None),  # x_15^5, 1.8 s at 197 MB
+            ([(0, 0, 249)], None),
+            ([(0, 0, 250)], (250, 3)),
+            ([(0,) * 15 + (5,)], (5, 16)),  # took 2.8 s at 289 MB
+            ([(0,) * 150 + (1, 1)], (2, 152)),  # took 9.6 s and 1 GB
+            ([(0,) * 398 + (1, 1)], (2, 400)),  # ended in a RecursionError
+            ([(0,) * 19 + (5,)], (5, 20)),  # took 13 s and 1.1 GB
+            ([(0,) * 9 + (10,)], (10, 10)),  # took 17 s and 1.2 GB
+            ([(3,), (0,) * 15 + (5,)], (5, 16)),  # each degree on its own
+        ],
+    )
+    def test_key_expansion_past_the_entry_bound_is_refused(
+        self, tmp_path, capsys, monkeypatch, terms, refused
+    ):
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        monkeypatch.setattr(bases, "expand_in_basis", work)
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial({(e, 0): 1 for e in terms}).to_json_obj()))
+        argv = ["expand", "--basis", "key", "--input", str(path)]
+        if refused is None:
+            with pytest.raises(Reached):
+                main(argv)
+            return
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        d, n = refused
+        assert math.comb(d + n - 1, n - 1) ** 2 * n > MAX_KEY_EXPAND_ENTRIES
+        assert err == (
+            f"usage error: the key expansion of the terms of degree {d} in x1..x{n} may "
+            f"keep more than {MAX_KEY_EXPAND_ENTRIES} exponent entries\n"
+        )
+
+    @staticmethod
+    def most_inversions(d, n):
+        """The most inversions of a composition of d into n parts: with k
+        nonzero parts, k(n - k) pairs of a zero before a nonzero part and
+        k(k - 1)/2 pairs of nonzero parts, which grows with k."""
+        k = min(n, d)
+        return k * (n - k) + k * (k - 1) // 2
+
+    def test_key_expansion_keeps_compositions_of_each_degree(self, monkeypatch):
+        # every exponent the peel meets and every composition the operator
+        # recursion keeps is one of the compositions of d into n parts
+        kept = []
+        from_dominant = bases._from_dominant
+
+        def recording(op, alpha):
+            kept.append(alpha)
+            return from_dominant(op, alpha)
+
+        monkeypatch.setattr(bases, "_from_dominant", recording)
+        inputs = [
+            Polynomial.monomial((0,) * (n - 1) + (d,)) for n in range(1, 6) for d in range(1, 5)
+        ]
+        inputs += [Polynomial.monomial((0, 0, 3)) + x(4), bases.schubert((2, 1, 4, 3))]
+        for poly in inputs:
+            kept.clear()
+            from_dominant.cache_clear()
+            bases.expand_in_basis(poly, "key")
+            degrees = cli._degree_variables(poly)
+            assert kept
+            for d in degrees:
+                n = degrees[d]
+                mine = {alpha for alpha in kept if sum(alpha) == d}
+                assert len(mine) <= math.comb(d + n - 1, n - 1)
+                for alpha in mine:
+                    assert len(alpha) <= n
+                    assert cli._inversions(alpha) <= self.most_inversions(d, n)
+                    terms = bases.key_polynomial(alpha).terms
+                    assert len(terms) <= math.comb(d + n - 1, n - 1)
+            assert {sum(alpha) for alpha in kept} <= set(degrees)
+
+    def test_key_expansion_bounds_leave_room_on_the_stack(self):
+        # within the variable and entry bounds no composition the key
+        # expansion keeps has more than MAX_OPERATOR_STEPS inversions; in
+        # one variable there are none
+        deepest = 0
+        for n in range(2, MAX_EXPAND_VARIABLE + 1):
+            d = 1
+            while math.comb(d + n - 1, n - 1) ** 2 * n <= MAX_KEY_EXPAND_ENTRIES:
+                deepest = max(deepest, self.most_inversions(d, n))
+                d += 1
+        assert deepest == MAX_OPERATOR_STEPS
+
+    @pytest.mark.parametrize(
+        "exps,admitted",
+        [
+            ((0, MAX_OMEGA_EXPAND_DEGREE), True),
+            ((MAX_OMEGA_EXPAND_DEGREE - 1, 0, 1), True),  # past the J box bound
+            ((0, MAX_OMEGA_EXPAND_DEGREE + 1), False),
+            ((0, 1000), False),  # took 3.7 s and 455 MB
+            ((0, 3000), False),  # passed 2.9 GB
+        ],
+    )
+    def test_omega_expansion_past_the_degree_bound_is_refused(
+        self, tmp_path, capsys, monkeypatch, exps, admitted
+    ):
+        class Reached(Exception):
+            pass
+
+        def work(*args):
+            raise Reached
+
+        monkeypatch.setattr(bases, "expand_in_basis", work)
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps((x(1) + Polynomial.monomial(exps)).to_json_obj()))
+        argv = ["expand", "--basis", "omega", "--input", str(path)]
+        if admitted:
+            with pytest.raises(Reached):
+                main(argv)
+            return
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == (
+            f"usage error: the polynomial has degree {sum(exps)}, past the bound "
+            f"{MAX_OMEGA_EXPAND_DEGREE}\n"
+        )
 
     def test_j_expansion_at_the_box_bound(self, tmp_path, capsys):
         path = tmp_path / "poly.json"
@@ -716,26 +915,31 @@ class TestVerify:
         assert _python(script) == "0 []"
 
     def test_old_layout_entry_is_never_opened(self, tmp_path, capsys):
-        # Entries of the nested {"terms": ...} layout were named by the key
-        # alone.  Each holds a well-hashed wrong polynomial here, so reading
-        # one would warn or change the report.
+        # Both earlier layouts kept one file per entry: the nested
+        # {"terms": ...} one named by the key alone, the flat one by the key
+        # and its format tag "flat1".  Each file holds a well-hashed wrong
+        # polynomial here, so reading one would warn or change the report.
         version = kohnert.__version__
-        value = json.dumps({"terms": [{"coeff": [[0, 7]], "exps": [1]}]})
+        layouts = [
+            ("", json.dumps({"terms": [{"coeff": [[0, 7]], "exps": [1]}]})),
+            ("|flat1", json.dumps([[[1]], [0], [7]])),
+        ]
         for w in perms.all_permutations(3):
             param = perms.format_permutation(w)
             for family in ("K", "grothendieck"):
-                entry = json.dumps(
-                    {
-                        "family": family,
-                        "param": param,
-                        "version": version,
-                        "value_sha256": hashlib.sha256(value.encode()).hexdigest(),
-                    }
-                )
-                name = hashlib.sha256(f"{family}|{param}|{version}".encode()).hexdigest()
-                (tmp_path / f"{name}.json").write_text(entry[:-1] + ', "value": ' + value + "}")
-        old = sorted(tmp_path.iterdir())
-        assert len(old) == 12
+                for tag, value in layouts:
+                    entry = json.dumps(
+                        {
+                            "family": family,
+                            "param": param,
+                            "version": version,
+                            "value_sha256": hashlib.sha256(value.encode()).hexdigest(),
+                        }
+                    )
+                    name = hashlib.sha256(f"{family}|{param}|{version}{tag}".encode()).hexdigest()
+                    (tmp_path / f"{name}.json").write_text(entry[:-1] + ', "value": ' + value + "}")
+        old = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len(old) == 24
         cold = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
         assert cold.meta["cache"] == {"hits": 0, "misses": 12}
         warm = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
@@ -743,7 +947,9 @@ class TestVerify:
         assert capsys.readouterr().err == ""
         expected = harness.verify("conj2", n=3).deterministic_json()
         assert cold.deterministic_json() == warm.deterministic_json() == expected
-        assert len(list(tmp_path.iterdir())) == 24
+        # one log per family tag beside the old files, which are untouched
+        assert len(list(tmp_path.iterdir())) == 24 + 2
+        assert {path: path.read_bytes() for path in old} == old
 
     def test_report_file_has_one_case_per_line(self, capsys, tmp_path, monkeypatch):
         built = []

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -314,32 +317,50 @@ class TestCache:
         assert len(calls) == 1
         assert cache.get("test", "missing") is None
 
+    @staticmethod
+    def entry_lines(path):
+        """The entry lines of the log at ``path``, in order."""
+        return [line for line in Path(path).read_bytes().split(b"\n") if line]
+
     def test_corrupt_entry_recomputed_with_warning(self, tmp_path, capsys):
         cache = PolynomialCache(str(tmp_path))
         cache.put("test", "a", x(1))
-        path = cache._path("test", "a")
-        with open(path) as fh:
-            obj = json.load(fh)
+        path = Path(cache._path("test", "a"))
+        [line] = self.entry_lines(path)
+        obj = json.loads(line)
         assert obj["value"] == [[[1]], [0], [1]]
         obj["value"][2][0] = 99
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        assert cache.get("test", "a") is None
-        assert "corrupt cache entry" in capsys.readouterr().err
+        path.write_text("\n" + json.dumps(obj) + "\n")
+        # the writer's index and a fresh one both lead to the rewritten line
+        for reader in (cache, PolynomialCache(str(tmp_path))):
+            assert reader.get("test", "a") is None
+            assert "dropping corrupt cache entry for test:a" in capsys.readouterr().err
         assert harness._cached(cache, "test", "a", lambda: x(1)) == x(1)
         assert cache.get("test", "a") == x(1)
+        capsys.readouterr()
+        # the recomputed line, appended after the corrupt one, wins
+        assert self.entry_lines(path)[-1] == line
+        assert PolynomialCache(str(tmp_path)).get("test", "a") == x(1)
+        assert capsys.readouterr().err == ""
 
     def test_entry_of_another_key_recomputed_with_warning(self, tmp_path, capsys):
-        # a well-formed entry whose key fields name another family and param
+        # a well-formed line, copied into the log of another family tag or
+        # version, whose key fields name the first
         cache = PolynomialCache(str(tmp_path))
         cache.put("test", "a", x(1))
-        Path(cache._path("test", "b")).write_bytes(Path(cache._path("test", "a")).read_bytes())
-        assert cache.get("test", "b") is None
-        err = capsys.readouterr().err
-        assert "dropping corrupt cache entry for test:b (key mismatch)" in err
-        assert harness._cached(cache, "test", "b", lambda: x(2)) == x(2)
-        assert cache.get("test", "b") == x(2)
-        assert cache.get("test", "a") == x(1)
+        log = Path(cache._path("test", "a")).read_bytes()
+        for family, version in [("other", cache.version), ("test", "2")]:
+            other = PolynomialCache(str(tmp_path), version)
+            Path(other._path(family, "a")).write_bytes(log)
+            assert other.get(family, "a") is None
+            err = capsys.readouterr().err
+            assert f"dropping corrupt cache entry for {family}:a (key mismatch)" in err
+            assert harness._cached(other, family, "a", lambda: x(2)) == x(2)
+            assert other.get(family, "a") == x(2)
+            capsys.readouterr()
+            assert PolynomialCache(str(tmp_path), version).get(family, "a") == x(2)
+        assert PolynomialCache(str(tmp_path)).get("test", "a") == x(1)
+        assert capsys.readouterr().err == ""
 
     def test_version_bump_misses(self, tmp_path):
         old = PolynomialCache(str(tmp_path), version="1")
@@ -396,44 +417,74 @@ class TestCache:
 
     def test_cache_files_are_pinned(self, tmp_path):
         # SHA-256 over the sorted (file name, bytes) pairs that a fill by
-        # `verify conj2 --n 4 --cache DIR` writes.  The digest pins the flat
-        # value layout [exponents, b-degrees, counts] and the format tag in
-        # the file names; the nested {"terms": ...} layout before it had
-        # other names and another digest.  File names hash the package
-        # version, so a version bump moves the digest.
+        # `verify conj2 --n 4 --cache DIR` writes: one log per family tag,
+        # its lines in case order.  The digest pins the flat value layout
+        # [exponents, b-degrees, counts], the line framing and the format
+        # tag in the log names; the per-entry files of the flat1 and nested
+        # {"terms": ...} layouts before it had other names and other
+        # digests.  Log names hash the package version, so a version bump
+        # moves the digest.
         harness.verify("conj2", n=4, cache_dir=str(tmp_path))
         paths = sorted(tmp_path.iterdir())
-        assert len(paths) == 48
+        assert len(paths) == 2
+        assert [len(self.entry_lines(path)) for path in paths] == [24, 24]
         digest = hashlib.sha256()
         for path in paths:
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == (
-            "c2a2ec8b1fbed037dccead2e902d7c3eb7a0b50aa9001fa2023c89cb1262ba74"
+            "ecad25c063c177f19239bc36733754dc111cbde0b93955a461db35b9fe5a6c24"
         )
 
-    @staticmethod
-    def rewrite_value(path, value):
-        """Put ``value`` in the entry at ``path`` as put would write it, with
-        a matching value_sha256."""
-        entry = json.loads(path.read_bytes())
+    def test_cold_fill_writes_one_log_per_family_tag(self, tmp_path):
+        # 1440 polynomials, which the per-entry layouts wrote as 1440 files
+        report = harness.verify("conj2", n=6, cache_dir=str(tmp_path))
+        assert report.meta["cache"] == {"hits": 0, "misses": 1440}
+        cache = PolynomialCache(str(tmp_path))
+        logs = sorted(Path(cache._path(tag)) for tag in ("K", "grothendieck"))
+        assert sorted(tmp_path.iterdir()) == logs
+        assert [len(self.entry_lines(path)) for path in logs] == [720, 720]
+
+    @classmethod
+    def rewrite_value(cls, path, value):
+        """Make the log at ``path`` its last entry with ``value`` in it, as
+        put would write it, with a matching value_sha256."""
+        entry = json.loads(cls.entry_lines(path)[-1])
         text = json.dumps(value)
         entry["value_sha256"] = hashlib.sha256(text.encode()).hexdigest()
         del entry["value"]
-        path.write_text(json.dumps(entry)[:-1] + ', "value": ' + text + "}")
+        path.write_text("\n" + json.dumps(entry)[:-1] + ', "value": ' + text + "}\n")
 
     def test_truncated_entry_recomputed_with_warning(self, tmp_path, capsys):
         cache = PolynomialCache(str(tmp_path))
         f = x(1) * x(2) + Polynomial.monomial((0, 3), -2, 1)
+        cache.put("test", "b", x(1))
         cache.put("test", "a", f)
         path = Path(cache._path("test", "a"))
         data = path.read_bytes()
-        for cut in (len(data) - 1, len(data) - 5, len(data) // 2, 10, 0):
-            path.write_bytes(data[:cut])
-            assert cache.get("test", "a") is None
-            assert "dropping corrupt cache entry for test:a" in capsys.readouterr().err
-        assert harness._cached(cache, "test", "a", lambda: f) == f
-        assert path.read_bytes() == data
-        assert cache.get("test", "a") == f
+        line = self.entry_lines(path)[-1]
+        start = len(data) - len(line) - 1
+        key_fields = line.index(b', "value": ')
+        for cut in (len(line) - 1, len(line) - 5, len(line) // 2, 10, 0):
+            path.write_bytes(data[: start + cut])
+            fresh = PolynomialCache(str(tmp_path))
+            assert fresh.get("test", "a") is None
+            # every cut that leaves bytes is reported, by param once the
+            # key fields parse; the 0-byte cut leaves a plain miss
+            err = capsys.readouterr().err
+            assert ("dropping corrupt cache entry for test" in err) == (cut > 0)
+            assert ("dropping corrupt cache entry for test:a" in err) == (cut > key_fields)
+            assert fresh.get("test", "b") == x(1)
+            assert harness._cached(fresh, "test", "a", lambda: f) == f
+            assert path.read_bytes() == data[: start + cut] + b"\n" + line + b"\n"
+            assert fresh.get("test", "a") == f
+            capsys.readouterr()
+            fresh = PolynomialCache(str(tmp_path))
+            assert fresh.get("test", "a") == f and fresh.get("test", "b") == x(1)
+            # the recomputed line replaces a line whose key fields parse; a
+            # fragment that names no param stays, and each read reports it
+            err = capsys.readouterr().err
+            assert (err != "") == (0 < cut <= key_fields)
+            assert err.count(f"at byte {start} of {path}") == (0 < cut <= key_fields)
 
     @pytest.mark.parametrize(
         "terms",
@@ -469,8 +520,8 @@ class TestCache:
         ],
     )
     def test_hashed_value_of_the_wrong_shape_is_dropped(self, tmp_path, capsys, terms):
+        PolynomialCache(str(tmp_path)).put("test", "a", x(1))
         cache = PolynomialCache(str(tmp_path))
-        cache.put("test", "a", x(1))
         path = Path(cache._path("test", "a"))
         self.rewrite_value(path, terms)
         assert cache.get("test", "a") is None
@@ -478,13 +529,17 @@ class TestCache:
         assert "dropping corrupt cache entry" in err and "hash" not in err
         # a well-formed value rewritten the same way is read
         self.rewrite_value(path, [[[1], [0, 1]], [0, 0], [1, 1]])
+        cache = PolynomialCache(str(tmp_path))
         assert cache.get("test", "a") == x(1) + x(2)
-        assert (cache.hits, cache.misses) == (1, 1)
-        # and a dropped entry is recomputed and written again
+        # and a dropped entry is recomputed and appended, and a miss counts
         self.rewrite_value(path, terms)
+        cache = PolynomialCache(str(tmp_path))
         assert harness._cached(cache, "test", "a", lambda: x(1)) == x(1)
         assert cache.get("test", "a") == x(1)
+        assert (cache.hits, cache.misses) == (1, 1)
         assert "dropping corrupt cache entry" in capsys.readouterr().err
+        assert PolynomialCache(str(tmp_path)).get("test", "a") == x(1)
+        assert capsys.readouterr().err == ""
 
     @given(
         st.dictionaries(
@@ -519,17 +574,27 @@ class TestCache:
 
     def test_reformatted_entry_is_dropped_and_rewritten(self, tmp_path, capsys):
         # The hash covers the value bytes as read, so an entry re-written by
-        # hand with the same content is recomputed, not trusted.
-        cache = PolynomialCache(str(tmp_path))
+        # hand with the same content is recomputed, not trusted.  A line
+        # holds no newline, so the keys are reordered or the value compacted.
         f = x(1) + Polynomial.monomial((0, 2), 3, 1)
-        cache.put("test", "a", f)
-        path = Path(cache._path("test", "a"))
-        written = path.read_bytes()
-        path.write_text(json.dumps(json.loads(written), indent=1))
-        assert cache.get("test", "a") is None
-        assert "dropping corrupt cache entry" in capsys.readouterr().err
-        assert harness._cached(cache, "test", "a", lambda: f) == f
-        assert path.read_bytes() == written
+        PolynomialCache(str(tmp_path)).put("test", "a", f)
+        path = Path(PolynomialCache(str(tmp_path))._path("test", "a"))
+        [written] = self.entry_lines(path)
+        head, field, value = written.rpartition(b', "value": ')
+        for reformatted in [
+            json.dumps(json.loads(written), sort_keys=True).encode(),
+            head + field + value.replace(b", ", b","),
+        ]:
+            assert json.loads(reformatted) == json.loads(written)
+            path.write_bytes(b"\n" + reformatted + b"\n")
+            cache = PolynomialCache(str(tmp_path))
+            assert cache.get("test", "a") is None
+            assert "dropping corrupt cache entry" in capsys.readouterr().err
+            assert harness._cached(cache, "test", "a", lambda: f) == f
+            assert self.entry_lines(path) == [reformatted, written]
+            capsys.readouterr()
+            assert PolynomialCache(str(tmp_path)).get("test", "a") == f
+            assert capsys.readouterr().err == ""
 
     def test_entry_is_one_dumps_of_the_object(self, tmp_path):
         cache = PolynomialCache(str(tmp_path), version="v")
@@ -545,7 +610,7 @@ class TestCache:
             "value": value,
         }
         path = Path(cache._path("fam", 'p, "value": q'))
-        assert path.read_bytes() == json.dumps(expected).encode()
+        assert path.read_bytes() == b"\n" + json.dumps(expected).encode() + b"\n"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_report_counts_hits_and_misses(self, tmp_path, jobs):
@@ -561,3 +626,84 @@ class TestCache:
         harness.verify("conj2", n=2, cache_dir=str(tmp_path))
         mixed = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
         assert mixed.deterministic_json() == harness.verify("conj2", n=3).deterministic_json()
+
+    def test_torn_tail_recomputes_only_its_entry(self, tmp_path, capsys):
+        expected = harness.verify("conj2", n=4).deterministic_json()
+        harness.verify("conj2", n=4, cache_dir=str(tmp_path))
+        path = Path(PolynomialCache(str(tmp_path))._path("grothendieck"))
+        # a crash in the last append left its line without its last bytes
+        path.write_bytes(path.read_bytes()[:-3])
+        torn = harness.verify("conj2", n=4, cache_dir=str(tmp_path))
+        assert "dropping corrupt cache entry for grothendieck:" in capsys.readouterr().err
+        assert torn.meta["cache"] == {"hits": 47, "misses": 1}
+        assert torn.deterministic_json() == expected
+        after = harness.verify("conj2", n=4, cache_dir=str(tmp_path))
+        assert after.meta["cache"] == {"hits": 48, "misses": 0}
+        assert after.deterministic_json() == expected
+        assert capsys.readouterr().err == ""
+
+    def assert_every_line_passes(self, directory):
+        """Every line of every log in ``directory`` passes get's checks:
+        it sits in its family's log, and its version, value hash and value
+        shape are right."""
+        cache = PolynomialCache(str(directory))
+        lines = 0
+        for path in directory.iterdir():
+            for line in self.entry_lines(path):
+                entry = json.loads(line)
+                assert cache._path(entry["family"]) == str(path)
+                assert entry["version"] == cache.version
+                value = line.rpartition(b', "value": ')[2][:-1]
+                assert hashlib.sha256(value).hexdigest() == entry["value_sha256"]
+                harness._from_flat_value(json.loads(value))
+                lines += 1
+        return lines
+
+    def test_concurrent_writers_leave_only_whole_lines(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        # two workers of one sweep append to the same two logs
+        pooled = tmp_path / "pooled"
+        cold = harness.verify("conj2", n=5, jobs=2, cache_dir=str(pooled))
+        assert cold.meta["workers"] == 2
+        assert cold.meta["cache"] == {"hits": 0, "misses": 240}
+        assert self.assert_every_line_passes(pooled) == 240
+        warm = harness.verify("conj2", n=5, cache_dir=str(pooled))
+        assert warm.meta["cache"] == {"hits": 240, "misses": 0}
+        assert warm.deterministic_json() == cold.deterministic_json()
+        # two sweeps started together fill one cache
+        shared = tmp_path / "shared"
+        src = Path(harness.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "kohnert.cli", "verify", "conj2", "--n", "4",
+                "--cache", str(shared)]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        sweeps = [
+            subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            for _ in range(2)
+        ]
+        assert [sweep.communicate(timeout=120)[1] for sweep in sweeps] == [b"", b""]
+        assert [sweep.returncode for sweep in sweeps] == [0, 0]
+        assert 48 <= self.assert_every_line_passes(shared) <= 96
+        warm = harness.verify("conj2", n=4, cache_dir=str(shared))
+        assert warm.meta["cache"] == {"hits": 48, "misses": 0}
+        assert warm.deterministic_json() == harness.verify("conj2", n=4).deterministic_json()
+        assert capsys.readouterr().err == ""
+
+    def test_pool_tasks_carry_no_cache(self, tmp_path, monkeypatch):
+        # each worker gets its cache once, when the pool starts it
+        import concurrent.futures
+
+        sent = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                tasks = list(iterables[0])
+                sent.extend(tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        report = harness.verify("conj2", n=3, jobs=2, cache_dir=str(tmp_path))
+        assert report.meta["workers"] == 2 and len(sent) == 6
+        assert report.meta["cache"] == {"hits": 0, "misses": 12}
+        for task in sent:
+            assert b"PolynomialCache" not in pickle.dumps(task)

@@ -465,17 +465,21 @@ class TestDecoderMatchesReference:
         from kohnert.harness import PolynomialCache, verify
 
         verify("conj2", n=5, cache_dir=str(tmp_path))
-        paths = sorted(tmp_path.iterdir())
-        assert len(paths) == 2 * 120
+        entries = [
+            json.loads(line)
+            for path in sorted(tmp_path.iterdir())
+            for line in path.read_bytes().split(b"\n")
+            if line
+        ]
+        assert len(entries) == 2 * 120
         recompute = {
             "K": lambda w: diagrams.closure_polynomial(diagrams.rothe(w), diagrams.K_KOHNERT),
             "grothendieck": bases.grothendieck,
         }
         cache = PolynomialCache(str(tmp_path))
-        for path in paths:
-            entry = json.loads(path.read_bytes())
+        for entry in entries:
             expected = recompute[entry["family"]](perms.parse_permutation(entry["param"]))
             got = cache.get(entry["family"], entry["param"])
             assert got == expected
             assert list(got.terms) == sorted(expected.terms)
-        assert (cache.hits, cache.misses) == (len(paths), 0)
+        assert (cache.hits, cache.misses) == (len(entries), 0)
