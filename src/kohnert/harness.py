@@ -17,12 +17,14 @@ then report exactly one failure (used by the self-test).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import sys
 import time
-from itertools import chain, combinations
+from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -127,13 +129,21 @@ def _flat_value(poly: Polynomial) -> list[list]:
     ]
 
 
-def _from_flat_value(value) -> Polynomial:
-    """Read ``_flat_value`` output decoded from JSON.  Raises ValueError
-    unless it is three lists of equal length, of exponents (lists of ints,
-    trimmed), b-degrees and nonzero counts (ints), with no negative exponent
-    or b-degree and no (exponent, b-degree) key given twice.  Each check is
-    one pass in C over the value, with no Python step per term; ``type`` is
-    compared exactly, so a bool or a float is not an int."""
+def _from_flat_value(text: bytes) -> Polynomial:
+    """Read the bytes of a ``_flat_value`` written by ``json.dumps``.  Raises
+    ValueError unless they are three lists of equal length, of exponents
+    (lists of ints, trimmed), b-degrees and nonzero counts (ints), with no
+    negative exponent or b-degree and no (exponent, b-degree) key given
+    twice.  The text is checked before it is decoded, with no Python step
+    per number: it may hold only digits, brackets, commas and spaces, and a
+    minus sign only in the counts, so every number is a non-negative int
+    and only a count can be negative.  No list nests below an exponent, so
+    the counts are the last ``[``, and the value, its three lists and each
+    exponent hold one ``[`` each."""
+    lists, _, counts_text = text.rpartition(b"[")
+    if lists.translate(None, b"0123456789[], ") or counts_text.translate(None, b"0123456789], -"):
+        raise ValueError("the value holds more than lists of ints, or a sign outside its counts")
+    value = json.loads(text)
     if type(value) is not list or len(value) != 3 or set(map(type, value)) != {list}:
         raise ValueError("the value is not three lists")
     exps, degs, counts = value
@@ -141,10 +151,8 @@ def _from_flat_value(value) -> Polynomial:
         raise ValueError("the value's lists differ in length")
     if set(map(type, exps)) - {list}:
         raise ValueError("an exponent is not a list")
-    if set(map(type, chain(chain.from_iterable(exps), degs, counts))) - {int}:
-        raise ValueError("a number in the value is not an int")
-    if min(chain(chain.from_iterable(exps), degs), default=0) < 0:
-        raise ValueError("a negative exponent or b-degree")
+    if text.count(b"[") != 4 + len(exps):
+        raise ValueError("a list nests in the value below an exponent")
     if 0 in map(itemgetter(-1), filter(None, exps)):
         raise ValueError("an exponent ends in 0")
     if 0 in counts:
@@ -169,15 +177,19 @@ class PolynomialCache:
     write, so a record appended after a torn tail starts a line of its own.
     The object reads each log once, on its first use of that family, and
     indexes where each param's line sits (offset and length, not its bytes):
-    the last line whose key fields parse wins, a line whose key fields do
-    not parse is reported, and a line ``put`` appends joins the index.  A
-    hit reads its line's bytes alone, splits them at the last
-    ``, "value": `` (JSON escapes every quote inside a string, so no string
-    can hold that text) and checks, in order: the key fields, the
-    SHA-256 of the exact value bytes it then decodes, and the value's shape
+    the last line whose key fields name a param wins, a line whose key
+    fields do not parse is reported, and a line ``put`` appends joins the
+    index.  A line whose key fields are the bytes ``_head`` builds names its
+    param between them and is not parsed; any other line's key fields are
+    parsed as JSON.  A hit reads its line's bytes alone, splits them at the
+    last ``, "value": `` (JSON escapes every quote inside a string, so no
+    string can hold that text) and checks, in order: that the key fields
+    are byte for byte those ``put`` writes for this family, param, version
+    and the SHA-256 of the value bytes, and the value's bytes and shape
     (``_from_flat_value``).  An entry that fails any check, a line
     reformatted by hand included, is dropped with a warning, recomputed and
-    appended again.  ``hits`` and ``misses`` count the reads of this object.
+    appended again.  ``hits`` and ``misses`` count the reads of this object,
+    and ``lines`` the log lines its scans read.
     """
 
     # The layout of the cache files, hashed into every log's name.
@@ -191,6 +203,7 @@ class PolynomialCache:
         os.makedirs(directory, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self.lines = 0
         # family tag -> (its log, {param: (offset, length) of its line})
         self._logs: dict[str, tuple[str, dict[str, tuple[int, int]]]] = {}
 
@@ -204,6 +217,17 @@ class PolynomialCache:
         ).hexdigest()
         return os.path.join(self.directory, digest + ".log")
 
+    def _head(self, family: str, param: str, value_sha256: str) -> bytes:
+        """The key fields of an entry as ``put`` writes them: ``json.dumps``
+        of ``{"family", "param", "version", "value_sha256"}`` without its
+        closing brace.  Each string is written by the function ``json.dumps``
+        calls for a str, without its dispatch on the type."""
+        q = encode_basestring_ascii
+        return (
+            f'{{"family": {q(family)}, "param": {q(param)}, '
+            f'"version": {q(self.version)}, "value_sha256": {q(value_sha256)}'
+        ).encode()
+
     def _log(self, family: str) -> tuple[str, dict[str, tuple[int, int]]]:
         """``family``'s log and where each param's line sits in it, read on
         first use one line at a time: only positions are kept."""
@@ -212,7 +236,10 @@ class PolynomialCache:
             path = self._path(family)
             log = self._logs[family] = (path, {})
             try:
-                fh = open(path, "rb")
+                # Read in 64 KB pieces: with lines of a few KB, 8 KB ones
+                # take eight times the reads, and a quarter of the lines
+                # straddle two pieces and are joined the slow way.
+                fh = open(path, "rb", buffering=1 << 16)
             except FileNotFoundError:
                 return log
             with fh:
@@ -222,10 +249,16 @@ class PolynomialCache:
                     length = len(line) - line.endswith(b"\n")
                     if not length:
                         continue
+                    self.lines += 1
                     head = line.partition(self._VALUE_FIELD)[0]
                     try:
-                        log[1][json.loads(head + b"}")["param"]] = (start, length)
-                    except (ValueError, KeyError, TypeError) as exc:
+                        # The param of a line put wrote ends at its first
+                        # quote; a line the slice does not rebuild is parsed.
+                        param = head.partition(b'"param": "')[2].partition(b'"')[0].decode()
+                        if head != self._head(family, param, head[-65:-1].decode()):
+                            param = json.loads(head + b"}")["param"]
+                        log[1][param] = (start, length)
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
                         # no later line can replace it, so each read reports it
                         print(
                             f"warning: dropping corrupt cache entry for {family} at "
@@ -251,18 +284,14 @@ class PolynomialCache:
             head, found, tail = data.rpartition(self._VALUE_FIELD)
             if not found or not tail.endswith(b"}"):
                 raise ValueError("no value field at the end")
-            key = json.loads(head + b"}")
-            if (key["family"], key["param"], key["version"]) != (
-                family,
-                param,
-                self.version,
-            ):
-                raise ValueError("key mismatch")
             value = tail[:-1]
-            if hashlib.sha256(value).hexdigest() != key["value_sha256"]:
-                raise ValueError("content hash mismatch")
-            poly = _from_flat_value(json.loads(value))
-        except (ValueError, KeyError) as exc:
+            expected = self._head(family, param, hashlib.sha256(value).hexdigest())
+            if head != expected:
+                # up to the hash's 64 digits and closing quote, the key fields match
+                same_key = head[:-65] == expected[:-65]
+                raise ValueError("content hash mismatch" if same_key else "key mismatch")
+            poly = _from_flat_value(value)
+        except (ValueError, RecursionError) as exc:  # JSON nested too deep to decode
             print(
                 f"warning: dropping corrupt cache entry for {family}:{param} ({exc})",
                 file=sys.stderr,
@@ -276,16 +305,13 @@ class PolynomialCache:
         import hashlib
 
         value = json.dumps(_flat_value(poly)).encode()
-        key = json.dumps(
-            {
-                "family": family,
-                "param": param,
-                "version": self.version,
-                "value_sha256": hashlib.sha256(value).hexdigest(),
-            }
-        )
         # json.dumps of the whole entry, value last, with the value encoded once
-        line = key[:-1].encode() + self._VALUE_FIELD + value + b"}"
+        line = (
+            self._head(family, param, hashlib.sha256(value).hexdigest())
+            + self._VALUE_FIELD
+            + value
+            + b"}"
+        )
         path, index = self._log(family)
         # Mode "ab" opens with O_APPEND, and the buffered file hands the
         # whole record to one write, after which the file's offset is the
@@ -327,16 +353,16 @@ def _compare_case(
         lhs = lhs + Polynomial.monomial((1,))
     if lhs == rhs:
         return VerificationCase(family, param, "pass")
-    return VerificationCase(
-        family,
-        param,
-        "fail",
-        {
-            "lhs": lhs.to_json_obj(),
-            "rhs": rhs.to_json_obj(),
-            "diff": poly_diff(lhs, rhs),
-        },
-    )
+    # A detail holds a few containers per term, and the collections they
+    # would trigger walk the whole heap while freeing none of them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        detail = {"lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj(), "diff": poly_diff(lhs, rhs)}
+    finally:
+        if enabled:
+            gc.enable()
+    return VerificationCase(family, param, "fail", detail)
 
 
 def _skip(family: str, param: str, exc: Exception) -> VerificationCase:
@@ -612,7 +638,8 @@ def _checked_config(
     **bounds: int,
 ) -> dict:
     """The report config of a sweep, with defaults filled in, after checking
-    every setting.  Raises SweepInputError; runs nothing."""
+    every setting; a cache directory is created if it is missing.  Raises
+    SweepInputError; runs no case."""
     spec = SWEEPS.get(family)
     if spec is None:
         raise SweepInputError(f"unknown sweep family {family!r}")
@@ -639,6 +666,11 @@ def _checked_config(
             raise SweepInputError(
                 f"weight <= {weight} in <= {parts} parts gives more than {MAX_CASES} cases"
             )
+    if cache_dir is not None:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise SweepInputError(f"cannot use {cache_dir!r} as a cache directory: {exc.strerror}")
     config = {"family": family, **bounds}
     if spec.closure:
         config["cap"] = diagrams.DEFAULT_CLOSURE_CAP if cap is None else cap
@@ -662,17 +694,21 @@ def _start_worker(cache: PolynomialCache | None) -> None:
     _worker_cache = cache
 
 
-def _run_counted(task: tuple) -> tuple[VerificationCase, int, int]:
+# What a cache counts, each summed over a sweep's worker processes.
+_CACHE_COUNTS = ("hits", "misses", "lines")
+
+
+def _run_counted(task: tuple) -> tuple[VerificationCase, tuple[int, ...]]:
     """Run one case in a worker process through the worker's own cache,
-    with the cache hits and misses it made, which the sweep's cache object
-    never sees."""
+    with the cache hits, misses and scanned log lines it added, which the
+    sweep's cache object never sees."""
     cache = _worker_cache
     if cache is None:
-        return _run_case(task), 0, 0
+        return _run_case(task), (0,) * len(_CACHE_COUNTS)
     family, param, value, cfg = task
-    hits, misses = cache.hits, cache.misses
+    before = [getattr(cache, name) for name in _CACHE_COUNTS]
     case = _run_case((family, param, value, {**cfg, "cache": cache}))
-    return case, cache.hits - hits, cache.misses - misses
+    return case, tuple(getattr(cache, name) - n for name, n in zip(_CACHE_COUNTS, before))
 
 
 def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
@@ -692,9 +728,9 @@ def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
     ) as pool:
         counted = list(pool.map(_run_counted, sent, chunksize=1))
     if cache is not None:
-        cache.hits += sum(hits for _, hits, _ in counted)
-        cache.misses += sum(misses for _, _, misses in counted)
-    return [case for case, _, _ in counted]
+        for name, added in zip(_CACHE_COUNTS, zip(*(counts for _, counts in counted))):
+            setattr(cache, name, getattr(cache, name) + sum(added))
+    return [case for case, _ in counted]
 
 
 def verify(
@@ -727,5 +763,5 @@ def verify(
         "cache_dir": cache_dir,
     }
     if cache is not None:
-        meta["cache"] = {"hits": cache.hits, "misses": cache.misses}
+        meta["cache"] = {name: getattr(cache, name) for name in _CACHE_COUNTS}
     return SweepReport(config, cases, meta=meta)

@@ -941,9 +941,9 @@ class TestVerify:
         old = {path: path.read_bytes() for path in tmp_path.iterdir()}
         assert len(old) == 24
         cold = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
-        assert cold.meta["cache"] == {"hits": 0, "misses": 12}
+        assert cold.meta["cache"] == {"hits": 0, "misses": 12, "lines": 0}
         warm = harness.verify("conj2", n=3, cache_dir=str(tmp_path))
-        assert warm.meta["cache"] == {"hits": 12, "misses": 0}
+        assert warm.meta["cache"] == {"hits": 12, "misses": 0, "lines": 12}
         assert capsys.readouterr().err == ""
         expected = harness.verify("conj2", n=3).deterministic_json()
         assert cold.deterministic_json() == warm.deterministic_json() == expected
@@ -1090,6 +1090,21 @@ class TestVerifyInput:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert "usage error" in err and not out
+
+    def test_unusable_cache_directory_is_refused(self, capsys, monkeypatch, tmp_path):
+        # a path that names a file, or lies below one, cannot be a directory
+        monkeypatch.setattr(harness, "_execute", no_cases)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for path in (afile, afile / "x"):
+            code, out, err = run(capsys, "verify", "conj2", "--n", "3", "--cache", str(path))
+            assert code == 2 and not out
+            assert f"usage error: cannot use {str(path)!r} as a cache directory" in err
+            monkeypatch.setenv(harness.CACHE_ENV, str(path))
+            code, out, err = run(capsys, "verify", "conj1")
+            assert code == 2 and "as a cache directory" in err and not out
+            monkeypatch.delenv(harness.CACHE_ENV)
+        assert afile.read_text() == ""
 
     def test_cache_env_ignored_by_sweeps_without_cache(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("KOHNERT_CACHE", str(tmp_path))

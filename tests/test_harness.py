@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +21,7 @@ from kohnert.harness import (
     compositions_upto,
     poly_diff,
 )
-from kohnert.poly import Polynomial, x
+from kohnert.poly import Polynomial, _of, x
 
 
 class TestCaseEnumeration:
@@ -230,6 +233,27 @@ class TestSweeps:
         assert back == case
         assert back.to_json_obj() == case.to_json_obj()
 
+    def test_failure_detail_is_built_with_the_collector_paused(self, monkeypatch):
+        seen = []
+        to_json_obj = Polynomial.to_json_obj
+
+        def recording(self):
+            seen.append(gc.isenabled())
+            return to_json_obj(self)
+
+        monkeypatch.setattr(Polynomial, "to_json_obj", recording)
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                case = harness._compare_case("conj2", "312", x(1), x(2))
+                assert case.detail["lhs"] == to_json_obj(x(1))
+                # the caller's setting is back, and a pass builds no detail
+                assert gc.isenabled() is enabled
+                assert harness._compare_case("conj2", "312", x(1), x(1)).detail is None
+        finally:
+            gc.enable()
+        assert seen == [False] * 4
+
     def test_report_totals_and_meta(self):
         cases = [
             harness.VerificationCase("bjs", "1", "pass"),
@@ -300,6 +324,75 @@ class TestFaultInjection:
         failing = [(c.family, c.param) for c in report.cases if c.status == "fail"]
         assert failing == [(first.family, first.param)]
         assert report.failed() == 1
+
+
+def reference_from_flat_value(value) -> Polynomial:
+    """The check of a cache value on parsed JSON, one C pass over the value
+    per check, that ``harness._from_flat_value`` replaced with checks on its
+    bytes: the reference the byte checks must agree with."""
+    from itertools import chain
+    from operator import itemgetter
+
+    if type(value) is not list or len(value) != 3 or set(map(type, value)) != {list}:
+        raise ValueError("the value is not three lists")
+    exps, degs, counts = value
+    if not len(exps) == len(degs) == len(counts):
+        raise ValueError("the value's lists differ in length")
+    if set(map(type, exps)) - {list}:
+        raise ValueError("an exponent is not a list")
+    if set(map(type, chain(chain.from_iterable(exps), degs, counts))) - {int}:
+        raise ValueError("a number in the value is not an int")
+    if min(chain(chain.from_iterable(exps), degs), default=0) < 0:
+        raise ValueError("a negative exponent or b-degree")
+    if 0 in map(itemgetter(-1), filter(None, exps)):
+        raise ValueError("an exponent ends in 0")
+    if 0 in counts:
+        raise ValueError("a zero count")
+    terms = dict(zip(zip(map(tuple, exps), degs), counts))
+    if len(terms) != len(counts):
+        raise ValueError("an (exponent, b-degree) key is given twice")
+    return _of(terms)
+
+
+# Every JSON kind a slot of a cache value might hold in place of its own.
+ANY_KIND = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.integers(-3, -1),
+    st.just(0),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+)
+
+
+@st.composite
+def flat_shaped_values(draw):
+    """Values shaped like ``harness._flat_value`` output: three lists of
+    exponents, b-degrees and counts, where any slot (the value, a list, an
+    exponent or a number) may hold any JSON kind, and a list may have
+    another length."""
+
+    def slot(usual):
+        return draw(usual if draw(st.integers(0, 15)) else ANY_KIND)
+
+    n = draw(st.integers(0, 4))
+
+    def length():
+        return n if draw(st.integers(0, 7)) else draw(st.integers(0, 4))
+
+    exps = [
+        slot(st.just([slot(st.integers(0, 2)) for _ in range(draw(st.integers(0, 3)))]))
+        for _ in range(length())
+    ]
+    degs = [slot(st.integers(0, 1)) for _ in range(length())]
+    counts = [slot(st.integers(-2, 2)) for _ in range(length())]
+    lists = [slot(st.just(part)) for part in (exps, degs, counts)]
+    lists = lists[: 3 if draw(st.integers(0, 15)) else draw(st.integers(0, 2))]
+    return slot(st.just(lists + ([] if draw(st.integers(0, 15)) else [slot(st.just([]))])))
 
 
 class TestCache:
@@ -438,7 +531,7 @@ class TestCache:
     def test_cold_fill_writes_one_log_per_family_tag(self, tmp_path):
         # 1440 polynomials, which the per-entry layouts wrote as 1440 files
         report = harness.verify("conj2", n=6, cache_dir=str(tmp_path))
-        assert report.meta["cache"] == {"hits": 0, "misses": 1440}
+        assert report.meta["cache"] == {"hits": 0, "misses": 1440, "lines": 0}
         cache = PolynomialCache(str(tmp_path))
         logs = sorted(Path(cache._path(tag)) for tag in ("K", "grothendieck"))
         assert sorted(tmp_path.iterdir()) == logs
@@ -541,6 +634,29 @@ class TestCache:
         assert PolynomialCache(str(tmp_path)).get("test", "a") == x(1)
         assert capsys.readouterr().err == ""
 
+    def test_entry_nested_too_deep_to_decode_is_dropped(self, tmp_path, capsys):
+        # JSON nested too deep for the decoder, as a hashed value and then
+        # as a line with no value field: each is dropped with a warning
+        cache = PolynomialCache(str(tmp_path))
+        cache.put("test", "a", x(1))
+        path = Path(cache._path("test"))
+        deep = "[" * 100_000 + "]" * 100_000
+        entry = {
+            "family": "test",
+            "param": "a",
+            "version": cache.version,
+            "value_sha256": hashlib.sha256(deep.encode()).hexdigest(),
+        }
+        path.write_text("\n" + json.dumps(entry)[:-1] + ', "value": ' + deep + "}\n")
+        assert PolynomialCache(str(tmp_path)).get("test", "a") is None
+        assert "dropping corrupt cache entry for test:a (maximum recursion" in capsys.readouterr().err
+        with open(path, "a") as fh:
+            fh.write("\n" + deep + "\n")
+        fresh = PolynomialCache(str(tmp_path))
+        assert harness._cached(fresh, "test", "a", lambda: x(1)) == x(1)
+        assert "dropping corrupt cache entry for test at byte" in capsys.readouterr().err
+        assert fresh.get("test", "a") == x(1)
+
     @given(
         st.dictionaries(
             st.tuples(
@@ -563,27 +679,88 @@ class TestCache:
                 assert list(got.terms) == sorted(g.terms)
             assert (cache.hits, cache.misses) == (3, 0)
 
-    def test_param_holding_the_value_separator_round_trips(self, tmp_path):
+    def test_param_holding_the_value_separator_round_trips(self, tmp_path, capsys):
+        # A param that JSON escapes (a quote, a backslash, a character past
+        # ASCII) is not sliced out of its line: the scan parses the line.
         cache = PolynomialCache(str(tmp_path))
-        params = ['x, "value": {"terms": []}}', ', "value": ', '"}']
+        params = ['x, "value": {"terms": []}}', ', "value": ', '"}', '\\"', "é", "∑1,2", ""]
         for i, param in enumerate(params):
             cache.put("test", param, x(i + 1))
-        for i, param in enumerate(params):
-            assert cache.get("test", param) == x(i + 1)
-        assert (cache.hits, cache.misses) == (3, 0)
+        for reader in (cache, PolynomialCache(str(tmp_path))):
+            for i, param in enumerate(params):
+                assert reader.get("test", param) == x(i + 1)
+            assert (reader.hits, reader.misses) == (len(params), 0)
+        assert capsys.readouterr().err == ""
+
+    def test_one_json_parse_per_hit_and_none_per_line_put_wrote(self, tmp_path, monkeypatch):
+        cache = PolynomialCache(str(tmp_path))
+        for param in ("1,2", "0,3", 'a"b'):
+            cache.put("test", param, x(1) * x(2))
+        parsed = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(harness.json, "loads", counting)
+        fresh = PolynomialCache(str(tmp_path))
+        assert fresh.get("test", "1,2") == x(1) * x(2)
+        # the scan parsed only the line whose param holds an escaped quote
+        [escaped, value] = parsed
+        assert b'"param": "a\\"b"' in escaped and value == b"[[[1, 1]], [0], [1]]"
+        assert fresh.get("test", 'a"b') == x(1) * x(2)
+        assert parsed[2:] == [value] and fresh.lines == 3
+
+    @given(flat_shaped_values())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_checks_refuse_what_the_parsed_checks_refuse(self, value):
+        # A value written as put writes it, with its hash: get reads it
+        # exactly when the reference accepts the parsed value.
+        text = json.dumps(value)
+        try:
+            expected = reference_from_flat_value(json.loads(text))
+        except ValueError:
+            expected = None
+        with tempfile.TemporaryDirectory() as directory:
+            cache = PolynomialCache(directory)
+            head = {
+                "family": "test",
+                "param": "a",
+                "version": cache.version,
+                "value_sha256": hashlib.sha256(text.encode()).hexdigest(),
+            }
+            line = json.dumps(head)[:-1] + ', "value": ' + text + "}"
+            Path(cache._path("test")).write_text("\n" + line + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                got = cache.get("test", "a")
+        assert got == expected
+        if expected is None:
+            assert "dropping corrupt cache entry for test:a" in err.getvalue()
+            assert "hash" not in err.getvalue()
+        else:
+            assert list(got.terms) == list(expected.terms) and err.getvalue() == ""
 
     def test_reformatted_entry_is_dropped_and_rewritten(self, tmp_path, capsys):
-        # The hash covers the value bytes as read, so an entry re-written by
-        # hand with the same content is recomputed, not trusted.  A line
-        # holds no newline, so the keys are reordered or the value compacted.
+        # The hash covers the value bytes as read and the key fields must be
+        # the bytes put writes, so an entry re-written by hand with the same
+        # content is recomputed, not trusted.  A line holds no newline, so
+        # the keys are reordered or spaced out, or the value compacted.
         f = x(1) + Polynomial.monomial((0, 2), 3, 1)
         PolynomialCache(str(tmp_path)).put("test", "a", f)
         path = Path(PolynomialCache(str(tmp_path))._path("test", "a"))
         [written] = self.entry_lines(path)
         head, field, value = written.rpartition(b', "value": ')
+        key = json.loads(head + b"}")
+        reordered = {name: key[name] for name in ("param", "family", "version", "value_sha256")}
         for reformatted in [
             json.dumps(json.loads(written), sort_keys=True).encode(),
             head + field + value.replace(b", ", b","),
+            # the key fields alone reordered or spaced out, the value as written
+            json.dumps(reordered)[:-1].encode() + field + value,
+            head.replace(b": ", b":  ") + field + value,
+            b"{ " + head[1:] + field + value,
         ]:
             assert json.loads(reformatted) == json.loads(written)
             path.write_bytes(b"\n" + reformatted + b"\n")
@@ -613,14 +790,35 @@ class TestCache:
         assert path.read_bytes() == b"\n" + json.dumps(expected).encode() + b"\n"
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_report_counts_hits_and_misses(self, tmp_path, jobs):
+    def test_report_counts_hits_and_misses(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cold = harness.verify("conj2", n=3, jobs=jobs, cache_dir=str(tmp_path))
-        assert cold.meta["cache"] == {"hits": 0, "misses": 12}
+        hits, misses, lines = cold.meta["cache"].values()
+        assert (hits, misses) == (0, 12)
+        # A worker scans each log once, before its first case there appends
+        # to it, so it sees only what the other worker appended before then:
+        # at most 5 of the 6 entries of each log.
+        assert lines == 0 if jobs == 1 else lines <= 10
         warm = harness.verify("conj2", n=3, jobs=jobs, cache_dir=str(tmp_path))
-        assert warm.meta["cache"] == {"hits": 12, "misses": 0}
+        hits, misses, lines = warm.meta["cache"].values()
+        assert (hits, misses) == (12, 0)
+        # each worker that runs a case scans both logs of 6 lines once
+        assert lines in range(12, 12 * warm.meta["workers"] + 1, 12)
         assert cold.deterministic_json() == warm.deterministic_json()
         assert warm.deterministic_json() == harness.verify("conj2", n=3).deterministic_json()
         assert "cache" not in harness.verify("conj2", n=3, jobs=jobs).meta
+
+    def test_report_counts_the_duplicate_lines_of_two_fills(self, tmp_path):
+        # Two sweeps that each fill the cache before the other appends leave
+        # each entry twice; every later scan reads both lines.
+        for name in ("a", "b"):
+            harness.verify("conj2", n=3, cache_dir=str(tmp_path / name))
+        for path in (tmp_path / "b").iterdir():
+            with open(tmp_path / "a" / path.name, "ab") as fh:
+                fh.write(path.read_bytes())
+        warm = harness.verify("conj2", n=3, cache_dir=str(tmp_path / "a"))
+        assert warm.meta["cache"] == {"hits": 12, "misses": 0, "lines": 24}
+        assert warm.deterministic_json() == harness.verify("conj2", n=3).deterministic_json()
 
     def test_mixed_hit_miss_sweep(self, tmp_path):
         harness.verify("conj2", n=2, cache_dir=str(tmp_path))
@@ -635,10 +833,10 @@ class TestCache:
         path.write_bytes(path.read_bytes()[:-3])
         torn = harness.verify("conj2", n=4, cache_dir=str(tmp_path))
         assert "dropping corrupt cache entry for grothendieck:" in capsys.readouterr().err
-        assert torn.meta["cache"] == {"hits": 47, "misses": 1}
+        assert torn.meta["cache"] == {"hits": 47, "misses": 1, "lines": 48}
         assert torn.deterministic_json() == expected
         after = harness.verify("conj2", n=4, cache_dir=str(tmp_path))
-        assert after.meta["cache"] == {"hits": 48, "misses": 0}
+        assert after.meta["cache"] == {"hits": 48, "misses": 0, "lines": 49}
         assert after.deterministic_json() == expected
         assert capsys.readouterr().err == ""
 
@@ -655,7 +853,7 @@ class TestCache:
                 assert entry["version"] == cache.version
                 value = line.rpartition(b', "value": ')[2][:-1]
                 assert hashlib.sha256(value).hexdigest() == entry["value_sha256"]
-                harness._from_flat_value(json.loads(value))
+                harness._from_flat_value(value)
                 lines += 1
         return lines
 
@@ -665,10 +863,10 @@ class TestCache:
         pooled = tmp_path / "pooled"
         cold = harness.verify("conj2", n=5, jobs=2, cache_dir=str(pooled))
         assert cold.meta["workers"] == 2
-        assert cold.meta["cache"] == {"hits": 0, "misses": 240}
+        assert (cold.meta["cache"]["hits"], cold.meta["cache"]["misses"]) == (0, 240)
         assert self.assert_every_line_passes(pooled) == 240
         warm = harness.verify("conj2", n=5, cache_dir=str(pooled))
-        assert warm.meta["cache"] == {"hits": 240, "misses": 0}
+        assert warm.meta["cache"] == {"hits": 240, "misses": 0, "lines": 240}
         assert warm.deterministic_json() == cold.deterministic_json()
         # two sweeps started together fill one cache
         shared = tmp_path / "shared"
@@ -682,9 +880,10 @@ class TestCache:
         ]
         assert [sweep.communicate(timeout=120)[1] for sweep in sweeps] == [b"", b""]
         assert [sweep.returncode for sweep in sweeps] == [0, 0]
-        assert 48 <= self.assert_every_line_passes(shared) <= 96
+        lines = self.assert_every_line_passes(shared)
+        assert 48 <= lines <= 96
         warm = harness.verify("conj2", n=4, cache_dir=str(shared))
-        assert warm.meta["cache"] == {"hits": 48, "misses": 0}
+        assert warm.meta["cache"] == {"hits": 48, "misses": 0, "lines": lines}
         assert warm.deterministic_json() == harness.verify("conj2", n=4).deterministic_json()
         assert capsys.readouterr().err == ""
 
@@ -704,6 +903,6 @@ class TestCache:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         report = harness.verify("conj2", n=3, jobs=2, cache_dir=str(tmp_path))
         assert report.meta["workers"] == 2 and len(sent) == 6
-        assert report.meta["cache"] == {"hits": 0, "misses": 12}
+        assert (report.meta["cache"]["hits"], report.meta["cache"]["misses"]) == (0, 12)
         for task in sent:
             assert b"PolynomialCache" not in pickle.dumps(task)
