@@ -38,22 +38,6 @@ if TYPE_CHECKING:
 LambdaTuple = tuple[Partition, ...]
 
 
-class _OnFirstUse:
-    """Stands in for the ``tableaux`` module until one of its names is
-    read, then puts the module in its place, so a process that only builds
-    operator polynomials (a closure sweep) never loads it and every later
-    use is a plain global lookup."""
-
-    def __getattr__(self, name: str):
-        from . import tableaux as module
-
-        globals()["tableaux"] = module
-        return getattr(module, name)
-
-
-tableaux = _OnFirstUse()
-
-
 class BlockSymmetryError(ValueError):
     """Input polynomial is not symmetric within one of the variable blocks."""
 
@@ -175,7 +159,7 @@ def block_variables(d: Sequence[int]) -> list[list[int]]:
     """Consecutive variable alphabets cut at d: block j is
     {d_{j-1}+1, ..., d_j} with d_0 = 0."""
     d = list(d)
-    tableaux._check_block_bounds(d)
+    perms.check_block_bounds(d)
     return [list(range(a + 1, b + 1)) for a, b in zip([0] + d, d)]
 
 
@@ -183,6 +167,8 @@ def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
     """Schur polynomial of shape lam in the given variables, as the content
     generating function of semistandard tableaux; zero when lam has more
     rows than there are variables."""
+    from . import tableaux
+
     lam = tuple(lam)
     if not lam:
         return ONE
@@ -267,80 +253,6 @@ def minimal_blocks(alpha: Composition) -> tuple[int, ...]:
     return tuple(sorted(perms.strict_descents(alpha)))
 
 
-def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau | None:
-    """The increasing tableau whose reading word is ``block`` verbatim, if it
-    exists, has entries above ``lower`` and has at most ``max_rows`` rows.
-
-    A reading word descends within a row and ascends across a row boundary,
-    so the rows are the block's maximal strictly decreasing runs, reversed.
-    The blocks are factors of reduced words, and an increasing tableau with a
-    reduced reading word is that word's insertion tableau (Edelman-Greene),
-    so no insertion is needed.  The rows are non-empty, positive and
-    strictly increasing by construction, so once their lengths and columns
-    pass, the tableau is built unchecked.
-    """
-    if not block:
-        return tableaux.EMPTY_TABLEAU
-    if min(block) <= lower:
-        return None
-    cuts = [i for i in range(1, len(block)) if block[i] >= block[i - 1]]
-    rows = [block[a:b][::-1] for a, b in zip([0] + cuts, cuts + [len(block)])]
-    if len(rows) > max_rows:
-        # More rows than the block has variables: the block Schur polynomial
-        # vanishes, so the tuple indexes no basis element.
-        return None
-    for upper, below in zip(rows, rows[1:]):
-        if len(upper) < len(below) or any(a >= b for a, b in zip(upper, below)):
-            return None
-    return tableaux._of(tuple(rows))
-
-
-def _word_split_tuples(
-    words: Sequence[tuple[int, ...]], d: Sequence[int]
-) -> set[tuple[Tableau, ...]]:
-    """Tuples (T_1, ..., T_k) of increasing tableaux whose concatenated
-    reading words run over ``words``, with each block a verbatim reading
-    word, min T_j exceeding the previous block bound, and at most as many
-    rows as the block has variables.  Raises ValueError unless the block
-    bounds are strictly increasing from 1.
-
-    Only blocks whose letters all exceed their bound, and after which every
-    letter exceeds the next bound, are offered for acceptance."""
-    k = len(d)
-    bounds = [0] + list(d)
-    widths = [len(block) for block in block_variables(d)]
-    out: set[tuple[Tableau, ...]] = set()
-    if k == 0:
-        if any(not word for word in words):
-            out.add(())
-        return out
-    def rec(
-        word: tuple[int, ...], last: list[int], start: int, j: int, acc: tuple[Tableau, ...]
-    ) -> None:
-        # Every letter from ``start`` on is above bounds[j].  Block j ends
-        # after the last letter at or below bounds[j + 1], which no later
-        # block may hold, so the same holds one block on.
-        if j == k - 1:
-            t = _accept_block(word[start:], bounds[j], widths[j])
-            if t is not None:
-                out.add(acc + (t,))
-            return
-        for end in range(max(start, last[j + 1] + 1), len(word) + 1):
-            t = _accept_block(word[start:end], bounds[j], widths[j])
-            if t is not None:
-                rec(word, last, end, j + 1, acc + (t,))
-
-    for word in words:
-        # last[j]: the index of the last letter at or below bounds[j], or -1,
-        # found by a scan from the right; a letter at or below 0 fits in no
-        # block
-        back = range(len(word) - 1, -1, -1)
-        last = [next((i for i in back if word[i] <= b), -1) for b in bounds]
-        if last[0] < 0:
-            rec(word, last, 0, 0, ())
-    return out
-
-
 def key_split_expansion(
     alpha: Composition, d: Sequence[int] | None = None
 ) -> dict[LambdaTuple, tuple[int, list[tuple[Tableau, ...]]]]:
@@ -352,6 +264,8 @@ def key_split_expansion(
     the words into consecutive blocks that are verbatim reading words, and
     groups the resulting tableau tuples by shape.
     """
+    from . import tableaux
+
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     if not perms.strict_descents(alpha) <= set(d):
@@ -361,7 +275,7 @@ def key_split_expansion(
     fiber = tableaux.coxeter_knuth_class(t_ref, w)
     witnesses: dict[LambdaTuple, list[tuple[Tableau, ...]]] = {}
     for tup in sorted(
-        _word_split_tuples(sorted(fiber), d), key=lambda ts: [t.rows for t in ts]
+        tableaux.word_split_tuples(sorted(fiber), d), key=lambda ts: [t.rows for t in ts]
     ):
         witnesses.setdefault(tuple(t.shape() for t in tup), []).append(tup)
     return {lams: (len(wits), wits) for lams, wits in witnesses.items()}
@@ -373,12 +287,15 @@ def schubert_split_expansion(
     """Block-Schur coefficients of the Schubert polynomial: tableau tuples as
     in ``key_split_expansion`` but over all reduced words, with no insertion
     constraint."""
+    from . import tableaux
+
     w = perms.permutation(w)
     d = tuple(d)
     if not perms.perm_descents(w) <= set(d):
         raise ValueError(f"blocks {d} miss a descent of {w}")
     words = sorted(perms.reduced_words(w))
-    return Counter(tuple(t.shape() for t in tup) for tup in _word_split_tuples(words, d))
+    tuples = tableaux.word_split_tuples(words, d)
+    return Counter(tuple(t.shape() for t in tup) for tup in tuples)
 
 
 def key_split_expansion_via_pairs(
@@ -397,6 +314,8 @@ def key_split_expansion_via_pairs(
     fiber is found by inserting every reduced word that has marks
     (``tableaux.compatible_pairs``), so this route refuses lengths past
     ``perms.MAX_WORD_LENGTH``."""
+    from . import tableaux
+
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
@@ -424,12 +343,16 @@ def _mark_polynomial(pairs) -> Polynomial:
 def schubert_from_compatible_pairs(w: Permutation) -> Polynomial:
     """Schubert polynomial as the mark generating function of compatible
     pairs."""
+    from . import tableaux
+
     return _mark_polynomial(tableaux.compatible_pairs(w))
 
 
 def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
     """Key polynomial as the mark generating function of the compatible pairs
     whose word inserts to the peeling tableau of alpha."""
+    from . import tableaux
+
     alpha = perms.composition(alpha)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)

@@ -256,7 +256,7 @@ def _cmd_split(args) -> int:
             f"the operator recursion of {perms.format_composition(alpha)} may keep "
             f"{entries} exponent entries, past the bound {MAX_OPERATOR_ENTRIES}"
         )
-    if args.descents:
+    if args.descents is not None:
         try:
             d = tuple(int(p) for p in args.descents.split(","))
         except ValueError:
@@ -320,7 +320,7 @@ def _cmd_egls(args) -> int:
             f"a word of {len(word)} letters up to {max(word, default=0)} is past the "
             f"bound of {MAX_EGLS_LENGTH} letters up to {MAX_EGLS_LETTER}"
         )
-    marks = _parse_letters(args.marks, "marks") if args.marks else None
+    marks = None if args.marks is None else _parse_letters(args.marks, "marks")
     try:
         p, q = tableaux.egls_insert(word, marks)
     except (tableaux.NonReducedWordError, ValueError) as exc:
@@ -449,6 +449,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.report == "":
+        raise UsageError("bad report path ''")
     spec = harness.SWEEPS[args.family]
     bounds = {name: getattr(args, name) for name in _VERIFY_BOUNDS}
     cache_dir = args.cache
@@ -473,7 +475,7 @@ def _cmd_verify(args) -> int:
         f"{t['skipped']} skipped (of {t['total']}) "
         f"in {report.meta['wall_time_s']}s"
     )
-    if args.report:
+    if args.report is not None:
         with open(args.report, "w") as fh:
             fh.write(report.json_text())
         print(f"report written to {args.report}")

@@ -187,9 +187,10 @@ class PolynomialCache:
     are byte for byte those ``put`` writes for this family, param, version
     and the SHA-256 of the value bytes, and the value's bytes and shape
     (``_from_flat_value``).  An entry that fails any check, a line
-    reformatted by hand included, is dropped with a warning, recomputed and
-    appended again.  ``hits`` and ``misses`` count the reads of this object,
-    and ``lines`` the log lines its scans read.
+    reformatted by hand or a log removed since its scan included, is
+    dropped with a warning, recomputed and appended again.  ``hits`` and
+    ``misses`` count the reads of this object, and ``lines`` the log lines
+    its scans read.
     """
 
     # The layout of the cache files, hashed into every log's name.
@@ -275,12 +276,13 @@ class PolynomialCache:
             self.misses += 1
             return None
         offset, length = index[param]
-        fd = os.open(path, os.O_RDONLY)
         try:
-            data = os.pread(fd, length, offset)
-        finally:
-            os.close(fd)
-        try:
+            # a log removed since its scan is read as a failed check
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
             head, found, tail = data.rpartition(self._VALUE_FIELD)
             if not found or not tail.endswith(b"}"):
                 raise ValueError("no value field at the end")
@@ -291,7 +293,7 @@ class PolynomialCache:
                 same_key = head[:-65] == expected[:-65]
                 raise ValueError("content hash mismatch" if same_key else "key mismatch")
             poly = _from_flat_value(value)
-        except (ValueError, RecursionError) as exc:  # JSON nested too deep to decode
+        except (OSError, ValueError, RecursionError) as exc:  # JSON nested too deep to decode
             print(
                 f"warning: dropping corrupt cache entry for {family}:{param} ({exc})",
                 file=sys.stderr,
@@ -685,7 +687,7 @@ def clamp_jobs(jobs: int, cases: int, cpus: int) -> int:
 
 
 # The cache of a worker process, set by ``_start_worker`` when the pool
-# starts the process; each worker reads each log once through it.
+# starts the process, with the index of every log the sweep reads.
 _worker_cache: PolynomialCache | None = None
 
 
@@ -720,7 +722,14 @@ def _execute(tasks: list[tuple], workers: int) -> list[VerificationCase]:
     from concurrent.futures import ProcessPoolExecutor
 
     # Each worker gets the cache once, when it starts, and no task holds it.
+    # The logs of the sweep's closure rows are scanned here first, so every
+    # worker starts with their index and none scans them again.
     cache = tasks[0][3]["cache"]
+    if cache is not None:
+        for name in dict.fromkeys(family for family, *_ in tasks):
+            for row in _CASES[name].args:
+                cache._log(row.diagram_tag)
+                cache._log(row.operator_tag)
     cfg = {**tasks[0][3], "cache": None}
     sent = [(family, param, value, cfg) for family, param, value, _ in tasks]
     with ProcessPoolExecutor(

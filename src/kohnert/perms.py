@@ -98,6 +98,12 @@ def descents(alpha: Composition) -> set[int]:
     return {i for i in range(1, len(a) + 1) if ext[i - 1] >= ext[i]}
 
 
+def check_block_bounds(d: list[int]) -> None:
+    """Refuse block bounds that do not strictly increase from 1."""
+    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
+        raise ValueError(f"block bounds must be strictly increasing: {d}")
+
+
 # ---------------------------------------------------------------------------
 # permutations
 

@@ -462,12 +462,6 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     return out
 
 
-def _check_block_bounds(d: list[int]) -> None:
-    """Refuse block bounds that do not strictly increase from 1."""
-    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
-        raise ValueError(f"block bounds must be strictly increasing: {d}")
-
-
 def split_pairs(
     pairs: Iterable[CompatiblePair], d: Sequence[int]
 ) -> Iterator[list[CompatiblePair]]:
@@ -501,7 +495,7 @@ def split_pairs(
     for pair in pairs:
         if pair[0] != word:
             if word is None:
-                _check_block_bounds(d)
+                perms.check_block_bounds(d)
             word = pair[0]
             w = perms.word_to_perm(word)
             if not perms.perm_descents(w) <= bound_set:
@@ -569,6 +563,82 @@ def split_compatible_pair(
     """Split a compatible pair into blocks by mark range (``split_blocks``)
     and insert each block; empty blocks give empty tableaux."""
     return [egls_insert(*block) for block in split_blocks(pair, d)]
+
+
+def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau | None:
+    """The increasing tableau whose reading word is ``block`` verbatim, if it
+    exists, has entries above ``lower`` and has at most ``max_rows`` rows.
+
+    A reading word descends within a row and ascends across a row boundary,
+    so the rows are the block's maximal strictly decreasing runs, reversed.
+    The blocks are factors of reduced words, and an increasing tableau with a
+    reduced reading word is that word's insertion tableau (Edelman-Greene),
+    so no insertion is needed.  The rows are non-empty, positive and
+    strictly increasing by construction, so once their lengths and columns
+    pass, the tableau is built unchecked.
+    """
+    if not block:
+        return EMPTY_TABLEAU
+    if min(block) <= lower:
+        return None
+    cuts = [i for i in range(1, len(block)) if block[i] >= block[i - 1]]
+    rows = [block[a:b][::-1] for a, b in zip([0] + cuts, cuts + [len(block)])]
+    if len(rows) > max_rows:
+        # More rows than the block has variables: the block Schur polynomial
+        # vanishes, so the tuple indexes no basis element.
+        return None
+    for upper, below in zip(rows, rows[1:]):
+        if len(upper) < len(below) or any(a >= b for a, b in zip(upper, below)):
+            return None
+    return _of(tuple(rows))
+
+
+def word_split_tuples(
+    words: Sequence[tuple[int, ...]], d: Sequence[int]
+) -> set[tuple[Tableau, ...]]:
+    """Tuples (T_1, ..., T_k) of increasing tableaux whose concatenated
+    reading words run over ``words``, with each block a verbatim reading
+    word, min T_j exceeding the previous block bound, and at most as many
+    rows as the block has variables.  Raises ValueError unless the block
+    bounds are strictly increasing from 1.
+
+    Only blocks whose letters all exceed their bound, and after which every
+    letter exceeds the next bound, are offered for acceptance."""
+    d = list(d)
+    perms.check_block_bounds(d)
+    k = len(d)
+    bounds = [0] + d
+    widths = list(map(sub, d, bounds))
+    out: set[tuple[Tableau, ...]] = set()
+    if k == 0:
+        if any(not word for word in words):
+            out.add(())
+        return out
+    def rec(
+        word: tuple[int, ...], last: list[int], start: int, j: int, acc: tuple[Tableau, ...]
+    ) -> None:
+        # Every letter from ``start`` on is above bounds[j].  Block j ends
+        # after the last letter at or below bounds[j + 1], which no later
+        # block may hold, so the same holds one block on.
+        if j == k - 1:
+            t = _accept_block(word[start:], bounds[j], widths[j])
+            if t is not None:
+                out.add(acc + (t,))
+            return
+        for end in range(max(start, last[j + 1] + 1), len(word) + 1):
+            t = _accept_block(word[start:end], bounds[j], widths[j])
+            if t is not None:
+                rec(word, last, end, j + 1, acc + (t,))
+
+    for word in words:
+        # last[j]: the index of the last letter at or below bounds[j], or -1,
+        # found by a scan from the right; a letter at or below 0 fits in no
+        # block
+        back = range(len(word) - 1, -1, -1)
+        last = [next((i for i in back if word[i] <= b), -1) for b in bounds]
+        if last[0] < 0:
+            rec(word, last, 0, 0, ())
+    return out
 
 
 # ---------------------------------------------------------------------------

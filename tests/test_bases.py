@@ -484,7 +484,7 @@ class TestSplittingRoutes:
                 for max_rows in (1, 2, 3, 9):
                     ok = verbatim and len(t.rows) <= max_rows
                     ok = ok and not (block and min(block) <= lower)
-                    got = bases._accept_block(block, lower, max_rows)
+                    got = tableaux._accept_block(block, lower, max_rows)
                     assert got == (t if ok else None), (block, lower, max_rows)
                     accepted += ok
         assert len(blocks) > 5000 and accepted > 1000
@@ -608,7 +608,7 @@ class TestSplittingRoutes:
         # _accept_block, and a letter at or below the bound refuses it there.
         from kohnert.harness import compositions_upto
 
-        original = bases._accept_block
+        original = tableaux._accept_block
 
         def reference(words, d):
             bounds = [0] + list(d)
@@ -640,7 +640,7 @@ class TestSplittingRoutes:
             offered.append((block, lower))
             return original(block, lower, max_rows)
 
-        monkeypatch.setattr(bases, "_accept_block", counting)
+        monkeypatch.setattr(tableaux, "_accept_block", counting)
         cases = []
         for alpha in compositions_upto(6, 4):
             d = minimal_blocks(alpha)
@@ -655,7 +655,7 @@ class TestSplittingRoutes:
             if not d:
                 continue
             offered.clear()
-            got = bases._word_split_tuples(words, d)
+            got = tableaux.word_split_tuples(words, d)
             ref_offered, ref_out = reference(words, d)
             assert got == ref_out, (words, d)
             # no block is offered that its bound refuses

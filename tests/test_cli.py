@@ -791,6 +791,11 @@ class TestRefusedInput:
             (["split", "--alpha", "1,0,2", "--descents", "1,x"], "bad descent list '1,x'"),
             (["egls", "--word", "1a2"], "bad word '1a2'"),
             (["poly", "schubert", "--alpha", "1,2"], "--perm is required for schubert"),
+            # an empty value is refused, not read as the option left out; the
+            # sweep would print its summary before it wrote a report
+            (["split", "--alpha", "1,0,2", "--descents", ""], "bad descent list ''"),
+            (["egls", "--word", "21", "--marks", ""], "bad marks ''"),
+            (["verify", "conj2", "--n", "2", "--report", ""], "bad report path ''"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):

@@ -93,16 +93,16 @@ def test_theorem1_pins_hold_with_fewer_block_offers(monkeypatch):
     # lead to a tableau tuple.  Over weight <= 7 in <= 4 parts it offered
     # 29 311 blocks before, 12 674 of them holding a letter at or below the
     # bound before their last; the pinned reports must not move.
-    from kohnert import bases
+    from kohnert import tableaux
 
-    original = bases._accept_block
+    original = tableaux._accept_block
     offered = []
 
     def counting(block, lower, max_rows):
         offered.append((block, lower))
         return original(block, lower, max_rows)
 
-    monkeypatch.setattr(bases, "_accept_block", counting)
+    monkeypatch.setattr(tableaux, "_accept_block", counting)
     for family, bounds, digest in PINS:
         if family == "theorem1" and bounds["max_weight"] <= 7:
             offered.clear()
