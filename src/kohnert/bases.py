@@ -16,7 +16,11 @@ increasing tableaux whose concatenated reading words insert to the peeling
 tableau of alpha (``key_split_expansion``); for Schubert polynomials the
 insertion constraint is dropped (``schubert_split_expansion``).  An
 independent route through compatible pairs and the block-splitting map backs
-both counts.
+both counts.  For the key count it is ``key_split_expansion_via_pairs``: the
+map cuts a pair where its marks cross the block bounds, and a cut of a word
+is realised by some marks exactly when the least marks that respect it fit,
+so the image of the fiber's pairs is read off each fiber word's distinct
+cuts, with no pair built.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import diagrams, perms
@@ -301,29 +304,30 @@ def schubert_split_expansion(
 def key_split_expansion_via_pairs(
     alpha: Composition, d: Sequence[int] | None = None
 ) -> dict[LambdaTuple, int]:
-    """Independent route to the key splitting coefficients: push the
-    compatible pairs in the insertion fiber of the peeling tableau through
-    the block-splitting map and count distinct insertion-tableau tuples.
+    """Independent route to the key splitting coefficients: the image of the
+    compatible pairs in the insertion fiber of the peeling tableau under
+    the block-splitting map, counted as distinct insertion-tableau tuples.
 
-    Every pair goes through ``tableaux.split_pairs`` with all its checks,
-    whose word-level checks run once per fiber word.  Many pairs share
-    their block words, and the P tableau of a block depends only on its
-    word, so the splits are kept once each, in order of first appearance,
-    their block words taken by one C-level map per split, and each
-    distinct non-empty block word is column-inserted once per call.  The
-    fiber is found by inserting every reduced word that has marks
-    (``tableaux.compatible_pairs``), so this route refuses lengths past
-    ``perms.MAX_WORD_LENGTH``."""
+    The fiber's words are found by inserting every reduced word that has
+    marks (``tableaux.marked_words``), so this route refuses lengths past
+    ``perms.MAX_WORD_LENGTH``.  The map cuts a pair where its marks cross
+    the block bounds.  Every marks that realise a cut of a word lie on or
+    above the least marks that respect it, so the cut is realised exactly
+    when those least marks stay at or below their letters and block
+    bounds, and the image of a word's pairs is the set of such cuts:
+    ``tableaux.split_words`` walks them with no pair built, and checks the
+    bounds and the descents of w once per call.  The splits are kept once
+    each, in order of first appearance over the pairs, and the P tableau
+    of a block depends only on its word, so each distinct non-empty block
+    word is column-inserted once per call."""
     from . import tableaux
 
     alpha = perms.composition(alpha)
     d = minimal_blocks(alpha) if d is None else tuple(d)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
-    words_of = itemgetter(0)
     splits = dict.fromkeys(
-        tuple(map(words_of, blocks))
-        for blocks in tableaux.split_pairs(tableaux.compatible_pairs(w, t_ref), d)
+        chain.from_iterable(tableaux.split_words(w, tableaux.marked_words(w, t_ref), d))
     )
     inserted: dict[tuple[int, ...], Tableau] = {(): tableaux.EMPTY_TABLEAU}
     for block_word in chain.from_iterable(splits):

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, groupby, repeat
-from operator import add, gt, le, lt, sub
+from operator import add, ge, le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import perms
@@ -444,21 +444,30 @@ def _mark_choices(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(map(add, marks, shifts)) for marks in shifted]
 
 
+def marked_words(w: Permutation, t: Tableau | None = None) -> list[tuple[int, ...]]:
+    """The reduced words of w that have marks, sorted; with ``t`` given,
+    only those that insert to t.  Each word is first scanned for its least
+    marks (``_has_marks``); only a word that has some is inserted, once,
+    and its columns compared with those of t."""
+    cols = None if t is None else t.columns()
+    return [
+        word
+        for word in sorted(perms.reduced_words(w))
+        if _has_marks(word) and (cols is None or _insert_columns(word) == cols)
+    ]
+
+
 def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[CompatiblePair]:
     """All (word, marks) with marks weakly increasing, strictly increasing
     across ascents of the word, and bounded above by the letters.
 
     With ``t`` given, only the pairs whose word inserts to t, in the same
-    order.  Each word is first scanned for its least marks
-    (``_has_marks``); only a word that has some is inserted, once, and its
-    columns compared with those of t; only a word in the fiber has its
+    order.  The words are those of ``marked_words``; only they have their
     marks built.
     """
-    cols = None if t is None else t.columns()
     out: list[CompatiblePair] = []
-    for word in sorted(perms.reduced_words(w)):
-        if _has_marks(word) and (cols is None or _insert_columns(word) == cols):
-            out.extend(zip(repeat(word), _mark_choices(word)))
+    for word in marked_words(w, t):
+        out.extend(zip(repeat(word), _mark_choices(word)))
     return out
 
 
@@ -475,47 +484,94 @@ def split_pairs(
     the descents of the word's permutation, the marks are as many as the
     letters, every mark is at most its letter and the last bound, and every
     non-empty block is a reduced word (NonReducedWordError) with stable
-    marks, in that order.  The bounds are checked once, at the first pair;
-    the checks that depend on the word alone run once per run of
-    consecutive pairs that share a word, as the pairs of one word are in
-    the output of ``compatible_pairs``.
-
-    The marks of a pair of a reduced word are checked with C-level passes
-    over the whole pair (each mark is at most its letter, and at most the
-    next mark, less one across an ascent) and cut by bisection.  A pair
-    that fails them, or whose word is not reduced, goes through
-    ``_split_checked``, which checks block by block and names the first
-    failure.
+    marks, in that order.  The bounds are checked once, before the first
+    pair is split.
     """
     d = list(d)
+    perms.check_block_bounds(d)
     bound_set = set(d)
-    word: tuple[int, ...] | None = None
-    reduced = False
-    ascents: list[bool] = []
-    for pair in pairs:
-        if pair[0] != word:
-            if word is None:
-                perms.check_block_bounds(d)
-            word = pair[0]
-            w = perms.word_to_perm(word)
-            if not perms.perm_descents(w) <= bound_set:
-                raise ValueError(f"block bounds {d} do not contain the descents of {w}")
-            reduced = perms.is_reduced(word)
-            ascents = list(map(lt, word, word[1:]))
-        marks = pair[1]
-        if (
-            reduced
-            and len(marks) == len(word)
-            and (not marks or marks[0] >= 1)
-            and not any(map(gt, marks, word))
-            and all(map(le, map(add, marks, ascents), marks[1:]))
-        ):
-            # The last letter of a reduced word is a descent of its
-            # permutation, so these marks end at or below the last bound.
-            cuts = [bisect_right(marks, bound) for bound in d]
-            yield [(word[a:b], marks[a:b]) for a, b in zip([0] + cuts, cuts)]
-        else:
-            yield _split_checked(word, marks, d, reduced)
+    for word, marks in pairs:
+        w = perms.word_to_perm(word)
+        if not perms.perm_descents(w) <= bound_set:
+            raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+        yield _split_checked(word, marks, d, perms.is_reduced(word))
+
+
+def split_words(
+    w: Permutation, words: Iterable[tuple[int, ...]], d: Sequence[int]
+) -> list[list[tuple[tuple[int, ...], ...]]]:
+    """For each reduced word of w in ``words``, its distinct splits over all
+    its marks: the tuples of block words that ``split_pairs`` gives for the
+    pairs (word, marks), each once, in order of first appearance over the
+    marks in lexicographic order (``_mark_choices``).  Raises ValueError
+    unless the bounds strictly increase from 1 and contain the descents of
+    w, once per call, with the messages of ``split_pairs``.
+
+    A split is fixed by its cuts c_1 <= ... <= c_k = len(word), block j
+    holding the letters from c_{j-1} up to c_j.  All marks that realise a
+    cut lie on or above its least marks: each the previous one, plus 1
+    across an ascent, raised to at least d_{j-1} + 1 inside block j.  So
+    the cut is realised exactly when its least marks stay at or below
+    their letters and each block's bound, and its least marks are the
+    lexicographically first marks that realise it: the order of first
+    appearance is the lexicographic order of the least marks.
+    ``_word_splits`` walks the cuts in that order, with no pair built.
+    """
+    w = perms.permutation(w)
+    d = list(d)
+    perms.check_block_bounds(d)
+    if not perms.perm_descents(w) <= set(d):
+        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    lows = [1] + [bound + 1 for bound in d[:-1]]
+    return [_word_splits(word, d, lows) for word in words]
+
+
+def _word_splits(
+    word: tuple[int, ...], d: list[int], lows: list[int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The splits of one word for ``split_words``, block j taking the marks
+    lows[j]..d[j].
+
+    The walk goes block by block.  Inside a block the least marks after
+    the first are forced (plus 1 at each ascent), so d[j] bounds the
+    block's end, found by bisection over the ascent counts, and the next
+    block starts at that end or at any letter before it.  A longer block
+    leaves a smaller mark where a shorter one ends, so the ends are tried
+    longest first and the empty block last.  ``caps[p]`` is the largest
+    mark at p that leaves every later mark at or below its letter: a
+    block whose first mark passes it gives no split, and the later marks
+    of a block whose first mark does not stay under their caps too.
+    """
+    n, k = len(word), len(d)
+    caps = list(word)
+    for p in range(n - 2, -1, -1):
+        caps[p] = min(word[p], caps[p + 1] - (word[p] < word[p + 1]))
+    # ascents[p]: the ascents of the word before its letter p
+    ascents = list(accumulate(map(lt, word, word[1:]), initial=0))
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def walk(j: int, start: int, least: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        # ``blocks`` are the words of the blocks before j, which end at
+        # ``start``; the least mark there, before block j's floor, is ``least``
+        if start == n:
+            out.append(blocks + ((),) * (k - j))
+            return
+        if j == k:
+            return  # letters are left and no block
+        first = max(least, lows[j])
+        if first > caps[start]:
+            return  # every later block's first mark is at least as large
+        if first <= d[j]:
+            shift = first - ascents[start]
+            end = bisect_right(ascents, d[j] - shift, start, n)
+            for e in range(end, start, -1):
+                # at e = n the walk ends and the mark is not read
+                after = shift + ascents[e] if e < n else 0
+                walk(j + 1, e, after, blocks + (word[start:e],))
+        walk(j + 1, start, least, blocks + ((),))
+
+    walk(0, 0, 0, ())
+    return out
 
 
 def _split_checked(
@@ -581,12 +637,15 @@ def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau 
         return EMPTY_TABLEAU
     if min(block) <= lower:
         return None
+    # A row starts at the block's start and at each letter at or above the
+    # one before it.  More rows than the block has variables: the block
+    # Schur polynomial vanishes, so the tuple indexes no basis element.
+    # Most blocks offered fail here, so the rows are counted before any is
+    # cut.
+    if 1 + sum(map(ge, block[1:], block)) > max_rows:
+        return None
     cuts = [i for i in range(1, len(block)) if block[i] >= block[i - 1]]
     rows = [block[a:b][::-1] for a, b in zip([0] + cuts, cuts + [len(block)])]
-    if len(rows) > max_rows:
-        # More rows than the block has variables: the block Schur polynomial
-        # vanishes, so the tuple indexes no basis element.
-        return None
     for upper, below in zip(rows, rows[1:]):
         if len(upper) < len(below) or any(a >= b for a, b in zip(upper, below)):
             return None

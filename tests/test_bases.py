@@ -552,7 +552,6 @@ class TestSplittingRoutes:
     def test_pairs_route_inserts_each_block_word_once(self, monkeypatch):
         from kohnert.harness import compositions_upto
 
-        original_pairs = tableaux.compatible_pairs
         original_insert = tableaux.insertion_tableau
         inserted = []
 
@@ -564,43 +563,92 @@ class TestSplittingRoutes:
             d = minimal_blocks(alpha)
             for blocks in (d, d + (max(d, default=0) + 1,)):
                 t_ref = tableaux.peeling_tableau(alpha)
-                pairs = original_pairs(perms.perm_from_code(alpha), t_ref)
+                pairs = tableaux.compatible_pairs(perms.perm_from_code(alpha), t_ref)
                 block_words = {
                     bw for pair in pairs for bw, _ in tableaux.split_blocks(pair, blocks) if bw
                 }
-                monkeypatch.setattr(tableaux, "compatible_pairs", lambda w, t: pairs)
                 monkeypatch.setattr(tableaux, "insertion_tableau", counting)
                 inserted.clear()
                 key_split_expansion_via_pairs(alpha, blocks)
                 monkeypatch.undo()
                 assert sorted(inserted) == sorted(block_words), (alpha, blocks)
 
-    def test_pairs_route_checks_each_fiber_word_once(self, monkeypatch):
+    def test_pairs_route_checks_the_descents_once(self, monkeypatch):
         from kohnert.harness import compositions_upto
 
-        original_pairs = tableaux.compatible_pairs
-        original_word_to_perm = perms.word_to_perm
-        multiplied = []
+        original_descents = perms.perm_descents
+        checked = []
 
-        def counting(word):
-            multiplied.append(tuple(word))
-            return original_word_to_perm(word)
+        def counting(w):
+            checked.append(w)
+            return original_descents(w)
 
         for alpha in compositions_upto(6, 3):
+            w = perms.perm_from_code(alpha)
             d = minimal_blocks(alpha)
             for blocks in (d, d + (max(d, default=0) + 1,)):
-                t_ref = tableaux.peeling_tableau(alpha)
-                pairs = original_pairs(perms.perm_from_code(alpha), t_ref)
-                monkeypatch.setattr(tableaux, "compatible_pairs", lambda w, t: pairs)
-                monkeypatch.setattr(perms, "word_to_perm", counting)
-                for _ in range(2):  # the memo is per call
-                    multiplied.clear()
-                    key_split_expansion_via_pairs(alpha, blocks)
-                    assert sorted(multiplied) == sorted({word for word, _ in pairs}), (
-                        alpha,
-                        blocks,
-                    )
+                # the reduced words of w are enumerated once, before the count
+                key_split_expansion_via_pairs(alpha, blocks)
+                monkeypatch.setattr(perms, "perm_descents", counting)
+                checked.clear()
+                key_split_expansion_via_pairs(alpha, blocks)
                 monkeypatch.undo()
+                assert checked == [w], (alpha, blocks)
+
+    @pytest.mark.parametrize(
+        "alpha, d, error, message",
+        [
+            ((1, 0, 2), (3, 1), ValueError, "block bounds must be strictly increasing: [3, 1]"),
+            ((2, 1), (2, 2), ValueError, "block bounds must be strictly increasing: [2, 2]"),
+            ((1,), (0, 1), ValueError, "block bounds must be strictly increasing: [0, 1]"),
+            ((), (2, 1), ValueError, "block bounds must be strictly increasing: [2, 1]"),
+            ((0, 2), (), ValueError, "block bounds [] do not contain the descents of (1, 4, 2, 3)"),
+            (
+                (1, 3, 0, 2, 2, 1),
+                (2, 5),
+                ValueError,
+                "block bounds [2, 5] do not contain the descents of (2, 5, 1, 6, 7, 4, 3)",
+            ),
+            (
+                (0, 0, 3),
+                (1, 2),
+                ValueError,
+                "block bounds [1, 2] do not contain the descents of (1, 2, 6, 3, 4, 5)",
+            ),
+            (
+                (13,),
+                None,
+                perms.BoundExceededError,
+                "length 13 exceeds bound 12; up to 6227020800 reduced words",
+            ),
+            # the length is refused before the bounds are read
+            (
+                (6, 6, 1),
+                (2, 1),
+                perms.BoundExceededError,
+                "length 13 exceeds bound 12; up to 6227020800 reduced words",
+            ),
+        ],
+    )
+    def test_pairs_route_refusals(self, alpha, d, error, message):
+        with pytest.raises(error) as exc:
+            key_split_expansion_via_pairs(alpha, d)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    def test_pairs_route_reaches_the_fiber_by_insertion_alone(self, monkeypatch):
+        # Route 3 must not lean on route 2's Coxeter-Knuth class: it finds
+        # the fiber by inserting every reduced word.
+        from kohnert.harness import compositions_upto
+
+        def refuse(*args):
+            raise AssertionError("the pair route walked a Coxeter-Knuth class")
+
+        alphas = compositions_upto(5, 4)
+        expected = [split_extract(key_polynomial(alpha), minimal_blocks(alpha)) for alpha in alphas]
+        monkeypatch.setattr(tableaux, "coxeter_knuth_class", refuse)
+        monkeypatch.setattr(tableaux, "word_class_closure", refuse)
+        got = [key_split_expansion_via_pairs(alpha) for alpha in alphas]
+        assert got == expected
 
     def test_word_route_offers_only_blocks_that_can_lead_to_a_tuple(self, monkeypatch):
         # The word route before it bounded each block's end, kept as a

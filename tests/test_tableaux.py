@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from kohnert.tableaux import (
     coxeter_knuth_class,
     egls_insert,
     insertion_tableau,
+    marked_words,
     nil_left_key,
     peeling_tableau,
     row_word,
@@ -24,6 +25,7 @@ from kohnert.tableaux import (
     split_blocks,
     split_compatible_pair,
     split_pairs,
+    split_words,
     standard_tableaux_count,
     _mark_choices,
     word_class_closure,
@@ -129,7 +131,7 @@ def loop_check_stable_marks(word, marks):
 
 def loop_split_pair(pair, d):
     """``split_blocks`` as one loop over the bounds with a check per block:
-    the reference for the C-level passes and bisection of ``split_pairs``."""
+    the reference for ``split_pairs``."""
     word, marks = pair
     d = list(d)
     if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
@@ -662,16 +664,59 @@ class TestCompatiblePairs:
                             stream = None  # a stream ends at its first refusal
         assert checked > 1000
 
-    def test_split_pairs_checks_each_run_of_one_word_once(self, monkeypatch):
-        pairs = [p for w in perms.all_permutations(4) for p in compatible_pairs(w)]
-        calls = []
-        word_to_perm = perms.word_to_perm
-        monkeypatch.setattr(
-            perms, "word_to_perm", lambda word: calls.append(word) or word_to_perm(word)
-        )
-        assert len(list(split_pairs(pairs, (1, 2, 3)))) == len(pairs)
-        assert calls == list(dict.fromkeys(word for word, _ in pairs))
-        assert len(pairs) > len(calls)
+    @staticmethod
+    def pair_splits(word, d):
+        """The distinct splits of a word as ``split_pairs`` gives them over
+        its marks, in order of first appearance: the reference for
+        ``split_words``."""
+        pairs = [(word, marks) for marks in _mark_choices(word)]
+        return list(dict.fromkeys(
+            tuple(block_word for block_word, _ in blocks) for blocks in split_pairs(pairs, d)
+        ))
+
+    def test_split_words_are_the_distinct_splits_of_the_pairs(self):
+        # S_5 under every bound set in 1..5 that holds the descents; S_6
+        # within the length bound under its descents, and those plus one
+        # bound above them
+        cases = []
+        for w in perms.all_permutations(5):
+            descents = perms.perm_descents(w)
+            cases += [
+                (w, d)
+                for r in range(6)
+                for d in combinations(range(1, 6), r)
+                if descents <= set(d)
+            ]
+        for w in perms.all_permutations(6):
+            if perms.perm_length(w) <= perms.MAX_WORD_LENGTH:
+                d = tuple(sorted(perms.perm_descents(w)))
+                cases += [(w, d), (w, d + (max(d, default=0) + 1,))]
+        splits = 0
+        for w, d in cases:
+            words = marked_words(w)
+            got = split_words(w, words, d)
+            assert got == [self.pair_splits(word, d) for word in words], (w, d)
+            splits += sum(map(len, got))
+        assert len(cases) > 2000 and splits > 5000
+
+    @pytest.mark.parametrize(
+        "w, d, message",
+        [
+            ((1, 3, 2), (2, 2), "block bounds must be strictly increasing: [2, 2]"),
+            ((1, 3, 2), (0, 2), "block bounds must be strictly increasing: [0, 2]"),
+            ((3, 1, 4, 2), (1,), "block bounds [1] do not contain the descents of (3, 1, 4, 2)"),
+            ((2, 1), (), "block bounds [] do not contain the descents of (2, 1)"),
+        ],
+    )
+    def test_split_words_refuses_as_split_pairs(self, w, d, message):
+        words = marked_words(w)
+        pairs = [(word, marks) for word in words for marks in _mark_choices(word)]
+        with pytest.raises(ValueError) as exc:
+            next(split_pairs(pairs, d))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            split_words(w, words, d)
+        assert str(exc.value) == message
 
     def test_split_bijection_by_counting(self):
         # weight-preserving bijectivity onto same-shape tuples of increasing
