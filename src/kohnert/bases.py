@@ -55,7 +55,7 @@ class ExpansionCapError(RuntimeError):
         self.remainder = remainder
 
 
-def _peel(f: Polynomial, element, step_cap: int | None = None) -> dict:
+def _peel(f: Polynomial, element, step_cap: int | None = None, work=None) -> dict:
     """Greedy expansion by leading monomials: ``element(m)`` gives a key and
     a basis element led by x^m with coefficient 1; the Z[b] coefficient c of
     the leading monomial x^m is recorded under the key and c times the
@@ -65,7 +65,8 @@ def _peel(f: Polynomial, element, step_cap: int | None = None) -> dict:
     The remainder is one term dict, copied from f once; each step subtracts
     the terms of c times the element from it in place, so a step costs the
     element's terms and a scan for the leading monomial, not a copy of the
-    remainder."""
+    remainder.  A ``perms.WorkBudget`` is charged before each subtraction:
+    one key per term of the element and b-degree of c."""
     out: dict = {}
     terms = dict(f.terms)
     while terms:
@@ -74,7 +75,11 @@ def _peel(f: Polynomial, element, step_cap: int | None = None) -> dict:
         m = min(terms)[0]
         key, b = element(m)
         assert b.leading_monomial() == m and b.coefficient(m) == {0: 1}
-        c = out[key] = {deg: v for (e, deg), v in terms.items() if e == m}
+        c = {deg: v for (e, deg), v in terms.items() if e == m}
+        if work is not None:
+            units = sum(len(e) + work.KEY_OVERHEAD for e, _ in b.terms) * len(c)
+            work.charge(units, "a peel step")
+        out[key] = c
         for (e, deg), v in b.terms.items():
             for c_deg, c_v in c.items():
                 term = (e, deg + c_deg)
@@ -86,38 +91,55 @@ def _peel(f: Polynomial, element, step_cap: int | None = None) -> dict:
     return out
 
 
-def _first_ascent(alpha: Composition) -> int | None:
-    for i in range(len(alpha) - 1):
-        if alpha[i] < alpha[i + 1]:
-            return i + 1
-    return None
+# One finished polynomial per (operator, composition), for the life of the
+# process.  The operator is part of the key; the public functions look it
+# up in this module when they are called.
+_operator_memo: dict[tuple[object, Composition], Polynomial] = {}
 
 
-# The operator is an argument of the recursion and part of its memo key.
-# The public functions look it up in this module when they are called.
-@lru_cache(maxsize=None)
-def _from_dominant(op, alpha: Composition) -> Polynomial:
+def _from_dominant(op, alpha: Composition, work=None) -> Polynomial:
     """``op`` applied across the first ascent of alpha, recursively, down to
-    the dominant monomial of a weakly decreasing composition."""
-    i = _first_ascent(alpha)
-    if i is None:
-        return Polynomial.monomial(alpha)
-    swapped = list(alpha)
-    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-    return op(i, _from_dominant(op, trim(swapped)))
+    the dominant monomial of a weakly decreasing composition.
+
+    A loop walks down the ascent path to the first memo hit (or the
+    dominant monomial), keeping each step's ascent, then back up, storing
+    each result once it is finished: no path is too long, and the memo
+    holds no partial result.  A ``perms.WorkBudget`` is charged before each
+    step is built: its composition going down, its operator going up."""
+    path = []
+    f = _operator_memo.get((op, alpha))
+    while f is None:
+        i = next((j for j in range(1, len(alpha)) if alpha[j - 1] < alpha[j]), None)
+        if i is None:
+            f = _operator_memo[op, alpha] = Polynomial.monomial(alpha)
+            break
+        if work is not None:
+            work.charge(len(alpha) + work.KEY_OVERHEAD, "a step down the ascent path")
+        path.append(i)
+        swapped = list(alpha)
+        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+        alpha = trim(swapped)
+        f = _operator_memo.get((op, alpha))
+    parts = list(alpha)
+    for i in reversed(path):
+        parts += [0] * (i + 1 - len(parts))
+        parts[i - 1], parts[i] = parts[i], parts[i - 1]
+        f = op(i, f) if work is None else op(i, f, work)
+        _operator_memo[op, trim(parts)] = f
+    return f
 
 
-def key_polynomial(alpha: Composition) -> Polynomial:
+def key_polynomial(alpha: Composition, work=None) -> Polynomial:
     """Demazure character of alpha: the dominant monomial when alpha is
     weakly decreasing, otherwise the symmetrizing operator applied across an
     ascent (the result is independent of which ascent is chosen)."""
-    return _from_dominant(demazure, perms.composition(alpha))
+    return _from_dominant(demazure, perms.composition(alpha), work)
 
 
-def omega_polynomial(alpha: Composition) -> Polynomial:
+def omega_polynomial(alpha: Composition, work=None) -> Polynomial:
     """Deformation of the key polynomial using the twisted operator; its
     lowest-degree homogeneous component is the key polynomial."""
-    return _from_dominant(twisted_demazure, perms.composition(alpha))
+    return _from_dominant(twisted_demazure, perms.composition(alpha), work)
 
 
 def _in_symmetric_group(w: Permutation, n: int | None) -> Composition:
@@ -137,7 +159,7 @@ def _in_symmetric_group(w: Permutation, n: int | None) -> Composition:
     return trim(v - 1 for v in w + tuple(range(len(w) + 1, n + 1)))
 
 
-def schubert(w: Permutation, n: int | None = None) -> Polynomial:
+def schubert(w: Permutation, n: int | None = None, work=None) -> Polynomial:
     """Schubert polynomial, by divided differences down from the staircase
     monomial of the longest element of S_n, through the recursion of
     ``key_polynomial`` (the result does not depend on n).
@@ -145,13 +167,13 @@ def schubert(w: Permutation, n: int | None = None) -> Polynomial:
     >>> print(schubert((1, 3, 2)))
     x2 + x1
     """
-    return _from_dominant(divided_difference, _in_symmetric_group(w, n))
+    return _from_dominant(divided_difference, _in_symmetric_group(w, n), work)
 
 
-def grothendieck(w: Permutation, n: int | None = None) -> Polynomial:
+def grothendieck(w: Permutation, n: int | None = None, work=None) -> Polynomial:
     """Grothendieck polynomial, by isobaric operators down from the staircase
     monomial; its lowest-degree component is the Schubert polynomial."""
-    return _from_dominant(isobaric, _in_symmetric_group(w, n))
+    return _from_dominant(isobaric, _in_symmetric_group(w, n), work)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +224,17 @@ def _block_schur(lam: Partition, first: int, last: int) -> Polynomial:
     return schur_in_variables(lam, range(first, last + 1))
 
 
-def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
+def _schur_units(lam: Partition, variables: Sequence[int]) -> int:
+    """The work of ``schur_in_variables(lam, variables)`` before any tableau
+    is filled: each tableau (hook-content count) passes up one generator
+    frame per cell, about 20 units, and gives a key of max(variables)."""
+    from . import tableaux
+
+    count = tableaux.semistandard_tableaux_count(lam, len(variables))
+    return count * (20 * sum(lam) + max(variables) + perms.WorkBudget.KEY_OVERHEAD)
+
+
+def split_extract(f: Polynomial, d: Sequence[int], work=None) -> dict[LambdaTuple, int]:
     """Expand a block-symmetric polynomial into products of block Schur
     polynomials by repeatedly peeling the leading monomial (``_peel``).
 
@@ -215,7 +247,8 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
     Each block Schur factor comes from ``_block_schur``, a bounded memo
     that outlives the call, so the peels of one process build each
     (shape, block) once; an empty shape is the factor 1 and is not
-    multiplied in.
+    multiplied in.  A ``perms.WorkBudget`` is charged for the peel and for
+    each factor's tableaux, the first time the call asks for the factor.
 
     >>> split_extract(key_polynomial((1, 0, 2)), (1, 3))
     {((1,), (2,)): 1, ((2,), (1,)): 1}
@@ -229,6 +262,7 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
             f"polynomial involves x{f.max_variable()}, past the last block bound"
         )
     blocks = block_variables(d)
+    charged: set[tuple[Partition, int]] = set()
 
     def element(m: Composition) -> tuple[LambdaTuple, Polynomial]:
         # the block Schur product led by x^m: its shapes are m's blocks reversed
@@ -244,11 +278,14 @@ def split_extract(f: Polynomial, d: Sequence[int]) -> dict[LambdaTuple, int]:
             lam = trim(reversed(seg))
             lams.append(lam)
             if lam:
+                if work is not None and (lam, j) not in charged:
+                    work.charge(_schur_units(lam, block), "a Schur enumeration")
+                    charged.add((lam, j))
                 factor = _block_schur(lam, block[0], block[-1])
                 prod = factor if prod is ONE else prod * factor
         return tuple(lams), prod
 
-    return {lams: c[0] for lams, c in _peel(f, element).items()}
+    return {lams: c[0] for lams, c in _peel(f, element, work=work).items()}
 
 
 def minimal_blocks(alpha: Composition) -> tuple[int, ...]:
@@ -319,7 +356,8 @@ def key_split_expansion_via_pairs(
     bounds and the descents of w once per call.  The splits are kept once
     each, in order of first appearance over the pairs, and the P tableau
     of a block depends only on its word, so each distinct non-empty block
-    word is column-inserted once per call."""
+    word is column-inserted once per call, unchecked: it is a factor of a
+    reduced word, so it is reduced."""
     from . import tableaux
 
     alpha = perms.composition(alpha)
@@ -332,7 +370,7 @@ def key_split_expansion_via_pairs(
     inserted: dict[tuple[int, ...], Tableau] = {(): tableaux.EMPTY_TABLEAU}
     for block_word in chain.from_iterable(splits):
         if block_word not in inserted:
-            inserted[block_word] = tableaux.insertion_tableau(block_word)
+            inserted[block_word] = tableaux.reduced_insertion_tableau(block_word)
     tuples = {tuple(map(inserted.__getitem__, split)) for split in splits}
     return Counter(tuple(t.shape() for t in tup) for tup in tuples)
 
@@ -369,14 +407,15 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
 DEFAULT_EXPANSION_CAP = 10_000
 
 
-def _basis_generator(basis: str):
-    """The function alpha -> basis element for 'key', 'J' or 'omega'."""
+def _basis_generator(basis: str, work=None):
+    """The function alpha -> basis element for 'key', 'J' or 'omega'; the
+    key and omega elements charge their operator steps to ``work``."""
     if basis == "key":
-        return key_polynomial
+        return lambda alpha: key_polynomial(alpha, work)
     if basis == "J":
         return diagrams.j_polynomial
     if basis == "omega":
-        return omega_polynomial
+        return lambda alpha: omega_polynomial(alpha, work)
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -384,6 +423,7 @@ def expand_in_basis(
     f: Polynomial,
     basis: str,
     step_cap: int = DEFAULT_EXPANSION_CAP,
+    work=None,
 ) -> dict[Composition, BetaCoeff]:
     """Expand a b-free polynomial over the chosen basis ('key', 'J' or
     'omega') by peeling leading monomials (``_peel``): the basis element
@@ -392,15 +432,16 @@ def expand_in_basis(
     The key and J expansions provably terminate; the omega expansion is
     guarded by ``step_cap`` and raises ExpansionCapError carrying the partial
     result if exceeded.  Coefficients are elements of Z[b] (b enters only
-    through the J basis).
+    through the J basis).  A ``perms.WorkBudget`` is charged for the peel
+    and for the operator steps of the key and omega elements.
 
     >>> expand_in_basis(schubert((2, 1, 4, 3)), "key")
     {(1, 0, 1): {0: 1}, (2,): {0: 1}}
     """
-    generator = _basis_generator(basis)
+    generator = _basis_generator(basis, work)
     if not f.is_beta_free():
         raise ValueError("basis expansion requires a b-free input polynomial")
-    return _peel(f, lambda theta: (theta, generator(theta)), step_cap)
+    return _peel(f, lambda theta: (theta, generator(theta)), step_cap, work)
 
 
 def reconstruct_from_expansion(

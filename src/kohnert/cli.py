@@ -2,13 +2,20 @@
 
 Subcommands: poly, diagrams, split, egls, talpha, expand, verify.  Exit
 codes: 0 on success, 1 when a verification case fails, 2 on usage errors.
+
+Huge input is refused with exit 2 before it uses up time or memory.  The
+``MAX_*`` constants bound input sizes and exact counts taken before any
+work (a start diagram's box, a Coxeter-Knuth class's words).  The operator
+steps, peels and Schur enumerations of ``poly``, ``split`` and ``expand``
+charge one ``perms.WorkBudget`` of ``WORK_BUDGET`` units per command
+before they build, and the first charge past it is the refusal.  Sweeps
+pass no budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -48,36 +55,31 @@ _VERIFY_BOUNDS = tuple(
 )
 
 
-# Largest inputs ``poly`` accepts.  The operator recursion's polynomials
-# grow fast with the number of parts and the weight of --alpha: the slowest
-# compositions of weight 10 in 6 parts found (omega of 0,0,0,1,2,7 and
-# 0,0,0,0,1,9, about 55 000 terms) take about 1.5 s, while 0,0,0,0,0,1,7
-# (weight 8 in 7 parts) took 3.2 s.  Random Grothendieck polynomials of S_9
-# take well under a second, and of S_10 up to 1.5 s before printing.
-MAX_POLY_WEIGHT = 10
-MAX_POLY_PARTS = 6
-MAX_POLY_N = 9
+# The work one ``poly``, ``split`` or ``expand`` command may do, in units of
+# ``perms.WorkBudget``: a key of n exponent entries costs n + 28.  A unit
+# took 13-62 ns in-process (2-CPU box, Python 3.11), so a refusal comes
+# within about 2.5 s of CPU: 399 zeros before a 1 (24 million units)
+# splits in 1.3-1.8 s as a command, while 10 zeros before nine 1s stops at
+# the budget after 2.0-2.3 s.
+WORK_BUDGET = 40_000_000
 
 
 def _cmd_poly(args) -> int:
     from . import bases
 
+    work = perms.WorkBudget(WORK_BUDGET)
     if args.basis in ("key", "omega"):
         if args.alpha is None:
             raise UsageError(f"--alpha is required for {args.basis}")
-        alpha = _bounded_alpha(args.alpha, MAX_POLY_WEIGHT, MAX_POLY_PARTS)
-        poly = (
-            bases.key_polynomial(alpha)
-            if args.basis == "key"
-            else bases.omega_polynomial(alpha)
-        )
+        alpha = _parsed(perms.parse_composition, args.alpha)
+        build = bases.key_polynomial if args.basis == "key" else bases.omega_polynomial
+        poly = build(alpha, work)
     else:
         if args.perm is None:
             raise UsageError(f"--perm is required for {args.basis}")
         w = _parsed(perms.parse_permutation, args.perm)
-        if len(w) > MAX_POLY_N:
-            raise UsageError(f"a permutation of {len(w)} is past the bound {MAX_POLY_N}")
-        poly = bases.schubert(w) if args.basis == "schubert" else bases.grothendieck(w)
+        build = bases.schubert if args.basis == "schubert" else bases.grothendieck
+        poly = build(w, work=work)
     if args.beta is not None:
         poly = poly.substitute_beta(args.beta)
     if args.format == "json":
@@ -146,34 +148,10 @@ def _cmd_diagrams(args) -> int:
 # Largest composition ``split`` accepts.  The tableaux of a block Schur
 # polynomial recurse one frame per cell: a single part of weight 500 splits
 # in under a second.  Each block lists its variables, so the parts bound
-# bounds every block bound of --descents too.  The operator recursion is
-# bounded by ``MAX_OPERATOR_STEPS`` and ``MAX_OPERATOR_ENTRIES``.
+# bounds every block bound of --descents too.  The rest of the work is
+# bounded by ``WORK_BUDGET``.
 MAX_SPLIT_WEIGHT = 500
 MAX_SPLIT_PARTS = 400
-
-# Most steps of the operator recursion that ``split`` starts.  The key
-# polynomial of alpha takes one step per inversion of alpha (a pair of
-# parts, the later one larger), two frames deep each: 399 zeros before a 1
-# (399 steps) split in 1.9 s, while 499 zeros before a 1, 300 zeros before
-# 1,1 (600) and the key expansion of x_399*x_400 (796) ran out of stack.
-MAX_OPERATOR_STEPS = 399
-
-# Most exponent entries the operator recursion of ``split`` may keep.  Its
-# memo keeps the polynomial of each step and the dominant monomial, each
-# with at most the terms of the key polynomial, as bounded by
-# ``_key_terms_bound``, and the parts of alpha: (steps + 1) * terms * parts.
-# As commands, in CPU seconds and peak RSS (2-CPU box, Python 3.11): 399
-# zeros before a 1 (64 million) split in 1.9 s, 25 zeros before four 1s
-# (70 million) in 2.2 s at 222 MB, 18 zeros before five 1s (70 million) in
-# 2.4 s at 234 MB, 12 zeros before seven 1s (81 million) in 2.9 s at
-# 288 MB and 97 zeros before 1,1 (94 million) in 2.3 s at 222 MB.  Past the
-# bound: 100 zeros before 1,1 (106 million) took 2.5 s at 247 MB, 20 zeros
-# before five 1s (134 million) 4.8 s at 409 MB, 10 zeros before nine 1s
-# (160 million) 6.3 s at 527 MB, 36 zeros before four 1s (530 million)
-# 14 s at 1.3 GB and 66 zeros before 1,1,1 (719 million) 15 s at 1.6 GB,
-# and 200 zeros before 1,1 (1.6 billion) ran out of memory under a 3 GB
-# limit.
-MAX_OPERATOR_ENTRIES = 100_000_000
 
 # Largest Coxeter-Knuth class ``split`` walks for its witnesses.  The class
 # of the peeling tableau has one reduced word per standard tableau of its
@@ -184,41 +162,6 @@ MAX_OPERATOR_ENTRIES = 100_000_000
 # shared 2-CPU Xeon under Python 3.11; ``14,14`` (2 674 440 words) took
 # 83 s.
 MAX_SPLIT_WORDS = 100_000
-
-# Largest key polynomial ``split`` builds, in terms, as bounded by
-# ``_key_terms_bound``.  The bound is exact for a single part after zeros:
-# ``--alpha 0,0,0,0,0,0,0,0,0,10`` (92 378 terms) splits in about 2 s,
-# ``...,11`` (167 960 terms) took 3.1 s and ``...,20`` (10 015 005 terms)
-# ran for over 40 s.
-MAX_SPLIT_TERMS = 100_000
-
-# Largest Schur enumeration ``split`` does, in cells: the block Schur
-# polynomials fill every semistandard tableau one cell at a time, so the
-# work grows with the terms of the key polynomial times its weight, bounded
-# by ``_key_terms_bound(alpha) * |alpha|``.  ``--alpha 0,0,150`` (1.7
-# million) splits in 1.1 s and ``0,0,0,60`` (2.4 million) in 1.5 s, while
-# ``0,0,200`` (4.1 million) took 2.2 s and ``0,0,400`` (32 million) 15.9 s.
-MAX_SPLIT_CELLS = 3_000_000
-
-
-def _key_terms_bound(alpha) -> int:
-    """The number of compositions of |alpha| into len(alpha) parts, none
-    above max(alpha), by inclusion-exclusion over the parts that exceed it.
-    Every monomial of the key polynomial of alpha has such an exponent, so
-    this bounds its number of terms."""
-    n, k, top = len(alpha), sum(alpha), max(alpha, default=0)
-    if n == 0:
-        return 1
-    return sum(
-        (-1) ** j * math.comb(n, j) * math.comb(k - j * (top + 1) + n - 1, n - 1)
-        for j in range(min(n, k // (top + 1)) + 1)
-    )
-
-
-def _inversions(alpha) -> int:
-    """The pairs of parts of alpha whose later part is larger: the steps of
-    its operator recursion."""
-    return sum(a < b for i, a in enumerate(alpha) for b in alpha[i + 1 :])
 
 
 def _cmd_split(args) -> int:
@@ -231,31 +174,6 @@ def _cmd_split(args) -> int:
             f"the Coxeter-Knuth class of {perms.format_composition(alpha)} has "
             f"{words} reduced words, past the bound {MAX_SPLIT_WORDS}"
         )
-    terms = _key_terms_bound(alpha)
-    if terms > MAX_SPLIT_TERMS:
-        raise UsageError(
-            f"the key polynomial of {perms.format_composition(alpha)} may have "
-            f"{terms} terms, past the bound {MAX_SPLIT_TERMS}"
-        )
-    cells = terms * sum(alpha)
-    if cells > MAX_SPLIT_CELLS:
-        raise UsageError(
-            f"the key polynomial of {perms.format_composition(alpha)} may have "
-            f"{terms} terms of weight {sum(alpha)}, {cells} cells, past the bound "
-            f"{MAX_SPLIT_CELLS}"
-        )
-    steps = _inversions(alpha)
-    if steps > MAX_OPERATOR_STEPS:
-        raise UsageError(
-            f"the key polynomial of {perms.format_composition(alpha)} takes {steps} "
-            f"operator steps, past the bound {MAX_OPERATOR_STEPS}"
-        )
-    entries = (steps + 1) * terms * len(alpha)
-    if entries > MAX_OPERATOR_ENTRIES:
-        raise UsageError(
-            f"the operator recursion of {perms.format_composition(alpha)} may keep "
-            f"{entries} exponent entries, past the bound {MAX_OPERATOR_ENTRIES}"
-        )
     if args.descents is not None:
         try:
             d = tuple(int(p) for p in args.descents.split(","))
@@ -267,11 +185,15 @@ def _cmd_split(args) -> int:
             raise UsageError(f"block bound {max(d)} is past the bound {MAX_SPLIT_PARTS}")
     else:
         d = bases.minimal_blocks(alpha)
+    # the key polynomial is charged first, so that a refusal comes before
+    # the Coxeter-Knuth class is walked
+    work = perms.WorkBudget(WORK_BUDGET)
+    key = bases.key_polynomial(alpha, work)
     try:
         expansion = bases.key_split_expansion(alpha, d)
     except ValueError as exc:
         raise UsageError(str(exc))
-    extracted = bases.split_extract(bases.key_polynomial(alpha), d)
+    extracted = bases.split_extract(key, d, work)
     counts = {k: v[0] for k, v in expansion.items()}
     agree = extracted == counts
     print(f"alpha: {perms.format_composition(alpha)}")
@@ -353,51 +275,11 @@ def _cmd_talpha(args) -> int:
     return 0
 
 
-# Largest variable ``expand --basis key`` or ``J`` accepts.  The key
-# polynomial led by x^theta comes from an operator recursion two frames
-# deep per step, one step per inversion of theta: the key expansion of
-# x_400 (399 steps) takes about 2 s, and x_900 ran out of stack.  A J
-# element is a ghost closure, which the closure cap bounds: the J
-# expansions of x_101 and of x_399*x_400 stop at the cap after 0.8 s and
-# 1.7 s (331 MB).
+# Largest variable ``expand`` accepts.  A J element is a ghost closure,
+# which the closure cap bounds: the J expansions of x_101 and of
+# x_399*x_400 stop at the cap after 0.8 s and 1.7 s (331 MB).  The key and
+# omega expansions are bounded by ``WORK_BUDGET``.
 MAX_EXPAND_VARIABLE = 400
-
-# Most exponent entries ``expand --basis key`` may keep, as bounded by
-# ``_degree_variables``: with the input's terms of degree d in x_1, ...,
-# x_n, the peel and the operator recursion keep at most C(d + n - 1, n - 1)
-# polynomials of at most that many terms of n parts.  The bound is loose,
-# but it grows with the cost.  As commands (2-CPU box, Python 3.11): x_400
-# (64 million) expands in 1.8 s at 111 MB, x_100*x_101 (2.7 billion) in
-# 2.4 s at 231 MB, x_15^5 (2.0 billion) in 1.8 s at 197 MB and x_20^4
-# (1.6 billion) in 1.8 s at 192 MB.  Past the bound: x_16^5 (3.8 billion)
-# took 2.8 s at 289 MB, x_10^8 (5.9 billion) 3.1 s, x_151*x_152
-# (21 billion) 9.6 s at 1 GB, x_20^5 (36 billion) 13 s at 1.1 GB and
-# x_10^10 (85 billion) 17 s at 1.2 GB.  Within this bound and the variable
-# bound no exponent has more than ``MAX_OPERATOR_STEPS`` inversions.
-MAX_KEY_EXPAND_ENTRIES = 3_000_000_000
-
-# Largest variable and degree ``expand --basis omega`` accepts.  The omega
-# polynomial led by x_n has 2^n - 1 terms: the omega expansion of x_12
-# takes 1.4 s, x_13 3.7 s, x_14 7 s and x_16 41 s.  In degree, x_2^500
-# takes 1.1 s at 119 MB, x_2^700 2.0 s at 224 MB and x_2^1000 3.8 s at
-# 455 MB, and x_2^3000 passed 2.9 GB.  The two bounds do not bound the
-# cost together: x_3^30 took 9.6 s, x_4^10 9.8 s and x_12^2 over 25 s.
-MAX_OMEGA_EXPAND_VARIABLE = 12
-MAX_OMEGA_EXPAND_DEGREE = 500
-
-
-def _degree_variables(poly: Polynomial) -> dict[int, int]:
-    """Each degree d of ``poly``'s terms with the last variable n, at least
-    1, of its terms of degree d.  Key polynomials are homogeneous, and the
-    one led by x^theta lies in x_1, ..., x_len(theta), so the key expansion
-    keeps the terms of degree d in x_1, ..., x_n: every exponent it peels
-    and every composition the operator recursion keeps is one of the
-    compositions of d into n parts."""
-    variables: dict[int, int] = {}
-    for e, _ in poly.terms:
-        d = sum(e)
-        variables[d] = max(variables.get(d, 1), len(e))
-    return variables
 
 
 def _cmd_expand(args) -> int:
@@ -410,24 +292,11 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"cannot read {args.input}: {exc}")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad polynomial file {args.input}: {exc}")
-    bound = MAX_OMEGA_EXPAND_VARIABLE if args.basis == "omega" else MAX_EXPAND_VARIABLE
-    if poly.max_variable() > bound:
+    if poly.max_variable() > MAX_EXPAND_VARIABLE:
         raise UsageError(
-            f"the polynomial involves x{poly.max_variable()}, past the bound x{bound}"
+            f"the polynomial involves x{poly.max_variable()}, past the bound "
+            f"x{MAX_EXPAND_VARIABLE}"
         )
-    if args.basis == "omega":
-        degree = max((sum(e) for e, _ in poly.terms), default=0)
-        if degree > MAX_OMEGA_EXPAND_DEGREE:
-            raise UsageError(
-                f"the polynomial has degree {degree}, past the bound {MAX_OMEGA_EXPAND_DEGREE}"
-            )
-    if args.basis == "key":
-        for d, n in sorted(_degree_variables(poly).items()):
-            if math.comb(d + n - 1, n - 1) ** 2 * n > MAX_KEY_EXPAND_ENTRIES:
-                raise UsageError(
-                    f"the key expansion of the terms of degree {d} in x1..x{n} may keep "
-                    f"more than {MAX_KEY_EXPAND_ENTRIES} exponent entries"
-                )
     if args.basis == "J":
         # each J element is a closure inside its exponent's skyline box
         rows = max((max(e, default=0) for e, _ in poly.terms), default=0)
@@ -438,7 +307,7 @@ def _cmd_expand(args) -> int:
                 f"{MAX_DIAGRAM_BOX} cells"
             )
     try:
-        coeffs = bases.expand_in_basis(poly, args.basis)
+        coeffs = bases.expand_in_basis(poly, args.basis, work=perms.WorkBudget(WORK_BUDGET))
     except (bases.ExpansionCapError, diagrams.ClosureCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -566,7 +435,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.run(args)
-    except UsageError as exc:
+    except (UsageError, perms.BoundExceededError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

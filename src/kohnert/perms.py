@@ -33,6 +33,37 @@ class BoundExceededError(RuntimeError):
     """Raised when an enumeration would exceed its configured bound."""
 
 
+class WorkBudget:
+    """A count of work against a limit, shared by the calls of one command.
+    Each piece of work is charged before it is built, so a refusal leaves
+    nothing half made; ``spent`` never passes ``limit``.  The unit is one
+    exponent entry: building a key of n entries costs n + KEY_OVERHEAD.
+
+    >>> work = WorkBudget(100)
+    >>> work.charge(60, "a step")
+    >>> work.charge(60, "a step")
+    Traceback (most recent call last):
+    ...
+    kohnert.perms.BoundExceededError: a step needs 60 work units after 60, past the budget of 100
+    """
+
+    # In the operator loops the fixed cost of a key (its tuple, its dict
+    # entry and the loop step) is about that of 28 entries.
+    KEY_OVERHEAD = 28
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self, units: int, what: str) -> None:
+        if self.spent + units > self.limit:
+            raise BoundExceededError(
+                f"{what} needs {units} work units after {self.spent}, "
+                f"past the budget of {self.limit}"
+            )
+        self.spent += units
+
+
 # ---------------------------------------------------------------------------
 # compositions
 

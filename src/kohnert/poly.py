@@ -278,7 +278,7 @@ def render_text(f: Polynomial) -> str:
 
 
 def _divided_difference_of_product(
-    i: int, f: Polynomial, factor: tuple[tuple[int, int, int], ...]
+    i: int, f: Polynomial, factor: tuple[tuple[int, int, int], ...], work=None
 ) -> Polynomial:
     """divided_difference(i, m * f) in one pass over the terms of f, for
     m = sum of coeff * x_i^a * x_{i+1}^b over the (a, b, coeff) of
@@ -288,9 +288,19 @@ def _divided_difference_of_product(
     where p and q are those of a term of f, and the closed form of
     ``divided_difference`` maps it; the other exponents and the
     coefficient in b ride along.  A key can end in 0 only when nothing
-    follows x_{i+1}, and only such a key is trimmed."""
+    follows x_{i+1}, and only such a key is trimmed.  A
+    ``perms.WorkBudget`` is charged before any key is built."""
     if i < 1:
         raise ValueError("operator index must be >= 1")
+    if work is not None:
+        # a term builds |p + a - q - b| keys of its padded length per row
+        padded = (e + (0,) * (i + 1 - len(e)) for e, _ in f.terms)
+        units = sum(
+            abs(e[i - 1] + a - e[i] - b) * (len(e) + work.KEY_OVERHEAD)
+            for e in padded
+            for a, b, _ in factor
+        )
+        work.charge(units, "an operator step")
     counts: dict[Term, int] = {}
     get = counts.get
     for (e, deg), c in f.terms.items():
@@ -313,7 +323,7 @@ def _divided_difference_of_product(
     return _of({key: c for key, c in counts.items() if c})
 
 
-def divided_difference(i: int, f: Polynomial) -> Polynomial:
+def divided_difference(i: int, f: Polynomial, work=None) -> Polynomial:
     """Divided difference: (f - s_i f) / (x_i - x_{i+1}), term by term.
 
     On a monomial whose exponents of x_i and x_{i+1} are p and q, the image
@@ -326,19 +336,19 @@ def divided_difference(i: int, f: Polynomial) -> Polynomial:
     >>> print(divided_difference(1, Polynomial.monomial((1, 3))))
     -x1*x2^2 - x1^2*x2
     """
-    return _divided_difference_of_product(i, f, ((0, 0, 1),))
+    return _divided_difference_of_product(i, f, ((0, 0, 1),), work)
 
 
-def demazure(i: int, f: Polynomial) -> Polynomial:
+def demazure(i: int, f: Polynomial, work=None) -> Polynomial:
     """The symmetrizing operator f -> divided_difference(i, x_i * f)."""
-    return _divided_difference_of_product(i, f, ((1, 0, 1),))
+    return _divided_difference_of_product(i, f, ((1, 0, 1),), work)
 
 
-def twisted_demazure(i: int, f: Polynomial) -> Polynomial:
+def twisted_demazure(i: int, f: Polynomial, work=None) -> Polynomial:
     """f -> divided_difference(i, x_i * (1 - x_{i+1}) * f)."""
-    return _divided_difference_of_product(i, f, ((1, 0, 1), (1, 1, -1)))
+    return _divided_difference_of_product(i, f, ((1, 0, 1), (1, 1, -1)), work)
 
 
-def isobaric(i: int, f: Polynomial) -> Polynomial:
+def isobaric(i: int, f: Polynomial, work=None) -> Polynomial:
     """f -> divided_difference(i, (1 - x_{i+1}) * f)."""
-    return _divided_difference_of_product(i, f, ((0, 0, 1), (0, 1, -1)))
+    return _divided_difference_of_product(i, f, ((0, 0, 1), (0, 1, -1)), work)

@@ -240,11 +240,11 @@ def egls_insert(
     return _of_columns(cols), _of_columns(marks_cols)
 
 
-def _insert_columns(word: Sequence[int]) -> list[list[int]]:
-    """The columns of the P-tableau of ``egls_insert``, with the same checks
-    and errors, built without Q: ``Tableau.columns()`` of the tableau."""
+def _insert_columns(word: tuple[int, ...]) -> list[list[int]]:
+    """``insertion_tableau(word).columns()`` for a word known to be reduced:
+    its letters go straight to ``_insert_letter``, unchecked."""
     cols: list[list[int]] = []
-    for a in _reduced_letters(word):
+    for a in word:
         _insert_letter(cols, a)
     return cols
 
@@ -252,6 +252,12 @@ def _insert_columns(word: Sequence[int]) -> list[list[int]]:
 def insertion_tableau(word: Sequence[int]) -> Tableau:
     """The P-tableau of ``egls_insert``, with the same checks and errors,
     built without Q."""
+    return _of_columns(_insert_columns(_reduced_letters(word)))
+
+
+def reduced_insertion_tableau(word: tuple[int, ...]) -> Tableau:
+    """``insertion_tableau`` of a word known to be reduced (a factor of a
+    reduced word), without checking it again."""
     return _of_columns(_insert_columns(word))
 
 
@@ -448,7 +454,8 @@ def marked_words(w: Permutation, t: Tableau | None = None) -> list[tuple[int, ..
     """The reduced words of w that have marks, sorted; with ``t`` given,
     only those that insert to t.  Each word is first scanned for its least
     marks (``_has_marks``); only a word that has some is inserted, once,
-    and its columns compared with those of t."""
+    with no check (it is reduced), and its columns compared with those of
+    t."""
     cols = None if t is None else t.columns()
     return [
         word
@@ -714,12 +721,33 @@ def standard_tableaux_count(shape: Partition) -> int:
     (2, 58786)
     """
     shape = tuple(shape)
+    return math.factorial(sum(shape)) // _hook_product(shape)
+
+
+def semistandard_tableaux_count(shape: Partition, max_entry: int) -> int:
+    """The number of fillings ``semistandard_tableaux`` builds, by the
+    hook-content formula: the product of max_entry + c - r over the cells
+    (r, c), over the product of the hooks.
+
+    >>> semistandard_tableaux_count((2, 1), 3), semistandard_tableaux_count((400,), 3)
+    (8, 80601)
+    """
+    shape = tuple(shape)
+    contents = 1
+    for r, length in enumerate(shape):
+        for c in range(length):
+            contents *= max_entry + c - r
+    return contents // _hook_product(shape)
+
+
+def _hook_product(shape: Partition) -> int:
+    """The product of the hook lengths of the cells of ``shape``."""
     heights = [sum(1 for r in shape if r > c) for c in range(shape[0] if shape else 0)]
     hooks = 1
     for i, r in enumerate(shape):
         for c in range(r):
             hooks *= r - c + heights[c] - i - 1
-    return math.factorial(sum(shape)) // hooks
+    return hooks
 
 
 def semistandard_tableaux(shape: Partition, max_entry: int) -> Iterator[Tableau]:

@@ -286,10 +286,10 @@ SPLIT_EXTRA_BLOCK_DIGEST = "78454ed3f5a4ed6d98af6fe4a2001080937c02c2b653cd3b11ec
 EXPAND_DIGEST = "9b1d0c259d1bbd30eb6d57b415f11dc02ffa2d47e1dcfc84629e7c1ef6b2d4cc"
 
 
-def copy_peel(f, element, step_cap=None):
+def copy_peel(f, element, step_cap=None, work=None):
     """The greedy peel as it was before it subtracted in place: each step
     builds c times the element and a new remainder.  The reference for
-    ``bases._peel``."""
+    ``bases._peel``; it takes the same arguments, but charges no work."""
     out = {}
     g = f
     while not g.is_zero():
@@ -552,7 +552,7 @@ class TestSplittingRoutes:
     def test_pairs_route_inserts_each_block_word_once(self, monkeypatch):
         from kohnert.harness import compositions_upto
 
-        original_insert = tableaux.insertion_tableau
+        original_insert = tableaux.reduced_insertion_tableau
         inserted = []
 
         def counting(word):
@@ -567,7 +567,7 @@ class TestSplittingRoutes:
                 block_words = {
                     bw for pair in pairs for bw, _ in tableaux.split_blocks(pair, blocks) if bw
                 }
-                monkeypatch.setattr(tableaux, "insertion_tableau", counting)
+                monkeypatch.setattr(tableaux, "reduced_insertion_tableau", counting)
                 inserted.clear()
                 key_split_expansion_via_pairs(alpha, blocks)
                 monkeypatch.undo()
@@ -854,14 +854,34 @@ class TestExpandInBasis:
 
 
 # The two memos that may grow for the whole process (ROADMAP item 10).
-UNBOUNDED_MEMOS = {"kohnert.bases._from_dominant", "kohnert.perms._reduced_words"}
+UNBOUNDED_MEMOS = {"kohnert.bases._operator_memo", "kohnert.perms._reduced_words"}
+
+# Module-level tables filled at import; the test checks that they do not grow.
+REGISTRIES = {"kohnert.diagrams.RULES", "kohnert.harness.SWEEPS", "kohnert.harness._CASES"}
 
 
 def test_memo_inventory():
     from kohnert import harness, poly
 
-    memos = {}
-    for module in (perms, poly, diagrams, tableaux, bases, harness):
+    modules = (perms, poly, diagrams, tableaux, bases, harness)
+
+    def containers():
+        # a plain dict, set or list at module level is a memo with no bound
+        return {
+            f"{module.__name__}.{name}": len(obj)
+            for module in modules
+            for name, obj in vars(module).items()
+            if isinstance(obj, (dict, set, list)) and not name.startswith("__")
+        }
+
+    before = containers()
+    # an operator no other call uses, so every step is a miss
+    bases._from_dominant(lambda i, f: f, (0, 0, 1))
+    assert {name for name, size in containers().items() if size > before[name]} == {
+        "kohnert.bases._operator_memo"
+    }
+    memos = {name: None for name in containers() if name not in REGISTRIES}
+    for module in modules:
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_info", None)):
                 memos[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().maxsize
@@ -873,8 +893,88 @@ def test_memo_inventory():
     unbounded = {name for name, maxsize in memos.items() if maxsize is None}
     assert unbounded == UNBOUNDED_MEMOS, (
         "ROADMAP item 10 asks for one memo policy: every process-lifetime "
-        "memo bounded and tested.  Only _from_dominant and _reduced_words "
+        "memo bounded and tested.  Only _operator_memo and _reduced_words "
         "are allowed to grow (CHANGES.md, the FOUND line on "
         "perms._reduced_words); bound a new memo, or bound one of the two "
         f"and take it off UNBOUNDED_MEMOS.  Unbounded now: {sorted(unbounded)}"
     )
+
+
+def memo_free(op, alpha):
+    """``bases._from_dominant`` as a plain recursion with no memo and no
+    budget: the reference for what a budgeted call leaves in the memo."""
+    for i in range(1, len(alpha)):
+        if alpha[i - 1] < alpha[i]:
+            swapped = list(alpha)
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            return op(i, memo_free(op, perms.composition(swapped)))
+    return Polynomial.monomial(alpha)
+
+
+class TestWorkBudget:
+    ROWS = {
+        "divided_difference": [(0, 0)],
+        "demazure": [(1, 0)],
+        "twisted_demazure": [(1, 0), (1, 1)],
+        "isobaric": [(0, 0), (0, 1)],
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_operator_step_is_charged_the_keys_it_builds(self, name):
+        # each term of f times each row of m is one monomial, whose divided
+        # difference has one key per exponent it passes through; a key of
+        # n entries (padded to x_{i+1}) costs n + 28 units
+        from kohnert import poly
+
+        op = getattr(poly, name)
+        for f in [bases.grothendieck((3, 1, 4, 2)), bases.omega_polynomial((0, 2, 0, 3)),
+                  bases.key_polynomial((1, 0, 3, 1))]:
+            for i in range(1, 6):
+                expected = 0
+                for e, _ in f.terms:
+                    e = e + (0,) * (i + 1 - len(e))
+                    for a, b in self.ROWS[name]:
+                        shifted = e[: i - 1] + (e[i - 1] + a, e[i] + b) + e[i + 1 :]
+                        keys = len(poly.divided_difference(i, Polynomial.monomial(shifted)).terms)
+                        expected += keys * (len(e) + perms.WorkBudget.KEY_OVERHEAD)
+                work = perms.WorkBudget(expected)
+                assert op(i, f, work) == op(i, f)
+                assert work.spent == expected
+                with pytest.raises(perms.BoundExceededError):
+                    op(i, f, perms.WorkBudget(expected - 1))
+
+    @pytest.mark.parametrize(
+        "call,site",
+        [
+            (lambda work: bases.key_polynomial((0,) * 5 + (6,), work), "an operator step"),
+            (lambda work: bases.key_polynomial((0,) * 40 + (1,), work),
+             "a step down the ascent path"),
+            (lambda work: bases.expand_in_basis(bases.key_polynomial((0, 3, 2, 1)), "J", work=work),
+             "a peel step"),
+            (lambda work: bases.split_extract(bases.key_polynomial((0, 0, 8)), (3,), work),
+             "a Schur enumeration"),
+        ],
+        ids=["operator", "descent", "peel", "schur"],
+    )
+    def test_each_site_refuses_before_it_builds(self, monkeypatch, call, site):
+        monkeypatch.setattr(bases, "_operator_memo", {})
+        work = perms.WorkBudget(1000)
+        with pytest.raises(perms.BoundExceededError, match=f"^{site} needs "):
+            call(work)
+        assert work.spent <= work.limit
+        # the same call without a budget runs to the end
+        call(None)
+
+    @pytest.mark.parametrize("limit", [100, 1000, 3000, 10_000])
+    def test_refusal_leaves_the_memo_whole(self, monkeypatch, limit):
+        monkeypatch.setattr(bases, "_operator_memo", {})
+        alpha = (0, 0, 1, 3, 0, 2)
+        with pytest.raises(perms.BoundExceededError):
+            bases.omega_polynomial(alpha, perms.WorkBudget(limit))
+        memo = dict(bases._operator_memo)
+        assert (bases.twisted_demazure, alpha) not in memo
+        # every entry is a finished polynomial
+        for (op, beta), f in memo.items():
+            assert f == memo_free(op, beta), beta
+        # and a later call without a budget builds the rest
+        assert bases.omega_polynomial(alpha) == memo_free(bases.twisted_demazure, alpha)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -15,21 +16,12 @@ from kohnert.cli import (
     MAX_EGLS_LENGTH,
     MAX_EGLS_LETTER,
     MAX_EXPAND_VARIABLE,
-    MAX_KEY_EXPAND_ENTRIES,
-    MAX_OMEGA_EXPAND_DEGREE,
-    MAX_OMEGA_EXPAND_VARIABLE,
-    MAX_OPERATOR_ENTRIES,
-    MAX_OPERATOR_STEPS,
-    MAX_POLY_N,
-    MAX_POLY_PARTS,
-    MAX_POLY_WEIGHT,
-    MAX_SPLIT_CELLS,
     MAX_SPLIT_PARTS,
-    MAX_SPLIT_TERMS,
     MAX_SPLIT_WEIGHT,
     MAX_SPLIT_WORDS,
     MAX_TALPHA_PARTS,
     MAX_TALPHA_WEIGHT,
+    WORK_BUDGET,
     main,
 )
 from kohnert.poly import Polynomial, x
@@ -39,6 +31,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# A budget that stands for ``WORK_BUDGET`` where a test checks how a command
+# is refused, so that the refusal comes after milliseconds of work.
+SMALL_BUDGET = 200_000
+
+
+REFUSAL = re.compile(
+    r"usage error: (an operator step|a step down the ascent path|a peel step|a Schur "
+    r"enumeration) needs (\d+) work units after (\d+), past the budget of (\d+)\n"
+)
+
+
+def assert_refused_within(err, budget):
+    """``err`` is the one usage error of a charge past ``budget``: the work
+    spent before it is within the budget, and the charge would pass it.
+    Returns the site that made the charge."""
+    match = REFUSAL.fullmatch(err)
+    assert match, err
+    needed, spent, limit = map(int, match.groups()[1:])
+    assert limit == budget and spent <= budget < spent + needed
+    return match[1]
 
 
 class TestPoly:
@@ -79,30 +93,34 @@ class TestPoly:
         assert run(capsys, "poly", "nope", "--alpha", "1")[0] == 2
 
     @pytest.mark.parametrize("argv", [
-        ("key", "--alpha", "1000000"),
-        ("omega", "--alpha", "0,0,0,0,0,1,7"),
-        ("key", "--alpha", "0,0,0,0,1,10"),
-        ("key", "--alpha", ",".join(["0"] * MAX_POLY_PARTS + ["1"])),
-        ("schubert", "--perm", ",".join(map(str, range(100_000, 0, -1)))),
-        ("grothendieck", "--perm", ",".join(map(str, range(MAX_POLY_N + 1, 0, -1)))),
+        ("key", "--alpha", "0,0,10000000"),  # its first step is past any budget
+        ("omega", "--alpha", "0,0,0,0,0,1,7"),  # 1 s to the default budget
+        ("key", "--alpha", "0,0,0,0,1,30"),
+        ("key", "--alpha", ",".join(["0"] * 100_000 + ["1"])),  # refused on the way down
+        ("schubert", "--perm", ",".join(map(str, [*range(1, 999), 1000, 999]))),
+        ("grothendieck", "--perm", ",".join(map(str, [*range(1, 12), 13, 12]))),
     ])
     def test_huge_input_is_refused_before_any_work(self, capsys, monkeypatch, argv):
-        def no_work(*args):
-            raise AssertionError("poly ran past its bound")
-
-        for name in ("key_polynomial", "omega_polynomial", "schubert", "grothendieck"):
-            monkeypatch.setattr(bases, name, no_work)
+        # every step is charged to the budget before it is built, so the
+        # first charge past it ends the command with nothing printed
+        monkeypatch.setattr(cli, "WORK_BUDGET", SMALL_BUDGET)
         code, out, err = run(capsys, "poly", *argv)
-        assert code == 2
-        assert "usage error" in err and "bound" in err and not out
+        assert code == 2 and not out
+        assert_refused_within(err, SMALL_BUDGET)
 
     def test_bounds_admit_their_corners(self, capsys):
-        alpha = (0, 0, 0, 0, 1, 9)
-        assert (sum(alpha), len(alpha)) == (MAX_POLY_WEIGHT, MAX_POLY_PARTS)
         code, out, _ = run(capsys, "poly", "key", "--alpha", "0,0,0,0,1,9")
         assert code == 0 and out.startswith("x5*x6^9 + ")
         code, out, _ = run(capsys, "poly", "schubert", "--perm", "1,2,3,4,5,6,7,9,8")
-        assert code == 0 and MAX_POLY_N == 9
+        assert code == 0
+        # a dominant start is its own polynomial, however large: these were
+        # refused by the size bounds the budget replaced
+        code, out, _ = run(capsys, "poly", "key", "--alpha", "1000000")
+        assert code == 0 and out == "x1^1000000\n"
+        code, out, _ = run(capsys, "poly", "grothendieck", "--perm", "10,9,8,7,6,5,4,3,2,1")
+        assert code == 0 and out == "*".join(f"x{i}^{10 - i}" for i in range(1, 9)) + "*x9\n"
+        code, out, _ = run(capsys, "poly", "schubert", "--perm", ",".join(map(str, range(100_000, 0, -1))))
+        assert code == 0 and out.startswith("x1^99999*x2^99998*") and out.endswith("*x99998^2*x99999\n")
 
 
 class TestDiagrams:
@@ -312,7 +330,7 @@ class TestSplit:
         class Reached(Exception):
             pass
 
-        def work(*args):
+        def work(*args, **kwargs):
             raise Reached
 
         for name in ("key_polynomial", "key_split_expansion", "split_extract"):
@@ -326,118 +344,80 @@ class TestSplit:
                 main(["split", "--alpha", alpha, "--descents", descents])
 
     def test_large_key_polynomial_is_refused_before_any_work(self, capsys, monkeypatch):
-        # 9 zeros before a 20 (h_20 in 10 variables, 10 015 005 terms) passed
-        # every other bound and ran for over 40 s; 9 zeros before a 10
-        # (92 378 terms) still reaches the work
-        class Reached(Exception):
-            pass
-
-        def work(*args):
-            raise Reached
-
-        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
-            monkeypatch.setattr(bases, name, work)
+        # 9 zeros before a 20 (h_20 in 10 variables, 10 015 005 terms) ran
+        # for over 40 s; at the default budget it stops after 0.8 s, at the
+        # operator step that would build 32 million units of keys
+        monkeypatch.setattr(cli, "WORK_BUDGET", SMALL_BUDGET)
         code, out, err = run(capsys, "split", "--alpha", "0," * 9 + "20")
-        assert code == 2
-        assert "usage error" in err and "10015005 terms, past the bound" in err and not out
-        with pytest.raises(Reached):
-            main(["split", "--alpha", "0," * 9 + "10"])
+        assert code == 2 and not out
+        assert assert_refused_within(err, SMALL_BUDGET) == "an operator step"
+        # the same budget splits a smaller key polynomial in full
+        code, out, _ = run(capsys, "split", "--alpha", "0," * 9 + "2")
+        assert code == 0 and "E[(2)] = 1" in out
 
-    def test_large_schur_enumeration_is_refused_before_any_work(self, capsys, monkeypatch):
-        # 0,0,400 (80 601 terms of weight 400) passed every other bound and
-        # took 15.9 s; 0,0,150 and 9 zeros before a 10 still reach the work
-        class Reached(Exception):
-            pass
-
-        def work(*args):
-            raise Reached
-
-        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
-            monkeypatch.setattr(bases, name, work)
+    def test_large_schur_enumeration_is_refused_before_any_work(self, capsys):
+        # 0,0,400 (80 601 tableaux of one row of 400) took 15.9 s; the
+        # hook-content count refuses it before any tableau is filled, at
+        # the default budget
         code, out, err = run(capsys, "split", "--alpha", "0,0,400")
-        assert code == 2
-        assert "usage error" in err and "32240400 cells, past the bound" in err and not out
-        for alpha in ("0,0,150", "0," * 9 + "10"):
-            with pytest.raises(Reached):
-                main(["split", "--alpha", alpha])
-        # the inputs the documentation and the tests split are admitted
-        admitted = [(1, 3, 0, 2, 2, 1), (11, 11), (0,) * 399 + (1,), (500,), (0, 0, 0, 60)]
-        assert all(cli._key_terms_bound(a) * sum(a) <= MAX_SPLIT_CELLS for a in admitted)
+        assert code == 2 and not out
+        assert assert_refused_within(err, WORK_BUDGET) == "a Schur enumeration"
+        assert "needs 647306631 work units" in err
+        # 0,0,150 fills its 11 476 tableaux within the budget
+        assert bases._schur_units((150,), (1, 2, 3)) == 11476 * (20 * 150 + 3 + 28) < WORK_BUDGET
 
     def test_terms_bound_counts_the_key_polynomial(self):
-        bound = cli._key_terms_bound
-        # exact for zeros before one part
-        alpha = (0,) * 9 + (8,)
-        assert bound(alpha) == 24310 == len(bases.key_polynomial(alpha).terms)
-        assert [bound((0,) * 9 + (m,)) for m in (10, 12)] == [92378, 293930]
-        for alpha in harness.compositions_upto(6, 4):
-            alpha = perms.composition(alpha)
-            assert len(bases.key_polynomial(alpha).terms) <= bound(alpha)
-        # the inputs the documentation and the tests split are admitted
-        admitted = [(1, 3, 0, 2, 2, 1), (11, 11), (0,) * 399 + (1,), (500,)]
-        assert [bound(alpha) for alpha in admitted] == [580, 1, 400, 1]
-        assert bound((0,) * 9 + (10,)) <= MAX_SPLIT_TERMS < bound((0,) * 9 + (11,))
+        # zeros before one part m give the complete homogeneous polynomial,
+        # whose terms are the tableaux of the row (m) the Schur charge counts
+        count = tableaux.semistandard_tableaux_count
+        for m in range(9):
+            assert count((m,), 10) == len(bases.key_polynomial((0,) * 9 + (m,)).terms)
+        assert [count((m,), 10) for m in (10, 20)] == [92378, 10015005]
+        # and in general the fillings the Schur enumeration builds
+        for n in range(1, 5):
+            for shape in [(), (1,), (2, 1), (3, 1, 1), (2, 2), (4, 2, 1), (3, 3, 3)]:
+                filled = sum(1 for _ in tableaux.semistandard_tableaux(shape, n))
+                assert count(shape, n) == filled, (shape, n)
 
     @pytest.mark.parametrize(
         "alpha,steps",
         [
-            ((0,) * 300 + (1, 1), 600),  # ended in a RecursionError
+            ((0,) * 300 + (1, 1), 600),  # ended in a RecursionError; stops at the budget in 1.7 s
             ((0,) * 200 + (1, 1), 400),  # ran out of memory under a 3 GB limit
             ((0,) * 66 + (1, 1, 1), 198),  # took 15 s and 1.6 GB
-            ((0,) * 10 + (1,) * 9, 90),  # took 6.3 s and 527 MB
-            ((0,) * 100 + (1, 1), 200),  # took 2.5 s and 247 MB
+            ((0,) * 10 + (1,) * 9, 90),  # took 6.3 s and 527 MB; stops at the budget in 2.3 s
+            ((0,) * 100 + (1, 1), 200),  # took 2.5 s; within the default budget now
         ],
     )
     def test_large_operator_recursion_is_refused_before_any_work(
         self, capsys, monkeypatch, alpha, steps
     ):
-        def no_work(*args):
-            raise AssertionError("split ran past its operator bounds")
-
-        for name in ("key_polynomial", "key_split_expansion", "split_extract", "_from_dominant"):
-            monkeypatch.setattr(bases, name, no_work)
-        text = perms.format_composition(alpha)
-        code, out, err = run(capsys, "split", "--alpha", text)
+        # the recursion is a loop, so any number of steps is charged one at
+        # a time until the budget runs out
+        assert sum(a < b for i, a in enumerate(alpha) for b in alpha[i + 1 :]) == steps
+        monkeypatch.setattr(cli, "WORK_BUDGET", SMALL_BUDGET)
+        code, out, err = run(capsys, "split", "--alpha", perms.format_composition(alpha))
         assert code == 2 and not out
-        assert cli._inversions(alpha) == steps
-        entries = (steps + 1) * cli._key_terms_bound(alpha) * len(alpha)
-        if steps > MAX_OPERATOR_STEPS:
-            refusal = (
-                f"the key polynomial of {text} takes {steps} operator steps, past the "
-                f"bound {MAX_OPERATOR_STEPS}"
-            )
-        else:
-            assert entries > MAX_OPERATOR_ENTRIES
-            refusal = (
-                f"the operator recursion of {text} may keep {entries} exponent entries, "
-                f"past the bound {MAX_OPERATOR_ENTRIES}"
-            )
-        assert err == f"usage error: {refusal}\n"
+        assert assert_refused_within(err, SMALL_BUDGET) == "an operator step"
 
-    def test_operator_bounds_admit_their_corners(self, capsys, monkeypatch):
-        class Reached(Exception):
-            pass
-
-        def work(*args):
-            raise Reached
-
-        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
-            monkeypatch.setattr(bases, name, work)
-        # each split in 1.9-2.9 s as a command
-        corners = [(0,) * 399 + (1,), (0,) * 25 + (1,) * 4, (0,) * 18 + (1,) * 5,
-                   (0,) * 12 + (1,) * 7, (0,) * 97 + (1, 1)]
-        assert cli._inversions(corners[0]) == MAX_OPERATOR_STEPS
-        for alpha in corners:
-            entries = (cli._inversions(alpha) + 1) * cli._key_terms_bound(alpha) * len(alpha)
-            assert entries <= MAX_OPERATOR_ENTRIES
-            with pytest.raises(Reached):
-                main(["split", "--alpha", perms.format_composition(alpha)])
+    def test_operator_bounds_admit_their_corners(self, monkeypatch):
+        # zeros before a 1 build their key polynomial within the default
+        # budget; 399 zeros, the old step bound's corner, take 22 million
+        # units (1.3-1.8 s to split as a command), so the test takes 150
+        # (1.5 million: the units grow with the cube of the length)
+        monkeypatch.setattr(bases, "_operator_memo", {})
+        work = perms.WorkBudget(WORK_BUDGET)
+        f = bases.key_polynomial((0,) * 150 + (1,), work)
+        assert f == sum((x(i) for i in range(1, 152)), Polynomial())
+        assert 1_000_000 < work.spent < WORK_BUDGET // 20
 
     def test_inversions_count_the_recursion_steps(self):
+        # one operator step per inversion: a pair of parts, the later larger
         for alpha in harness.compositions_upto(6, 4):
             steps = []
             bases._from_dominant(lambda i, f: steps.append(i) or f, alpha)
-            assert cli._inversions(alpha) == len(steps)
+            inversions = sum(a < b for i, a in enumerate(alpha) for b in alpha[i + 1 :])
+            assert len(steps) == inversions, alpha
 
     def test_word_bound_admits_eleven_eleven(self):
         # 11,11 (Catalan(11) words) still splits; 12,12 and 14,14 do not
@@ -565,33 +545,31 @@ class TestExpand:
         assert code == 2
         assert "bad polynomial file" in err and not out
 
-    @pytest.mark.parametrize(
-        "n", [MAX_OMEGA_EXPAND_VARIABLE, MAX_OMEGA_EXPAND_VARIABLE + 1,
-              MAX_EXPAND_VARIABLE + 1, 900, 100_000]
-    )
+    @pytest.mark.parametrize("n", [12, 13, MAX_EXPAND_VARIABLE + 1, 900, 100_000])
     def test_huge_variable_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, n):
-        # the key expansion of x_900 used to end in a RecursionError, and the
-        # omega expansion of x_14 took 7 s
+        # the key expansion of x_900 used to end in a RecursionError; the
+        # omega expansion of x_13 reaches the work, and stops at the budget
         class Reached(Exception):
             pass
 
-        def work(*args):
+        def work(*args, **kwargs):
             raise Reached
 
         monkeypatch.setattr(bases, "expand_in_basis", work)
         path = tmp_path / "poly.json"
         path.write_text(json.dumps(Polynomial.monomial((0,) * (n - 1) + (1,)).to_json_obj()))
-        bounds = {"key": MAX_EXPAND_VARIABLE, "J": MAX_EXPAND_VARIABLE,
-                  "omega": MAX_OMEGA_EXPAND_VARIABLE}
-        for basis, bound in bounds.items():
+        for basis in ("key", "J", "omega"):
             argv = ["expand", "--basis", basis, "--input", str(path)]
-            if n <= bound:
+            if n <= MAX_EXPAND_VARIABLE:
                 with pytest.raises(Reached):
                     main(argv)
                 continue
             code, out, err = run(capsys, *argv)
-            assert code == 2
-            assert "usage error" in err and f"x{n}, past the bound x{bound}" in err and not out
+            assert code == 2 and not out
+            assert err == (
+                f"usage error: the polynomial involves x{n}, past the bound "
+                f"x{MAX_EXPAND_VARIABLE}\n"
+            )
 
     @pytest.mark.parametrize(
         "terms",
@@ -607,7 +585,7 @@ class TestExpand:
         class Reached(Exception):
             pass
 
-        def work(*args):
+        def work(*args, **kwargs):
             raise Reached
 
         monkeypatch.setattr(bases, "expand_in_basis", work)
@@ -622,13 +600,8 @@ class TestExpand:
             f"usage error: a J element in a box of {rows} by {cols} is past "
             f"the bound of {MAX_DIAGRAM_BOX} cells\n"
         )
-        # the omega expansion takes the degree bound too, which x1^1001 passes
-        admitted = {
-            "key": cols <= MAX_EXPAND_VARIABLE,
-            "omega": cols <= MAX_OMEGA_EXPAND_VARIABLE
-            and max(map(sum, terms)) <= MAX_OMEGA_EXPAND_DEGREE,
-        }
-        for basis in [basis for basis, ok in admitted.items() if ok]:
+        # the key and omega expansions are bounded by the work budget instead
+        for basis in ("key", "omega"):
             with pytest.raises(Reached):
                 main(["expand", "--basis", basis, "--input", str(path)])
 
@@ -639,7 +612,7 @@ class TestExpand:
         class Reached(Exception):
             pass
 
-        def work(*args):
+        def work(*args, **kwargs):
             raise Reached
 
         monkeypatch.setattr(bases, "expand_in_basis", work)
@@ -649,46 +622,55 @@ class TestExpand:
             main(["expand", "--basis", "J", "--input", str(path)])
 
     @pytest.mark.parametrize(
-        "terms,refused",
+        "terms",
         [
-            ([(0,) * 399 + (1,)], None),  # x_400, 1.8 s
-            ([(0,) * 99 + (1, 1)], None),  # x_100 x_101, 2.4 s at 231 MB
-            ([(0,) * 14 + (5,)], None),  # x_15^5, 1.8 s at 197 MB
-            ([(0, 0, 249)], None),
-            ([(0, 0, 250)], (250, 3)),
-            ([(0,) * 15 + (5,)], (5, 16)),  # took 2.8 s at 289 MB
-            ([(0,) * 150 + (1, 1)], (2, 152)),  # took 9.6 s and 1 GB
-            ([(0,) * 398 + (1, 1)], (2, 400)),  # ended in a RecursionError
-            ([(0,) * 19 + (5,)], (5, 20)),  # took 13 s and 1.1 GB
-            ([(0,) * 9 + (10,)], (10, 10)),  # took 17 s and 1.2 GB
-            ([(3,), (0,) * 15 + (5,)], (5, 16)),  # each degree on its own
+            [(0,) * 399 + (1,)],  # x_400, 1.3 s at the default budget
+            [(0,) * 99 + (1, 1)],  # x_100 x_101
+            [(0,) * 14 + (5,)],  # x_15^5
+            [(0, 0, 249)],  # took 1.2 s; past the default budget now
+            [(0, 0, 250)],
+            [(0,) * 15 + (5,)],  # took 2.8 s at 289 MB
+            [(0,) * 150 + (1, 1)],  # took 9.6 s and 1 GB; stops at the budget in 1.8 s
+            [(0,) * 398 + (1, 1)],  # ended in a RecursionError
+            [(0,) * 19 + (5,)],  # took 13 s and 1.1 GB
+            [(0,) * 9 + (10,)],  # took 17 s and 1.2 GB; stops at the budget in 1.8 s
+            [(3,), (0,) * 15 + (5,)],
         ],
+        ids=[f"terms{i}-{r}" for i, r in enumerate(
+            ["None"] * 4 + [f"refused{i}" for i in range(4, 11)]
+        )],
     )
     def test_key_expansion_past_the_entry_bound_is_refused(
-        self, tmp_path, capsys, monkeypatch, terms, refused
+        self, tmp_path, capsys, monkeypatch, terms
     ):
-        class Reached(Exception):
-            pass
-
-        def work(*args):
-            raise Reached
-
-        monkeypatch.setattr(bases, "expand_in_basis", work)
+        # the inputs of the entry bound the budget replaced, at a small
+        # budget: the command prints what the library computes within the
+        # same budget, or refuses where the library does
+        poly = Polynomial({(e, 0): 1 for e in terms})
         path = tmp_path / "poly.json"
-        path.write_text(json.dumps(Polynomial({(e, 0): 1 for e in terms}).to_json_obj()))
-        argv = ["expand", "--basis", "key", "--input", str(path)]
-        if refused is None:
-            with pytest.raises(Reached):
-                main(argv)
-            return
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and not out
-        d, n = refused
-        assert math.comb(d + n - 1, n - 1) ** 2 * n > MAX_KEY_EXPAND_ENTRIES
-        assert err == (
-            f"usage error: the key expansion of the terms of degree {d} in x1..x{n} may "
-            f"keep more than {MAX_KEY_EXPAND_ENTRIES} exponent entries\n"
-        )
+        path.write_text(json.dumps(poly.to_json_obj()))
+        self.assert_command_is_the_library(capsys, monkeypatch, poly, "key", path)
+
+    @staticmethod
+    def assert_command_is_the_library(capsys, monkeypatch, poly, basis, path):
+        # each run starts from an empty memo, as a command does: a memo hit
+        # is work not done, and is not charged
+        monkeypatch.setattr(bases, "_operator_memo", {})
+        try:
+            expected = bases.expand_in_basis(poly, basis, work=perms.WorkBudget(SMALL_BUDGET))
+        except perms.BoundExceededError as exc:
+            expected = exc
+        monkeypatch.setattr(bases, "_operator_memo", {})
+        monkeypatch.setattr(cli, "WORK_BUDGET", SMALL_BUDGET)
+        code, out, err = run(capsys, "expand", "--basis", basis, "--input", str(path))
+        if isinstance(expected, Exception):
+            assert code == 2 and not out and err == f"usage error: {expected}\n"
+            assert_refused_within(err, SMALL_BUDGET)
+        else:
+            assert code == 0 and json.loads(out) == json.loads(
+                json.dumps(bases.expansion_to_json_obj(expected))
+            )
+        return code
 
     @staticmethod
     def most_inversions(d, n):
@@ -700,13 +682,16 @@ class TestExpand:
 
     def test_key_expansion_keeps_compositions_of_each_degree(self, monkeypatch):
         # every exponent the peel meets and every composition the operator
-        # recursion keeps is one of the compositions of d into n parts
+        # recursion keeps is one of the compositions of d into n parts, for
+        # each degree d of the input's terms with the last variable n of
+        # its terms of degree d: key polynomials are homogeneous, and the
+        # one led by x^theta lies in x_1, ..., x_len(theta)
         kept = []
         from_dominant = bases._from_dominant
 
-        def recording(op, alpha):
+        def recording(op, alpha, work=None):
             kept.append(alpha)
-            return from_dominant(op, alpha)
+            return from_dominant(op, alpha, work)
 
         monkeypatch.setattr(bases, "_from_dominant", recording)
         inputs = [
@@ -715,9 +700,11 @@ class TestExpand:
         inputs += [Polynomial.monomial((0, 0, 3)) + x(4), bases.schubert((2, 1, 4, 3))]
         for poly in inputs:
             kept.clear()
-            from_dominant.cache_clear()
+            bases._operator_memo.clear()
             bases.expand_in_basis(poly, "key")
-            degrees = cli._degree_variables(poly)
+            degrees: dict[int, int] = {}
+            for e, _ in poly.terms:
+                degrees[sum(e)] = max(degrees.get(sum(e), 1), len(e))
             assert kept
             for d in degrees:
                 n = degrees[d]
@@ -725,56 +712,44 @@ class TestExpand:
                 assert len(mine) <= math.comb(d + n - 1, n - 1)
                 for alpha in mine:
                     assert len(alpha) <= n
-                    assert cli._inversions(alpha) <= self.most_inversions(d, n)
+                    inversions = sum(a < b for i, a in enumerate(alpha) for b in alpha[i + 1 :])
+                    assert inversions <= self.most_inversions(d, n)
                     terms = bases.key_polynomial(alpha).terms
                     assert len(terms) <= math.comb(d + n - 1, n - 1)
             assert {sum(alpha) for alpha in kept} <= set(degrees)
 
-    def test_key_expansion_bounds_leave_room_on_the_stack(self):
-        # within the variable and entry bounds no composition the key
-        # expansion keeps has more than MAX_OPERATOR_STEPS inversions; in
-        # one variable there are none
-        deepest = 0
-        for n in range(2, MAX_EXPAND_VARIABLE + 1):
-            d = 1
-            while math.comb(d + n - 1, n - 1) ** 2 * n <= MAX_KEY_EXPAND_ENTRIES:
-                deepest = max(deepest, self.most_inversions(d, n))
-                d += 1
-        assert deepest == MAX_OPERATOR_STEPS
-
     @pytest.mark.parametrize(
-        "exps,admitted",
-        [
-            ((0, MAX_OMEGA_EXPAND_DEGREE), True),
-            ((MAX_OMEGA_EXPAND_DEGREE - 1, 0, 1), True),  # past the J box bound
-            ((0, MAX_OMEGA_EXPAND_DEGREE + 1), False),
-            ((0, 1000), False),  # took 3.7 s and 455 MB
-            ((0, 3000), False),  # passed 2.9 GB
-        ],
+        "exps,code",
+        [((0, 500), 2), ((499, 0, 1), 0), ((0, 501), 2), ((0, 1000), 2), ((0, 3000), 2)],
+        ids=["exps0-True", "exps1-True", "exps2-False", "exps3-False", "exps4-False"],
     )
     def test_omega_expansion_past_the_degree_bound_is_refused(
-        self, tmp_path, capsys, monkeypatch, exps, admitted
+        self, tmp_path, capsys, monkeypatch, exps, code
     ):
-        class Reached(Exception):
-            pass
-
-        def work(*args):
-            raise Reached
-
-        monkeypatch.setattr(bases, "expand_in_basis", work)
+        # the inputs of the degree bound the budget replaced, at a small
+        # budget, which only x1 + x1^499*x3 fits; at the default one
+        # x1 + x2^500 and x1 + x2^501 expand in about 0.7 s, and x1 + x2^1000
+        # stops at the budget in about 1 s
+        poly = x(1) + Polynomial.monomial(exps)
         path = tmp_path / "poly.json"
-        path.write_text(json.dumps((x(1) + Polynomial.monomial(exps)).to_json_obj()))
-        argv = ["expand", "--basis", "omega", "--input", str(path)]
-        if admitted:
-            with pytest.raises(Reached):
-                main(argv)
-            return
-        code, out, err = run(capsys, *argv)
+        path.write_text(json.dumps(poly.to_json_obj()))
+        assert self.assert_command_is_the_library(capsys, monkeypatch, poly, "omega", path) == code
+
+    @pytest.mark.parametrize(
+        "exps,site",
+        [((0, 0, 30), "an operator step"), ((0, 1_000_000_000), "an operator step")],
+        ids=["x3^30", "x2^1e9"],
+    )
+    def test_expansion_stops_at_the_default_budget(self, tmp_path, capsys, exps, site):
+        # the omega expansion of x_3^30 took 9.6 s inside the bounds the
+        # budget replaced; it stops at the budget in about 0.7 s.  The key
+        # expansion of x_2^1000000000 is refused at its first operator step
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial.monomial(exps).to_json_obj()))
+        basis = "omega" if exps == (0, 0, 30) else "key"
+        code, out, err = run(capsys, "expand", "--basis", basis, "--input", str(path))
         assert code == 2 and not out
-        assert err == (
-            f"usage error: the polynomial has degree {sum(exps)}, past the bound "
-            f"{MAX_OMEGA_EXPAND_DEGREE}\n"
-        )
+        assert assert_refused_within(err, WORK_BUDGET) == site
 
     def test_j_expansion_at_the_box_bound(self, tmp_path, capsys):
         path = tmp_path / "poly.json"
@@ -812,13 +787,14 @@ class TestRefusedInput:
 
 
 def test_split_and_expand_bounds_leave_room_on_the_stack():
-    # At either bound's corner the key polynomial recurses one operator step
-    # per part below the last.  An operator that does no work recurses as
-    # deep; 25 more steps stand for the real operator's own frames.
-    corner = (0,) * (max(MAX_SPLIT_PARTS, MAX_EXPAND_VARIABLE) + 25) + (1,)
+    # The operator recursion is a loop: no bound of split or expand is
+    # needed for the stack, and 1500 steps return, where a recursion two
+    # frames deep per step ended in a RecursionError.
+    corner = (0,) * 1500 + (1,)
     steps = []
-    bases._from_dominant(lambda i, f: steps.append(i) or f, corner)
+    f = bases._from_dominant(lambda i, f: steps.append(i) or f, corner)
     assert steps == list(range(1, len(corner)))
+    assert f == x(1)
 
 
 class TestVerify:

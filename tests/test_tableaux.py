@@ -513,6 +513,28 @@ class TestCompatiblePairs:
                 ]
             assert compatible_pairs(w, Tableau([[9]])) == []
 
+    def test_marked_words_check_no_word_again(self, monkeypatch):
+        # every word the scan inserts is a reduced word of w, and every
+        # block word route 3 inserts is a factor of one: neither is checked
+        # for reducedness again
+        from kohnert import bases
+        from kohnert.harness import compositions_upto
+
+        fibers = {
+            w: {insertion_tableau(a) for a in perms.reduced_words(w)}
+            for w in perms.all_permutations(5)
+        }
+        expected = {(w, t): marked_words(w, t) for w, ts in fibers.items() for t in ts}
+        splits = {alpha: bases.key_split_expansion_via_pairs(alpha)
+                  for alpha in compositions_upto(5, 4)}
+
+        def checked(word):
+            raise AssertionError(f"{word} checked again")
+
+        monkeypatch.setattr(perms, "is_reduced", checked)
+        assert {(w, t): marked_words(w, t) for w, t in expected} == expected
+        assert {alpha: bases.key_split_expansion_via_pairs(alpha) for alpha in splits} == splits
+
     def test_fiber_filter_inserts_each_marked_word_once(self, monkeypatch):
         from kohnert import tableaux
 
