@@ -124,7 +124,7 @@ def _from_dominant(op, alpha: Composition, work=None) -> Polynomial:
     for i in reversed(path):
         parts += [0] * (i + 1 - len(parts))
         parts[i - 1], parts[i] = parts[i], parts[i - 1]
-        f = op(i, f) if work is None else op(i, f, work)
+        f = op(i, f, work)
         _operator_memo[op, trim(parts)] = f
     return f
 

@@ -320,6 +320,16 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     if args.report == "":
         raise UsageError("bad report path ''")
+    if args.report is not None:
+        # a path that cannot be written is refused before the sweep runs:
+        # opening to append changes no file, and a file it made is removed
+        made = not os.path.lexists(args.report)
+        try:
+            open(args.report, "a").close()
+        except OSError as exc:
+            raise UsageError(f"cannot write report {args.report}: {exc.strerror}")
+        if made:
+            os.remove(args.report)
     spec = harness.SWEEPS[args.family]
     bounds = {name: getattr(args, name) for name in _VERIFY_BOUNDS}
     cache_dir = args.cache

@@ -476,7 +476,7 @@ def _run_talpha_case(family: str, param: str, alpha: Composition, cfg: dict) -> 
         problems.append("shape is not the sorted composition")
     if not (perms.is_reduced(word) and perms.word_to_perm(word) == w):
         problems.append("reading word is not reduced for the coded permutation")
-    elif tableaux.insertion_tableau(word) != t:
+    elif tableaux.reduced_insertion_tableau(word) != t:
         problems.append("not fixed by reinsertion of its reading word")
     if tableaux.content(tableaux.nil_left_key(t)) != alpha:
         problems.append("nil left key content differs from the composition")

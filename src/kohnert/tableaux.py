@@ -32,7 +32,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, groupby, repeat
 from operator import add, ge, le, lt, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import perms
 from .perms import Composition, Partition, Permutation
@@ -478,41 +478,15 @@ def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[Compatibl
     return out
 
 
-def split_pairs(
-    pairs: Iterable[CompatiblePair], d: Sequence[int]
-) -> Iterator[list[CompatiblePair]]:
-    """Split each compatible pair in turn into its blocks by mark range,
-    uninserted.
-
-    Block j is the (word, marks) factor of the consecutive entries whose
-    marks lie in (d_{j-1}, d_j], with d_0 = 0; the split is unique because
-    the marks weakly increase, and the blocks concatenate to the pair.
-    Raises ValueError unless the bounds strictly increase from 1 and contain
-    the descents of the word's permutation, the marks are as many as the
-    letters, every mark is at most its letter and the last bound, and every
-    non-empty block is a reduced word (NonReducedWordError) with stable
-    marks, in that order.  The bounds are checked once, before the first
-    pair is split.
-    """
-    d = list(d)
-    perms.check_block_bounds(d)
-    bound_set = set(d)
-    for word, marks in pairs:
-        w = perms.word_to_perm(word)
-        if not perms.perm_descents(w) <= bound_set:
-            raise ValueError(f"block bounds {d} do not contain the descents of {w}")
-        yield _split_checked(word, marks, d, perms.is_reduced(word))
-
-
 def split_words(
     w: Permutation, words: Iterable[tuple[int, ...]], d: Sequence[int]
 ) -> list[list[tuple[tuple[int, ...], ...]]]:
     """For each reduced word of w in ``words``, its distinct splits over all
-    its marks: the tuples of block words that ``split_pairs`` gives for the
-    pairs (word, marks), each once, in order of first appearance over the
-    marks in lexicographic order (``_mark_choices``).  Raises ValueError
+    its marks: the tuples of block words that ``split_blocks`` gives for
+    the pairs (word, marks), each once, in order of first appearance over
+    the marks in lexicographic order (``_mark_choices``).  Raises ValueError
     unless the bounds strictly increase from 1 and contain the descents of
-    w, once per call, with the messages of ``split_pairs``.
+    w, once per call, by the check of ``split_blocks``.
 
     A split is fixed by its cuts c_1 <= ... <= c_k = len(word), block j
     holding the letters from c_{j-1} up to c_j.  All marks that realise a
@@ -525,10 +499,7 @@ def split_words(
     ``_word_splits`` walks the cuts in that order, with no pair built.
     """
     w = perms.permutation(w)
-    d = list(d)
-    perms.check_block_bounds(d)
-    if not perms.perm_descents(w) <= set(d):
-        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    d = _checked_bounds(d, lambda: w)
     lows = [1] + [bound + 1 for bound in d[:-1]]
     return [_word_splits(word, d, lows) for word in words]
 
@@ -581,17 +552,43 @@ def _word_splits(
     return out
 
 
-def _split_checked(
-    word: tuple[int, ...], marks: tuple[int, ...], d: list[int], reduced: bool
-) -> list[CompatiblePair]:
-    """The blocks of one pair of ``split_pairs``, checked one block at a
-    time in the order its docstring gives."""
+def _checked_bounds(d: Sequence[int], perm: Callable[[], Permutation]) -> list[int]:
+    """The bounds as a list; ValueError unless they strictly increase from 1
+    and then contain the descents of ``perm()``, built once they do."""
+    d = list(d)
+    perms.check_block_bounds(d)
+    w = perm()
+    if not perms.perm_descents(w) <= set(d):
+        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
+    return d
+
+
+def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
+    """Split a compatible pair into its blocks by mark range, uninserted.
+
+    Block j is the (word, marks) factor of the consecutive entries whose
+    marks lie in (d_{j-1}, d_j], with d_0 = 0; the split is unique because
+    the marks weakly increase, and the blocks concatenate to the pair.
+    Raises ValueError unless the bounds strictly increase from 1 and contain
+    the descents of the word's permutation, the marks are as many as the
+    letters, every mark is at most its letter and the last bound, and every
+    non-empty block is a reduced word (NonReducedWordError) with stable
+    marks, in that order, naming the first failure block by block.
+
+    >>> split_blocks(((2, 1, 3), (1, 1, 2)), (1, 3))
+    [((2, 1), (1, 1)), ((3,), (2,))]
+    """
+    word, marks = pair
+    d = _checked_bounds(d, lambda: perms.word_to_perm(word))
     if len(marks) != len(word):
         raise ValueError("marks must have the same length as the word")
     if any(m > a for m, a in zip(marks, word)):
         raise ValueError("marks exceed their letters; pair is not compatible")
     if marks and (not d or marks[-1] > d[-1]):
         raise ValueError(f"marks {marks} exceed the last block bound")
+    # Every factor of a reduced word is reduced (Edelman-Greene), so the
+    # blocks need their own check only when the whole word is not.
+    reduced = perms.is_reduced(word)
     blocks = []
     pos = 0
     prev = 0
@@ -603,9 +600,6 @@ def _split_checked(
         if any(m <= prev for m in block_marks):
             raise ValueError("marks are not weakly increasing")
         if block_word:
-            # Every factor of a reduced word is reduced (Edelman-Greene),
-            # so the blocks need their own check only when the whole word
-            # is not.
             if not reduced and not perms.is_reduced(block_word):
                 raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
             _check_stable_marks(block_word, block_marks)
@@ -613,11 +607,6 @@ def _split_checked(
         pos = end
         prev = bound
     return blocks
-
-
-def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
-    """``split_pairs`` of the one pair."""
-    return next(split_pairs((pair,), d))
 
 
 def split_compatible_pair(

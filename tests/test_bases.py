@@ -876,7 +876,7 @@ def test_memo_inventory():
 
     before = containers()
     # an operator no other call uses, so every step is a miss
-    bases._from_dominant(lambda i, f: f, (0, 0, 1))
+    bases._from_dominant(lambda i, f, work=None: f, (0, 0, 1))
     assert {name for name, size in containers().items() if size > before[name]} == {
         "kohnert.bases._operator_memo"
     }

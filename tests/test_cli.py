@@ -415,7 +415,7 @@ class TestSplit:
         # one operator step per inversion: a pair of parts, the later larger
         for alpha in harness.compositions_upto(6, 4):
             steps = []
-            bases._from_dominant(lambda i, f: steps.append(i) or f, alpha)
+            bases._from_dominant(lambda i, f, work=None: steps.append(i) or f, alpha)
             inversions = sum(a < b for i, a in enumerate(alpha) for b in alpha[i + 1 :])
             assert len(steps) == inversions, alpha
 
@@ -771,6 +771,17 @@ class TestRefusedInput:
             (["split", "--alpha", "1,0,2", "--descents", ""], "bad descent list ''"),
             (["egls", "--word", "21", "--marks", ""], "bad marks ''"),
             (["verify", "conj2", "--n", "2", "--report", ""], "bad report path ''"),
+            # a path that cannot be written is refused before any case runs
+            (
+                ["verify", "talpha_props", "--max-weight", "1", "--max-parts", "1",
+                 "--report", "/nonexistent/x.json"],
+                "cannot write report /nonexistent/x.json: No such file or directory",
+            ),
+            (
+                ["verify", "talpha_props", "--max-weight", "1", "--max-parts", "1",
+                 "--report", "/tmp"],
+                "cannot write report /tmp: Is a directory",
+            ),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
@@ -792,7 +803,7 @@ def test_split_and_expand_bounds_leave_room_on_the_stack():
     # frames deep per step ended in a RecursionError.
     corner = (0,) * 1500 + (1,)
     steps = []
-    f = bases._from_dominant(lambda i, f: steps.append(i) or f, corner)
+    f = bases._from_dominant(lambda i, f, work=None: steps.append(i) or f, corner)
     assert steps == list(range(1, len(corner)))
     assert f == x(1)
 
@@ -807,6 +818,18 @@ class TestVerify:
         assert "6 passed, 0 failed, 0 skipped" in out
         obj = json.loads(report_path.read_text())
         assert obj["totals"]["pass"] == 6
+
+    def test_report_path_probe_changes_no_file(self, capsys, tmp_path):
+        # the report path is probed before the sweep: a refused sweep leaves
+        # no new file behind and an existing one as it was
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("earlier report")
+        for path in (new, old):
+            argv = ["verify", "conj2", "--n", "2", "--jobs", "0", "--report", str(path)]
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert err == "usage error: jobs must be at least 1, got 0\n"
+        assert not new.exists() and old.read_text() == "earlier report"
 
     def test_failing_family_exit_one(self, capsys, monkeypatch):
         monkeypatch.setenv("KOHNERT_FAULT_INJECT", "conj2:312")

@@ -24,7 +24,6 @@ from kohnert.tableaux import (
     semistandard_tableaux,
     split_blocks,
     split_compatible_pair,
-    split_pairs,
     split_words,
     standard_tableaux_count,
     _mark_choices,
@@ -131,7 +130,7 @@ def loop_check_stable_marks(word, marks):
 
 def loop_split_pair(pair, d):
     """``split_blocks`` as one loop over the bounds with a check per block:
-    the reference for ``split_pairs``."""
+    the reference for it."""
     word, marks = pair
     d = list(d)
     if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
@@ -634,7 +633,6 @@ class TestCompatiblePairs:
         assert isinstance(expected, tuple) and issubclass(expected[0], ValueError)
         assert outcome(split_blocks, pair, d) == expected
         assert outcome(split_compatible_pair, pair, d) == expected
-        assert outcome(next, split_pairs((pair,), d)) == expected
 
     @pytest.mark.parametrize("pair,d", [(((1, 2), (1,)), (2,)), (((), (1,)), (1,))])
     def test_marks_of_another_length_than_the_word_are_refused(self, pair, d):
@@ -643,8 +641,6 @@ class TestCompatiblePairs:
             split_blocks(pair, d)
         with pytest.raises(ValueError, match=message):
             split_compatible_pair(pair, d)
-        with pytest.raises(ValueError, match=message):
-            next(split_pairs([pair], d))
 
     def test_split_accepts_what_the_reference_accepts(self):
         # a non-reduced word whose blocks are each reduced is split, as before
@@ -665,7 +661,6 @@ class TestCompatiblePairs:
             }
             pairs = compatible_pairs(w)
             for d in sorted(choices):
-                stream = split_pairs(pairs, d)
                 for pair in pairs:
                     expected = outcome(reference_split, pair, d)
                     assert outcome(split_compatible_pair, pair, d) == expected
@@ -674,26 +669,20 @@ class TestCompatiblePairs:
                         assert len(blocks) == len(d)
                         assert tuple(a for bw, _ in blocks for a in bw) == pair[0]
                         assert tuple(m for _, bm in blocks for m in bm) == pair[1]
+                        assert [egls_insert(*b) for b in blocks] == expected
                         checked += 1
                     else:
                         assert blocks == expected
-                    if stream is not None:
-                        streamed = outcome(next, stream)
-                        assert streamed == blocks
-                        if isinstance(expected, list):
-                            assert [egls_insert(*b) for b in streamed] == expected
-                        else:
-                            stream = None  # a stream ends at its first refusal
         assert checked > 1000
 
     @staticmethod
     def pair_splits(word, d):
-        """The distinct splits of a word as ``split_pairs`` gives them over
+        """The distinct splits of a word as ``split_blocks`` gives them over
         its marks, in order of first appearance: the reference for
         ``split_words``."""
-        pairs = [(word, marks) for marks in _mark_choices(word)]
         return list(dict.fromkeys(
-            tuple(block_word for block_word, _ in blocks) for blocks in split_pairs(pairs, d)
+            tuple(block_word for block_word, _ in split_blocks((word, marks), d))
+            for marks in _mark_choices(word)
         ))
 
     def test_split_words_are_the_distinct_splits_of_the_pairs(self):
@@ -730,12 +719,13 @@ class TestCompatiblePairs:
             ((2, 1), (), "block bounds [] do not contain the descents of (2, 1)"),
         ],
     )
-    def test_split_words_refuses_as_split_pairs(self, w, d, message):
+    def test_split_words_refuses_as_split_blocks(self, w, d, message):
         words = marked_words(w)
         pairs = [(word, marks) for word in words for marks in _mark_choices(word)]
-        with pytest.raises(ValueError) as exc:
-            next(split_pairs(pairs, d))
-        assert str(exc.value) == message
+        for pair in pairs:
+            with pytest.raises(ValueError) as exc:
+                split_blocks(pair, d)
+            assert str(exc.value) == message
         with pytest.raises(ValueError) as exc:
             split_words(w, words, d)
         assert str(exc.value) == message
@@ -848,7 +838,7 @@ class TestFastPathsMatchTheLoops:
                         refused += expected is not None
         assert refused > 10000 and checked - refused > 100
 
-    def test_split_pairs_splits_and_refuses_as_the_loop(self):
+    def test_split_blocks_splits_and_refuses_as_the_loop(self):
         # Words over 1..3 of length <= 4, reduced or not, and the reduced
         # words of length 4 and 5 in S_5.  Marks <= 4: every sequence of the
         # word's length up to length 3, with one more or one fewer mark up
@@ -878,7 +868,7 @@ class TestFastPathsMatchTheLoops:
                 for marks in marks_list:
                     pair = (word, marks)
                     expected = outcome(loop_split_pair, pair, d)
-                    assert outcome(next, split_pairs((pair,), d)) == expected, (pair, d)
+                    assert outcome(split_blocks, pair, d) == expected, (pair, d)
                     checked += 1
                     refused += isinstance(expected, tuple)
         assert refused > 10000 and checked - refused > 300
