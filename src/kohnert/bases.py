@@ -315,7 +315,7 @@ def key_split_expansion(
     fiber = tableaux.coxeter_knuth_class(t_ref, w)
     witnesses: dict[LambdaTuple, list[tuple[Tableau, ...]]] = {}
     for tup in sorted(
-        tableaux.word_split_tuples(sorted(fiber), d), key=lambda ts: [t.rows for t in ts]
+        tableaux.word_split_tuples(fiber, d), key=lambda ts: [t.rows for t in ts]
     ):
         witnesses.setdefault(tuple(t.shape() for t in tup), []).append(tup)
     return {lams: (len(wits), wits) for lams, wits in witnesses.items()}

@@ -218,7 +218,9 @@ def _parse_letters(text: str, what: str) -> list[int]:
     t = text.strip()
     try:
         if "," in t or " " in t:
-            return [int(p) for p in t.replace(",", " ").split()]
+            letters = [int(p) for p in t.replace(",", " ").split()]
+            if letters:  # separators alone are refused, as '' is
+                return letters
         if t.isdigit():
             return [int(ch) for ch in t]
     except ValueError:

@@ -39,6 +39,11 @@ class WorkBudget:
     nothing half made; ``spent`` never passes ``limit``.  The unit is one
     exponent entry: building a key of n entries costs n + KEY_OVERHEAD.
 
+    A memo hit is not charged.  So in one process, a refused library call
+    that is retried finds the steps it finished in ``bases._operator_memo``
+    and gets further; each CLI command is a fresh process, so its outcome
+    does not depend on this.
+
     >>> work = WorkBudget(100)
     >>> work.charge(60, "a step")
     >>> work.charge(60, "a step")

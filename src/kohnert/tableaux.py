@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement, groupby, repeat
 from operator import add, ge, le, lt, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -311,23 +310,13 @@ def peeling_tableau(alpha: Composition) -> Tableau:
     permutation, the tableau is fixed by reinsertion, and the content of its
     nil left key is alpha.
 
-    Every route of a splitting case starts from this tableau, so it comes
-    from a bounded memo that outlives the call, keyed by the canonical
-    composition (``_peeling_tableau``); tableaux are never mutated, so the
-    callers share it.
+    Multiplying by s_d changes only the comparisons at d - 1, d and d + 1,
+    so the next descent below d is the first one a scan on down from d - 1
+    meets: each column is one downward scan of one list, and the peel ends
+    at the first scan that meets no descent.  The columns come out of weakly
+    decreasing length, so they are built into a tableau unchecked
+    (``_of_columns``), and the result is asserted increasing.
     """
-    return _peeling_tableau(perms.composition(alpha))
-
-
-# A sweep asks for one composition's tableau once per route, case after
-# case; the bound keeps a long-lived process from holding every one.
-@lru_cache(maxsize=256)
-def _peeling_tableau(alpha: Composition) -> Tableau:
-    """The tableau of ``peeling_tableau``, built.  Multiplying by s_d
-    changes only the comparisons at d - 1, d and d + 1, so the next descent
-    below d is the first one a scan on down from d - 1 meets: each column
-    is one downward scan of one list, and the peel ends at the first scan
-    that meets no descent."""
     u = list(perms.perm_from_code(alpha))
     cols: list[list[int]] = []
     while True:
@@ -339,7 +328,7 @@ def _peeling_tableau(alpha: Composition) -> Tableau:
         if not letters:
             break
         cols.append(letters[::-1])
-    t = Tableau.from_columns(cols) if cols else EMPTY_TABLEAU
+    t = _of_columns(cols)
     assert t.is_increasing()
     return t
 
@@ -457,11 +446,11 @@ def marked_words(w: Permutation, t: Tableau | None = None) -> list[tuple[int, ..
     with no check (it is reduced), and its columns compared with those of
     t."""
     cols = None if t is None else t.columns()
-    return [
+    return sorted(
         word
-        for word in sorted(perms.reduced_words(w))
+        for word in perms.reduced_words(w)
         if _has_marks(word) and (cols is None or _insert_columns(word) == cols)
-    ]
+    )
 
 
 def compatible_pairs(w: Permutation, t: Tableau | None = None) -> list[CompatiblePair]:
@@ -586,9 +575,6 @@ def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]
         raise ValueError("marks exceed their letters; pair is not compatible")
     if marks and (not d or marks[-1] > d[-1]):
         raise ValueError(f"marks {marks} exceed the last block bound")
-    # Every factor of a reduced word is reduced (Edelman-Greene), so the
-    # blocks need their own check only when the whole word is not.
-    reduced = perms.is_reduced(word)
     blocks = []
     pos = 0
     prev = 0
@@ -600,7 +586,7 @@ def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]
         if any(m <= prev for m in block_marks):
             raise ValueError("marks are not weakly increasing")
         if block_word:
-            if not reduced and not perms.is_reduced(block_word):
+            if not perms.is_reduced(block_word):
                 raise NonReducedWordError(f"{tuple(block_word)} is not a reduced word")
             _check_stable_marks(block_word, block_marks)
         blocks.append((block_word, block_marks))
@@ -649,7 +635,7 @@ def _accept_block(block: tuple[int, ...], lower: int, max_rows: int) -> Tableau 
 
 
 def word_split_tuples(
-    words: Sequence[tuple[int, ...]], d: Sequence[int]
+    words: Iterable[tuple[int, ...]], d: Sequence[int]
 ) -> set[tuple[Tableau, ...]]:
     """Tuples (T_1, ..., T_k) of increasing tableaux whose concatenated
     reading words run over ``words``, with each block a verbatim reading

@@ -888,7 +888,6 @@ def test_memo_inventory():
     assert set(memos) == UNBOUNDED_MEMOS | {
         "kohnert.bases._block_schur",
         "kohnert.diagrams._box",
-        "kohnert.tableaux._peeling_tableau",
     }
     unbounded = {name for name, maxsize in memos.items() if maxsize is None}
     assert unbounded == UNBOUNDED_MEMOS, (

@@ -903,18 +903,14 @@ class TestFastPathsMatchTheLoops:
                     fibers += 1
         assert fibers > 1500
 
-    def test_peeling_tableau_memo_is_fresh_and_bounded(self):
+    def test_peeling_tableau_canonicalises_its_input(self):
         from kohnert.harness import compositions_upto
 
-        alphas = compositions_upto(7, 4) + compositions_upto(4, 7)
-        for alpha in alphas:
+        for alpha in compositions_upto(7, 4) + compositions_upto(4, 7):
             t = peeling_tableau(alpha)
             assert t == reference_peeling_tableau(alpha), alpha
             # trailing zeros and a list name the same composition
-            assert peeling_tableau(list(alpha) + [0]) is t
-        info = tableaux._peeling_tableau.cache_info()
-        assert info.hits >= len(alphas)
-        assert info.maxsize is not None and info.currsize <= info.maxsize < len(alphas)
+            assert peeling_tableau(list(alpha) + [0]) == t
         with pytest.raises(ValueError):
             peeling_tableau((1, -1))
 
