@@ -770,10 +770,6 @@ class TestRefusedInput:
             # sweep would print its summary before it wrote a report
             (["split", "--alpha", "1,0,2", "--descents", ""], "bad descent list ''"),
             (["egls", "--word", "21", "--marks", ""], "bad marks ''"),
-            # and so is a list of separators with no letter in it
-            (["egls", "--word", ","], "bad word ','"),
-            (["egls", "--word", ",", "--marks", ","], "bad word ','"),
-            (["egls", "--word", "21", "--marks", ","], "bad marks ','"),
             (["verify", "conj2", "--n", "2", "--report", ""], "bad report path ''"),
             # a path that cannot be written is refused before any case runs
             (
@@ -786,6 +782,10 @@ class TestRefusedInput:
                  "--report", "/tmp"],
                 "cannot write report /tmp: Is a directory",
             ),
+            # a list of separators with no letter in it is refused as well
+            (["egls", "--word", ","], "bad word ','"),
+            (["egls", "--word", ",", "--marks", ","], "bad word ','"),
+            (["egls", "--word", "21", "--marks", ","], "bad marks ','"),
         ],
     )
     def test_usage_error(self, capsys, argv, message):
