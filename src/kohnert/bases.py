@@ -45,33 +45,32 @@ class BlockSymmetryError(ValueError):
     """Input polynomial is not symmetric within one of the variable blocks."""
 
 
-class ExpansionCapError(RuntimeError):
-    """Greedy basis expansion exceeded its step cap; ``partial`` holds the
-    coefficients peeled so far and ``remainder`` the unexpanded rest."""
-
-    def __init__(self, cap: int, partial: dict, remainder: Polynomial):
-        super().__init__(f"basis expansion exceeded {cap} steps")
-        self.partial = partial
-        self.remainder = remainder
-
-
-def _peel(f: Polynomial, element, step_cap: int | None = None, work=None) -> dict:
+def _peel(f: Polynomial, element, work=None) -> dict:
     """Greedy expansion by leading monomials: ``element(m)`` gives a key and
     a basis element led by x^m with coefficient 1; the Z[b] coefficient c of
     the leading monomial x^m is recorded under the key and c times the
-    element subtracted, so x^m strictly drops and no key repeats.  Raises
-    ExpansionCapError once ``step_cap`` steps leave the remainder nonzero.
+    element subtracted, so x^m strictly drops and no key repeats.  Each
+    basis the callers peel by is triangular in this order and spans their
+    polynomials, so the peel ends after one step per key it records.
 
     The remainder is one term dict, copied from f once; each step subtracts
     the terms of c times the element from it in place, so a step costs the
-    element's terms and a scan for the leading monomial, not a copy of the
-    remainder.  A ``perms.WorkBudget`` is charged before each subtraction:
-    one key per term of the element and b-degree of c."""
+    element's terms and two scans of the remainder (its leading monomial
+    and that monomial's coefficient), not a copy of it.  A
+    ``perms.WorkBudget`` is charged for both scans before each step, and
+    for the subtraction before it is made: one key per term of the element
+    and b-degree of c."""
     out: dict = {}
     terms = dict(f.terms)
+    # A scanned term costs 4 units and 1 more per 4 entries of f's longest
+    # exponent, as comparing two terms reads their common prefix: a term
+    # of one entry took 105-150 ns a step in-process, and a common prefix
+    # about 10 ns an entry (2-CPU box, Python 3.11).  Every element lies in
+    # the variables of its leading monomial, so no remainder term is longer.
+    scan_units = None if work is None else 4 + f.max_variable() // 4
     while terms:
-        if step_cap is not None and len(out) >= step_cap:
-            raise ExpansionCapError(step_cap, out, Polynomial(terms))
+        if work is not None:
+            work.charge(len(terms) * scan_units, "a peel step")
         m = min(terms)[0]
         key, b = element(m)
         assert b.leading_monomial() == m and b.coefficient(m) == {0: 1}
@@ -404,8 +403,6 @@ def key_by_insertion_fiber(alpha: Composition) -> Polynomial:
 # ---------------------------------------------------------------------------
 # greedy expansions in the three bases
 
-DEFAULT_EXPANSION_CAP = 10_000
-
 
 def _basis_generator(basis: str, work=None):
     """The function alpha -> basis element for 'key', 'J' or 'omega'; the
@@ -419,21 +416,16 @@ def _basis_generator(basis: str, work=None):
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def expand_in_basis(
-    f: Polynomial,
-    basis: str,
-    step_cap: int = DEFAULT_EXPANSION_CAP,
-    work=None,
-) -> dict[Composition, BetaCoeff]:
+def expand_in_basis(f: Polynomial, basis: str, work=None) -> dict[Composition, BetaCoeff]:
     """Expand a b-free polynomial over the chosen basis ('key', 'J' or
     'omega') by peeling leading monomials (``_peel``): the basis element
     B_theta is led by x^theta with coefficient 1.
 
-    The key and J expansions provably terminate; the omega expansion is
-    guarded by ``step_cap`` and raises ExpansionCapError carrying the partial
-    result if exceeded.  Coefficients are elements of Z[b] (b enters only
-    through the J basis).  A ``perms.WorkBudget`` is charged for the peel
-    and for the operator steps of the key and omega elements.
+    The peel ends after one step per term of the expansion.  Coefficients
+    are elements of Z[b] (b enters only through the J basis).  A
+    ``perms.WorkBudget`` is charged for the peel's scans and subtractions
+    and for the operator steps of the key and omega elements; the peel has
+    no other bound.
 
     >>> expand_in_basis(schubert((2, 1, 4, 3)), "key")
     {(1, 0, 1): {0: 1}, (2,): {0: 1}}
@@ -441,7 +433,7 @@ def expand_in_basis(
     generator = _basis_generator(basis, work)
     if not f.is_beta_free():
         raise ValueError("basis expansion requires a b-free input polynomial")
-    return _peel(f, lambda theta: (theta, generator(theta)), step_cap, work)
+    return _peel(f, lambda theta: (theta, generator(theta)), work)
 
 
 def reconstruct_from_expansion(

@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: poly, diagrams, split, egls, talpha, expand, verify.  Exit
-codes: 0 on success, 1 when a verification case fails, 2 on usage errors.
+codes: 0 on success; 1 when a verification case fails, when the closure cap
+stops the walk of ``diagrams`` or of a J element of ``expand --basis J``,
+and when the two routes of ``split`` disagree; 2 on usage errors.
 
 Huge input is refused with exit 2 before it uses up time or memory.  The
 ``MAX_*`` constants bound input sizes and exact counts taken before any
 work (a start diagram's box, a Coxeter-Knuth class's words).  The operator
-steps, peels and Schur enumerations of ``poly``, ``split`` and ``expand``
-charge one ``perms.WorkBudget`` of ``WORK_BUDGET`` units per command
-before they build, and the first charge past it is the refusal.  Sweeps
-pass no budget.
+steps, peel scans and subtractions and Schur enumerations of ``poly``,
+``split`` and ``expand`` charge one ``perms.WorkBudget`` of ``WORK_BUDGET``
+units per command before they build, and the first charge past it is the
+refusal.  Sweeps pass no budget.
 """
 
 from __future__ import annotations
@@ -100,6 +102,15 @@ def _cmd_poly(args) -> int:
 MAX_DIAGRAM_BOX = 1000
 
 
+def _check_box(what: str, rows: int, cols: int) -> None:
+    """Refuse ``what`` in a box of rows by cols past ``MAX_DIAGRAM_BOX``."""
+    if rows * cols > MAX_DIAGRAM_BOX:
+        raise UsageError(
+            f"{what} in a box of {rows} by {cols} is past the bound of "
+            f"{MAX_DIAGRAM_BOX} cells"
+        )
+
+
 def _cmd_diagrams(args) -> int:
     if args.cap < 1:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
@@ -110,11 +121,7 @@ def _cmd_diagrams(args) -> int:
     else:
         w = _parsed(perms.parse_permutation, args.perm)
         cols = rows = len(w)
-    if rows * cols > MAX_DIAGRAM_BOX:
-        raise UsageError(
-            f"a start diagram in a box of {rows} by {cols} is past the bound of "
-            f"{MAX_DIAGRAM_BOX} cells"
-        )
+    _check_box("a start diagram", rows, cols)
     start = diagrams.skyline(alpha) if args.alpha is not None else diagrams.rothe(w)
     rule = diagrams.RULES[args.rule]
     # Only a listing builds the diagrams; the summary is read off the
@@ -279,8 +286,9 @@ def _cmd_talpha(args) -> int:
 
 # Largest variable ``expand`` accepts.  A J element is a ghost closure,
 # which the closure cap bounds: the J expansions of x_101 and of
-# x_399*x_400 stop at the cap after 0.8 s and 1.7 s (331 MB).  The key and
-# omega expansions are bounded by ``WORK_BUDGET``.
+# x_399*x_400 stop at the cap after 0.8 s and 1.7 s (331 MB).  The rest of
+# the work, the peel's scans and subtractions and the operator steps of the
+# key and omega elements, is bounded by ``WORK_BUDGET`` alone.
 MAX_EXPAND_VARIABLE = 400
 
 
@@ -292,7 +300,7 @@ def _cmd_expand(args) -> int:
             poly = Polynomial.from_json_obj(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:  # JSON nested too deep to decode
         raise UsageError(f"bad polynomial file {args.input}: {exc}")
     if poly.max_variable() > MAX_EXPAND_VARIABLE:
         raise UsageError(
@@ -302,15 +310,10 @@ def _cmd_expand(args) -> int:
     if args.basis == "J":
         # each J element is a closure inside its exponent's skyline box
         rows = max((max(e, default=0) for e, _ in poly.terms), default=0)
-        cols = poly.max_variable()
-        if rows * cols > MAX_DIAGRAM_BOX:
-            raise UsageError(
-                f"a J element in a box of {rows} by {cols} is past the bound of "
-                f"{MAX_DIAGRAM_BOX} cells"
-            )
+        _check_box("a J element", rows, poly.max_variable())
     try:
         coeffs = bases.expand_in_basis(poly, args.basis, work=perms.WorkBudget(WORK_BUDGET))
-    except (bases.ExpansionCapError, diagrams.ClosureCapError) as exc:
+    except diagrams.ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

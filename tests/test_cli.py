@@ -425,6 +425,19 @@ class TestSplit:
         assert count((11, 11)) == 58786 <= MAX_SPLIT_WORDS < count((12, 12))
         assert count((6, 6, 6)) <= MAX_SPLIT_WORDS < count((14, 14))
 
+    def test_routes_that_disagree_exit_one(self, capsys, monkeypatch):
+        split_extract = bases.split_extract
+
+        def one_off(*args):
+            got = split_extract(*args)
+            first = min(got)
+            return {**got, first: got[first] + 1}
+
+        monkeypatch.setattr(bases, "split_extract", one_off)
+        code, out, err = run(capsys, "split", "--alpha", "1,0,2")
+        assert code == 1 and "E[(1) | (2)] = 1" in out
+        assert err == "error: tableau count disagrees with Schur extraction\n"
+
 
 class TestEgls:
     def test_contiguous_word(self, capsys):
@@ -757,6 +770,43 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "--basis", "J", "--input", str(path))
         assert code == 0
         assert json.loads(out) == [{"alpha": [MAX_DIAGRAM_BOX], "coeff": [[0, 1]]}]
+
+    def test_j_element_past_the_closure_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        j_polynomial = diagrams.j_polynomial
+        monkeypatch.setattr(diagrams, "j_polynomial", lambda alpha: j_polynomial(alpha, 3))
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(Polynomial.monomial((1, 0, 2)).to_json_obj()))
+        code, out, err = run(capsys, "expand", "--basis", "J", "--input", str(path))
+        assert code == 1 and not out
+        assert re.fullmatch(r"error: closure exceeded cap 3 \(found \d+ so far\)\n", err)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000,
+         '{"terms": [{"coeff": [[0, 1]], "exps": ' + "[" * 100_000 + "]" * 100_000 + "}]}"],
+        ids=["document", "exps"],
+    )
+    def test_deeply_nested_json_is_a_usage_error(self, tmp_path, capsys, text):
+        # the decoder ran out of stack, and the command ended in a traceback
+        path = tmp_path / "poly.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"usage error: bad polynomial file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_peel_scans_are_charged(self, tmp_path, capsys, monkeypatch):
+        # the key expansion of x1^0 + ... + x1^40000 took 38.5 s, to stop
+        # at a cap of 10 000 peel steps: each step scans the remainder
+        path = tmp_path / "poly.json"
+        poly = Polynomial({((k,), 0): 1 for k in range(40_001)})
+        path.write_text(json.dumps(poly.to_json_obj()))
+        monkeypatch.setattr(cli, "WORK_BUDGET", SMALL_BUDGET)
+        code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
+        assert code == 2 and not out
+        assert assert_refused_within(err, SMALL_BUDGET) == "a peel step"
+        # the charge is a scan of the 40 000 terms left after one step
+        assert int(REFUSAL.fullmatch(err)[2]) >= 40_000
 
 
 class TestRefusedInput:
