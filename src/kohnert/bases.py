@@ -9,7 +9,9 @@ bounds d_1 < ... < d_k splits the variables into consecutive alphabets
 X_1, ..., X_k, and any polynomial symmetric in each alphabet expands
 uniquely into products of Schur polynomials of the blocks;
 ``split_extract`` computes that expansion greedily from leading monomials,
-and refuses an input that is not block-symmetric on the way.
+and refuses an input that is not block-symmetric on the way.  Every
+splitting entry point refuses bad block bounds before any work, by the one
+check ``perms.check_block_bounds``.
 
 For key polynomials the block-Schur coefficients are counted by tuples of
 increasing tableaux whose concatenated reading words insert to the peeling
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import diagrams, perms
 from .perms import Composition, Partition, Permutation
-from .poly import ONE, ZERO, BetaCoeff, Polynomial
+from .poly import ONE, BetaCoeff, Polynomial
 from .poly import demazure, divided_difference, isobaric, trim, twisted_demazure
 
 if TYPE_CHECKING:
@@ -182,24 +184,21 @@ def grothendieck(w: Permutation, n: int | None = None, work=None) -> Polynomial:
 def block_variables(d: Sequence[int]) -> list[list[int]]:
     """Consecutive variable alphabets cut at d: block j is
     {d_{j-1}+1, ..., d_j} with d_0 = 0."""
-    d = list(d)
-    perms.check_block_bounds(d)
+    d = perms.check_block_bounds(d)
     return [list(range(a + 1, b + 1)) for a, b in zip([0] + d, d)]
 
 
 def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
     """Schur polynomial of shape lam in the given variables, as the content
     generating function of semistandard tableaux; zero when lam has more
-    rows than there are variables."""
+    rows than there are variables.  Refuses (ValueError) a shape that is
+    not a partition of positive parts and a variable below 1."""
     from . import tableaux
 
-    lam = tuple(lam)
-    if not lam:
-        return ONE
-    if len(lam) > len(variables):
-        return ZERO
+    if min(variables, default=1) < 1:
+        raise ValueError(f"variables must be positive: {list(variables)}")
     index = (0, *variables)  # entry v of a tableau stands for x_index[v]
-    top = max(variables)
+    top = max(variables, default=0)
     exponents = (
         perms.multiplicities(map(index.__getitem__, chain.from_iterable(t.rows)), top)
         for t in tableaux.semistandard_tableaux(lam, len(variables))
@@ -208,8 +207,12 @@ def schur_in_variables(lam: Partition, variables: Sequence[int]) -> Polynomial:
 
 
 def schur_block(lam: Partition, block_index: int, d: Sequence[int]) -> Polynomial:
-    """Schur polynomial of the ``block_index``-th alphabet (1-indexed)."""
+    """Schur polynomial of the ``block_index``-th alphabet (1-indexed).
+    Refuses (ValueError) an index outside 1..k for k blocks."""
     blocks = block_variables(d)
+    if not 1 <= block_index <= len(blocks):
+        k = len(blocks)
+        raise ValueError(f"block index {block_index} is outside 1..{k} for {k} blocks")
     return schur_in_variables(lam, blocks[block_index - 1])
 
 
@@ -306,9 +309,7 @@ def key_split_expansion(
     from . import tableaux
 
     alpha = perms.composition(alpha)
-    d = minimal_blocks(alpha) if d is None else tuple(d)
-    if not perms.strict_descents(alpha) <= set(d):
-        raise ValueError(f"blocks {d} miss a strict descent of {alpha}")
+    d = minimal_blocks(alpha) if d is None else perms.check_block_bounds(d, alpha=alpha)
     t_ref = tableaux.peeling_tableau(alpha)
     w = perms.perm_from_code(alpha)
     fiber = tableaux.coxeter_knuth_class(t_ref, w)
@@ -329,11 +330,8 @@ def schubert_split_expansion(
     from . import tableaux
 
     w = perms.permutation(w)
-    d = tuple(d)
-    if not perms.perm_descents(w) <= set(d):
-        raise ValueError(f"blocks {d} miss a descent of {w}")
-    words = sorted(perms.reduced_words(w))
-    tuples = tableaux.word_split_tuples(words, d)
+    d = perms.check_block_bounds(d, w=w)
+    tuples = tableaux.word_split_tuples(perms.reduced_words(w), d)
     return Counter(tuple(t.shape() for t in tup) for tup in tuples)
 
 
@@ -346,26 +344,28 @@ def key_split_expansion_via_pairs(
 
     The fiber's words are found by inserting every reduced word that has
     marks (``tableaux.marked_words``), so this route refuses lengths past
-    ``perms.MAX_WORD_LENGTH``.  The map cuts a pair where its marks cross
-    the block bounds.  Every marks that realise a cut of a word lie on or
-    above the least marks that respect it, so the cut is realised exactly
-    when those least marks stay at or below their letters and block
-    bounds, and the image of a word's pairs is the set of such cuts:
+    ``perms.MAX_WORD_LENGTH``, first.  The map cuts a pair where its marks
+    cross the block bounds.  Every marks that realise a cut of a word lie
+    on or above the least marks that respect it, so the cut is realised
+    exactly when those least marks stay at or below their letters and
+    block bounds, and the image of a word's pairs is the set of such cuts:
     ``tableaux.split_words`` walks them with no pair built, and checks the
-    bounds and the descents of w once per call.  The splits are kept once
-    each, in order of first appearance over the pairs, and the P tableau
-    of a block depends only on its word, so each distinct non-empty block
-    word is column-inserted once per call, unchecked: it is a factor of a
-    reduced word, so it is reduced."""
+    bounds once per call, before any word is enumerated.  The splits are
+    kept once each, in order of first appearance over the pairs, and the
+    P tableau of a block depends only on its word, so each distinct
+    non-empty block word is column-inserted once per call, unchecked: it
+    is a factor of a reduced word, so it is reduced."""
     from . import tableaux
 
     alpha = perms.composition(alpha)
-    d = minimal_blocks(alpha) if d is None else tuple(d)
-    t_ref = tableaux.peeling_tableau(alpha)
+    perms.check_word_length(sum(alpha))  # the length of w
+    d = minimal_blocks(alpha) if d is None else d
     w = perms.perm_from_code(alpha)
-    splits = dict.fromkeys(
-        chain.from_iterable(tableaux.split_words(w, tableaux.marked_words(w, t_ref), d))
-    )
+
+    def fiber_words():  # enumerated once split_words has checked the bounds
+        yield from tableaux.marked_words(w, tableaux.peeling_tableau(alpha))
+
+    splits = dict.fromkeys(chain.from_iterable(tableaux.split_words(w, fiber_words(), d)))
     inserted: dict[tuple[int, ...], Tableau] = {(): tableaux.EMPTY_TABLEAU}
     for block_word in chain.from_iterable(splits):
         if block_word not in inserted:

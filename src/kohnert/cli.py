@@ -190,16 +190,14 @@ def _cmd_split(args) -> int:
         # MAX_SPLIT_PARTS, while each block lists its variables
         if max(d) > MAX_SPLIT_PARTS:
             raise UsageError(f"block bound {max(d)} is past the bound {MAX_SPLIT_PARTS}")
+        d = _parsed(lambda bounds: perms.check_block_bounds(bounds, alpha=alpha), d)
     else:
         d = bases.minimal_blocks(alpha)
     # the key polynomial is charged first, so that a refusal comes before
     # the Coxeter-Knuth class is walked
     work = perms.WorkBudget(WORK_BUDGET)
     key = bases.key_polynomial(alpha, work)
-    try:
-        expansion = bases.key_split_expansion(alpha, d)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    expansion = bases.key_split_expansion(alpha, d)
     extracted = bases.split_extract(key, d, work)
     counts = {k: v[0] for k, v in expansion.items()}
     agree = extracted == counts

@@ -134,10 +134,21 @@ def descents(alpha: Composition) -> set[int]:
     return {i for i in range(1, len(a) + 1) if ext[i - 1] >= ext[i]}
 
 
-def check_block_bounds(d: list[int]) -> None:
-    """Refuse block bounds that do not strictly increase from 1."""
-    if any(d[i] >= d[i + 1] for i in range(len(d) - 1)) or (d and d[0] < 1):
+def check_block_bounds(
+    d: Iterable[int], alpha: Composition | None = None, w: Permutation = ()
+) -> list[int]:
+    """The block bounds d as a list, by the one check every splitting entry
+    point makes before any work: ValueError unless they strictly increase
+    from 1, and then contain the strict descents of ``alpha`` (those of the
+    permutation it codes) if it is given, else the descents of ``w``."""
+    d = list(d)
+    if any(a >= b for a, b in zip(d, d[1:])) or (d and d[0] < 1):
         raise ValueError(f"block bounds must be strictly increasing: {d}")
+    required = perm_descents(w) if alpha is None else strict_descents(alpha)
+    if not required <= set(d):
+        given = w if alpha is None else format_composition(alpha)
+        raise ValueError(f"block bounds {d} do not contain the descents of {given}")
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import math
 from bisect import bisect_right
 from itertools import accumulate, chain, combinations_with_replacement, groupby, repeat
 from operator import add, ge, le, lt, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import perms
 from .perms import Composition, Partition, Permutation
@@ -474,8 +474,8 @@ def split_words(
     its marks: the tuples of block words that ``split_blocks`` gives for
     the pairs (word, marks), each once, in order of first appearance over
     the marks in lexicographic order (``_mark_choices``).  Raises ValueError
-    unless the bounds strictly increase from 1 and contain the descents of
-    w, once per call, by the check of ``split_blocks``.
+    unless the bounds pass ``perms.check_block_bounds`` for w, once per
+    call, before the first word is read.
 
     A split is fixed by its cuts c_1 <= ... <= c_k = len(word), block j
     holding the letters from c_{j-1} up to c_j.  All marks that realise a
@@ -487,8 +487,7 @@ def split_words(
     appearance is the lexicographic order of the least marks.
     ``_word_splits`` walks the cuts in that order, with no pair built.
     """
-    w = perms.permutation(w)
-    d = _checked_bounds(d, lambda: w)
+    d = perms.check_block_bounds(d, w=perms.permutation(w))
     lows = [1] + [bound + 1 for bound in d[:-1]]
     return [_word_splits(word, d, lows) for word in words]
 
@@ -541,26 +540,15 @@ def _word_splits(
     return out
 
 
-def _checked_bounds(d: Sequence[int], perm: Callable[[], Permutation]) -> list[int]:
-    """The bounds as a list; ValueError unless they strictly increase from 1
-    and then contain the descents of ``perm()``, built once they do."""
-    d = list(d)
-    perms.check_block_bounds(d)
-    w = perm()
-    if not perms.perm_descents(w) <= set(d):
-        raise ValueError(f"block bounds {d} do not contain the descents of {w}")
-    return d
-
-
 def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]:
     """Split a compatible pair into its blocks by mark range, uninserted.
 
     Block j is the (word, marks) factor of the consecutive entries whose
     marks lie in (d_{j-1}, d_j], with d_0 = 0; the split is unique because
     the marks weakly increase, and the blocks concatenate to the pair.
-    Raises ValueError unless the bounds strictly increase from 1 and contain
-    the descents of the word's permutation, the marks are as many as the
-    letters, every mark is at most its letter and the last bound, and every
+    Raises ValueError unless the bounds pass ``perms.check_block_bounds``
+    for the word's permutation, the marks are as many as the letters,
+    every mark is at most its letter and the last bound, and every
     non-empty block is a reduced word (NonReducedWordError) with stable
     marks, in that order, naming the first failure block by block.
 
@@ -568,7 +556,8 @@ def split_blocks(pair: CompatiblePair, d: Sequence[int]) -> list[CompatiblePair]
     [((2, 1), (1, 1)), ((3,), (2,))]
     """
     word, marks = pair
-    d = _checked_bounds(d, lambda: perms.word_to_perm(word))
+    d = perms.check_block_bounds(d)
+    perms.check_block_bounds(d, w=perms.word_to_perm(word))
     if len(marks) != len(word):
         raise ValueError("marks must have the same length as the word")
     if any(m > a for m, a in zip(marks, word)):
@@ -645,8 +634,7 @@ def word_split_tuples(
 
     Only blocks whose letters all exceed their bound, and after which every
     letter exceeds the next bound, are offered for acceptance."""
-    d = list(d)
-    perms.check_block_bounds(d)
+    d = perms.check_block_bounds(d)
     k = len(d)
     bounds = [0] + d
     widths = list(map(sub, d, bounds))
@@ -707,12 +695,21 @@ def semistandard_tableaux_count(shape: Partition, max_entry: int) -> int:
     >>> semistandard_tableaux_count((2, 1), 3), semistandard_tableaux_count((400,), 3)
     (8, 80601)
     """
-    shape = tuple(shape)
+    shape = _partition(shape)
     contents = 1
     for r, length in enumerate(shape):
         for c in range(length):
             contents *= max_entry + c - r
     return contents // _hook_product(shape)
+
+
+def _partition(shape: Iterable[int]) -> Partition:
+    """``shape`` as a tuple, refused unless its parts weakly decrease and
+    are at least 1."""
+    shape = tuple(shape)
+    if any(a < b for a, b in zip(shape, shape[1:])) or (shape and shape[-1] < 1):
+        raise ValueError(f"shape must be a partition: {shape}")
+    return shape
 
 
 def _hook_product(shape: Partition) -> int:
@@ -728,9 +725,7 @@ def _hook_product(shape: Partition) -> int:
 def semistandard_tableaux(shape: Partition, max_entry: int) -> Iterator[Tableau]:
     """All semistandard fillings of ``shape`` with entries in 1..max_entry,
     each built once, unchecked: the fill keeps every entry in range."""
-    shape = tuple(shape)
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError(f"shape must be a partition: {shape}")
+    shape = _partition(shape)
     if not shape:
         yield EMPTY_TABLEAU
         return

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 from itertools import permutations, product
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohnert import bases, diagrams, perms, tableaux
+from kohnert import bases, cli, diagrams, perms, tableaux
 from kohnert.bases import (
     BlockSymmetryError,
     expand_in_basis,
@@ -194,6 +196,31 @@ class TestSchurBlocks:
         s = schur_block((2, 1), 2, (1, 4))
         for i in (2, 3):
             assert s.apply_transposition(i) == s
+
+    @pytest.mark.parametrize("index", [0, -1, 3])
+    def test_index_outside_the_blocks_is_refused(self, index):
+        # 0 gave the last block, -1 the first, and 3 raised IndexError
+        with pytest.raises(ValueError) as exc:
+            schur_block((1,), index, (2, 4))
+        assert str(exc.value) == f"block index {index} is outside 1..2 for 2 blocks"
+
+    @pytest.mark.parametrize("shape", [(2, 0), (2, -1), (0,), (-1,)])
+    def test_shape_with_a_part_below_1_is_refused(self, shape):
+        with pytest.raises(ValueError) as exc:
+            bases.schur_in_variables(shape, [1, 2, 3])
+        assert str(exc.value) == f"shape must be a partition: {shape}"
+
+    @pytest.mark.parametrize("variables", [[0], [0, 1], [2, -1]])
+    def test_variable_below_1_is_refused(self, variables):
+        # x_0 was dropped: the Schur polynomial of (1) in x_0 was 1
+        with pytest.raises(ValueError) as exc:
+            bases.schur_in_variables((1,), variables)
+        assert str(exc.value) == f"variables must be positive: {variables}"
+
+    def test_empty_shape_and_empty_alphabet(self):
+        assert bases.schur_in_variables((), []) == ONE
+        assert bases.schur_in_variables((), [2, 3]) == ONE
+        assert bases.schur_in_variables((1,), []).is_zero()
 
 
 class TestSplitExtract:
@@ -508,8 +535,9 @@ class TestSplittingRoutes:
         assert len(blocks) > 5000 and accepted > 1000
 
     def test_requires_strict_descents_covered(self):
-        with pytest.raises(ValueError, match="strict descent"):
+        with pytest.raises(ValueError) as exc:
             key_split_expansion((1, 3, 0, 2, 2, 1), (2, 5))
+        assert str(exc.value) == "block bounds [2, 5] do not contain the descents of 1,3,0,2,2,1"
 
     def test_rejects_bounds_not_increasing(self):
         # each list covers the strict descents, but is no list of block bounds
@@ -521,8 +549,9 @@ class TestSplittingRoutes:
             schubert_split_expansion((1, 3, 2), (2, 1))
 
     def test_schubert_rejects_a_descent_not_covered(self):
-        with pytest.raises(ValueError, match=r"blocks \(\) miss a descent of \(2, 1\)"):
+        with pytest.raises(ValueError) as exc:
             schubert_split_expansion((2, 1), ())
+        assert str(exc.value) == "block bounds [] do not contain the descents of (2, 1)"
 
     @pytest.mark.parametrize("d", [(2, 1), (1, 3, 3), (0, 1, 3), (-2,), (0,)])
     def test_block_variables_and_split_blocks_refuse_alike(self, d):
@@ -783,6 +812,58 @@ class TestSplittingRoutes:
         assert {k: v[0] for k, v in key_split_expansion(alpha, d).items()} == {
             ((2, 2, 1),): 1
         }
+
+
+# Bad block bounds for alpha = 1,0,2, whose coded permutation 21534 has the
+# descents 1 and 3, and what each split entry point is given: the
+# composition, or a permutation, a word of it or a pair of that word.
+BOUNDS_ALPHA = (1, 0, 2)
+BOUNDS_W = (2, 1, 5, 3, 4)
+BOUNDS_PAIR = ((1, 4, 3), (1, 2, 2))
+BAD_BOUNDS = [
+    ((3, 1), "block bounds must be strictly increasing: [3, 1]"),
+    ((0, 3), "block bounds must be strictly increasing: [0, 3]"),
+    ((3,), "block bounds [3] do not contain the descents of {given}"),
+]
+
+
+def split_command(d):
+    """``kohnert split`` of 1,0,2 with the block bounds d; its usage error
+    is raised as a ValueError with the message."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["split", "--alpha", "1,0,2", "--descents", ",".join(map(str, d))])
+    assert code == 2
+    raise ValueError(err.getvalue().removeprefix("usage error: ").removesuffix("\n"))
+
+
+SPLIT_ENTRY_POINTS = {
+    "key_split_expansion": (lambda d: key_split_expansion(BOUNDS_ALPHA, d), "1,0,2"),
+    "key_split_expansion_via_pairs": (
+        lambda d: key_split_expansion_via_pairs(BOUNDS_ALPHA, d),
+        str(BOUNDS_W),
+    ),
+    "schubert_split_expansion": (lambda d: schubert_split_expansion(BOUNDS_W, d), str(BOUNDS_W)),
+    "split_words": (lambda d: tableaux.split_words(BOUNDS_W, [BOUNDS_PAIR[0]], d), str(BOUNDS_W)),
+    "split_blocks": (lambda d: tableaux.split_blocks(BOUNDS_PAIR, d), str(BOUNDS_W)),
+    "kohnert split": (split_command, "1,0,2"),
+}
+
+
+@pytest.mark.parametrize("d, message", BAD_BOUNDS, ids=["decreasing", "zero", "missed-descent"])
+@pytest.mark.parametrize("entry", list(SPLIT_ENTRY_POINTS))
+def test_bad_block_bounds_are_refused_by_one_check_before_any_work(monkeypatch, entry, d, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{entry} worked before it checked its block bounds")
+
+    monkeypatch.setattr(perms, "reduced_words", no_work)
+    monkeypatch.setattr(tableaux, "coxeter_knuth_class", no_work)
+    monkeypatch.setattr(bases, "key_polynomial", no_work)
+    split, given = SPLIT_ENTRY_POINTS[entry]
+    assert perms.perm_from_code(BOUNDS_ALPHA) == perms.word_to_perm(BOUNDS_PAIR[0]) == BOUNDS_W
+    with pytest.raises(ValueError) as exc:
+        split(d)
+    assert str(exc.value) == message.format(given=given)
 
 
 class TestCompatiblePairFormulas:

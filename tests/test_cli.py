@@ -246,14 +246,33 @@ class TestSplit:
         assert "blocks: 2,5,6" in out
 
     def test_invalid_blocks(self, capsys):
-        assert run(capsys, "split", "--alpha", "1,3,0,2,2,1", "--descents", "2,5")[0] == 2
+        code, out, err = run(capsys, "split", "--alpha", "1,3,0,2,2,1", "--descents", "2,5")
+        assert code == 2 and not out
+        assert err == (
+            "usage error: block bounds [2, 5] do not contain the descents of 1,3,0,2,2,1\n"
+        )
 
-    @pytest.mark.parametrize("descents", ["3,1", "1,3,3", "0,1,3"])
+    @pytest.mark.parametrize("descents", ["3,1", "1,3,3", "0,1,3", "0,3"])
     def test_blocks_not_increasing_are_usage_errors(self, capsys, descents):
-        # each list covers the strict descents 1 and 3 of 1,0,2
+        # each list but 0,3 covers the strict descents 1 and 3 of 1,0,2; the
+        # order is checked first, so 0,3 is not told that it misses 1
         code, _, err = run(capsys, "split", "--alpha", "1,0,2", "--descents", descents)
         assert code == 2
         assert "strictly increasing" in err
+
+    @pytest.mark.parametrize("zeros", [9, 300])
+    def test_missed_descent_is_refused_before_any_work(self, capsys, monkeypatch, zeros):
+        # with 9 zeros the key polynomial was built first (1.9 s, 242 MB);
+        # with 300 the work budget ran out first and named an operator step
+        def no_work(*args):
+            raise AssertionError("split worked before it checked its descents")
+
+        for name in ("key_polynomial", "key_split_expansion", "split_extract"):
+            monkeypatch.setattr(bases, name, no_work)
+        alpha = ",".join(["0"] * zeros + ["1"] * 9)
+        code, out, err = run(capsys, "split", "--alpha", alpha, "--descents", "1")
+        assert code == 2 and not out
+        assert err == f"usage error: block bounds [1] do not contain the descents of {alpha}\n"
 
     @pytest.mark.parametrize("alpha", ["1000", str(MAX_SPLIT_WEIGHT + 1), "300,0,300"])
     def test_weight_past_bound_is_refused_before_any_work(self, capsys, monkeypatch, alpha):
@@ -371,7 +390,8 @@ class TestSplit:
         # whose terms are the tableaux of the row (m) the Schur charge counts
         count = tableaux.semistandard_tableaux_count
         for m in range(9):
-            assert count((m,), 10) == len(bases.key_polynomial((0,) * 9 + (m,)).terms)
+            shape = (m,) if m else ()  # a part of 0 is no partition's
+            assert count(shape, 10) == len(bases.key_polynomial((0,) * 9 + (m,)).terms)
         assert [count((m,), 10) for m in (10, 20)] == [92378, 10015005]
         # and in general the fillings the Schur enumeration builds
         for n in range(1, 5):

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import doctest
 import io
+import re
 from pathlib import Path
 
 from kohnert import bases, cli, diagrams, harness, perms, poly, tableaux
@@ -71,3 +72,18 @@ def test_readme_names_every_cli_bound():
         "MAX_TALPHA_WEIGHT",
     }
     assert [name for name in sorted(bounds | {"WORK_BUDGET"}) if f"cli.{name}" not in text] == []
+
+
+def test_readme_names_no_missing_module_name():
+    # a helper deleted from a module must not live on in the README
+    modules = {
+        m.__name__.rsplit(".", 1)[1]: m
+        for m in (bases, cli, diagrams, harness, perms, poly, tableaux)
+    }
+    named = {
+        (module, name)
+        for module, name in re.findall(r"`(?:kohnert\.)?(\w+)\.(\w+)", README.read_text())
+        if module in modules
+    }
+    assert len(named) > 20
+    assert [f"{m}.{n}" for m, n in sorted(named) if not hasattr(modules[m], n)] == []

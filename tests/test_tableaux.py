@@ -1023,6 +1023,18 @@ class TestSemistandardEnumeration:
                     seen += 1
         assert seen == 682
 
+    @pytest.mark.parametrize("shape", [(2, 0), (2, -1), (0,), (-1,), (1, 2)])
+    def test_enumeration_and_count_refuse_alike(self, shape):
+        # a part below 1 made the enumeration raise IndexError, and the count
+        # of (2, -1) in three entries was 6
+        message = f"shape must be a partition: {shape}"
+        with pytest.raises(ValueError) as exc:
+            list(semistandard_tableaux(shape, 3))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            tableaux.semistandard_tableaux_count(shape, 3)
+        assert str(exc.value) == message
+
     def test_against_bialternant(self):
         from kohnert import bases
 
