@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import diagrams, perms
+from . import perms
 from .perms import Composition, Partition, Permutation
 from .poly import ONE, BetaCoeff, Polynomial
 from .poly import demazure, divided_difference, isobaric, trim, twisted_demazure
@@ -410,6 +410,8 @@ def _basis_generator(basis: str, work=None):
     if basis == "key":
         return lambda alpha: key_polynomial(alpha, work)
     if basis == "J":
+        from . import diagrams  # only the J basis walks
+
         return diagrams.j_polynomial
     if basis == "omega":
         return lambda alpha: omega_polynomial(alpha, work)

@@ -21,9 +21,10 @@ import json
 import os
 import sys
 
-# bases and tableaux are imported by the commands that call them, so a verify
-# that reads every polynomial from the cache never loads them.
-from . import __version__, diagrams, harness, perms
+# diagrams, bases and tableaux are imported by the commands that call them,
+# so a verify that reads every polynomial from the cache never loads them:
+# the parser reads the move rules and the closure cap from ``moves``.
+from . import __version__, harness, moves, perms
 from .poly import Polynomial
 
 
@@ -112,6 +113,8 @@ def _check_box(what: str, rows: int, cols: int) -> None:
 
 
 def _cmd_diagrams(args) -> int:
+    from . import diagrams
+
     if args.cap < 1:
         raise UsageError(f"cap must be at least 1, got {args.cap}")
     if args.alpha is not None:
@@ -289,12 +292,27 @@ def _cmd_talpha(args) -> int:
 # key and omega elements, is bounded by ``WORK_BUDGET`` alone.
 MAX_EXPAND_VARIABLE = 400
 
+# Largest input file ``expand`` reads, checked by its size before it is
+# decoded: a file is read whole before any other bound applies.  As a read
+# in one process (2-CPU box, Python 3.11), files of 4 MB took 0.3-0.4 s at
+# 37 MB (3 456 terms of up to 400 entries), 0.6 s at 110 MB (105 413 terms
+# x1^k) and 0.6-0.7 s at 133 MB (one exponent with 1.15 million
+# b-degrees); a 15 MB file of 15 149 long terms took 1.3 s and 104 MB, and
+# 15 MB of one-entry terms 2.4 s and 372 MB.
+MAX_EXPAND_BYTES = 4_000_000
+
 
 def _cmd_expand(args) -> int:
     from . import bases
 
     try:
         with open(args.input) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > MAX_EXPAND_BYTES:
+                raise UsageError(
+                    f"{args.input} holds {size} bytes, past the bound of "
+                    f"{MAX_EXPAND_BYTES} bytes"
+                )
             poly = Polynomial.from_json_obj(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {args.input}: {exc}")
@@ -311,7 +329,7 @@ def _cmd_expand(args) -> int:
         _check_box("a J element", rows, poly.max_variable())
     try:
         coeffs = bases.expand_in_basis(poly, args.basis, work=perms.WorkBudget(WORK_BUDGET))
-    except diagrams.ClosureCapError as exc:
+    except moves.ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
@@ -383,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_poly)
 
     p = sub.add_parser("diagrams", help="enumerate move closures")
-    p.add_argument("rule", choices=list(diagrams.RULES))
+    p.add_argument("rule", choices=list(moves.RULES))
     start = p.add_mutually_exclusive_group(required=True)
     start.add_argument("--alpha", help="start from the skyline of this composition")
     start.add_argument("--perm", help="start from the Rothe diagram of this permutation")
     p.add_argument("--list", action="store_true", help="print every diagram")
-    p.add_argument("--cap", type=int, default=diagrams.DEFAULT_CLOSURE_CAP)
+    p.add_argument("--cap", type=int, default=moves.DEFAULT_CLOSURE_CAP)
     p.set_defaults(run=_cmd_diagrams)
 
     p = sub.add_parser("split", help="block-Schur expansion of a key polynomial")
@@ -434,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="largest closure a case may walk; the cap counts the closure the family "
         "walks, which is the plain one for kohnert and the ghost one for conj1 and "
-        f"conj2 (default {diagrams.DEFAULT_CLOSURE_CAP})",
+        f"conj2 (default {moves.DEFAULT_CLOSURE_CAP})",
     )
     p.set_defaults(run=_cmd_verify)
     return parser

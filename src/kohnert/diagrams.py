@@ -13,7 +13,11 @@ column; it goes to the rightmost unoccupied position strictly to its left in
 its row.  The plain rule relocates the '+'.  The ghost variant additionally
 allows it to relocate while writing a 'g' at the vacated cell; ghosts never
 move and block like any occupied cell.  Two diagrams with the same occupied
-positions but different '+'/'g' labels are distinct.
+positions but different '+'/'g' labels are distinct.  The rules themselves
+(``MoveRule``, ``KOHNERT``, ``K_KOHNERT``, ``RULES``), ``DEFAULT_CLOSURE_CAP``
+and ``ClosureCapError`` live in ``moves`` and are re-exported here, so a
+process that only names a rule or catches the cap error never loads this
+module.
 
 Moves are made on one int per diagram.  In the bounding box of h rows and
 w columns, row r (from 0, bottom first) holds a '+' in column c at bit
@@ -47,8 +51,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
+from .moves import DEFAULT_CLOSURE_CAP, K_KOHNERT, KOHNERT, RULES
+from .moves import ClosureCapError, MoveRule
 from .perms import Composition, Permutation, composition, multiplicities
 from .perms import perm_inverse, permutation
 from .poly import Exponent, Polynomial, _of, trim
@@ -56,37 +62,6 @@ from .poly import Exponent, Polynomial, _of, trim
 PLUS = "+"
 GHOST = "g"
 EMPTY = "."
-
-
-class MoveRule(NamedTuple):
-    """A move rule: its CLI name, and whether a move may leave a ghost.
-
-    >>> sorted(RULES), K_KOHNERT.ghosts, KOHNERT.ghosts
-    (['kkohnert', 'kohnert'], True, False)
-    """
-
-    name: str
-    ghosts: bool
-
-
-KOHNERT = MoveRule("kohnert", False)
-K_KOHNERT = MoveRule("kkohnert", True)
-RULES = {r.name: r for r in (KOHNERT, K_KOHNERT)}
-
-DEFAULT_CLOSURE_CAP = 500_000
-
-
-class ClosureCapError(RuntimeError):
-    """Raised when a closure enumeration exceeds its cap.
-
-    ``partial_count`` holds the number of distinct diagrams found before
-    giving up.
-    """
-
-    def __init__(self, cap: int, partial_count: int):
-        super().__init__(f"closure exceeded cap {cap} (found {partial_count} so far)")
-        self.cap = cap
-        self.partial_count = partial_count
 
 
 class Diagram:

@@ -28,14 +28,21 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-# bases and tableaux are imported by the runners that call them, so a sweep
-# that reads every polynomial from the cache never loads them.
-from . import __version__, diagrams, perms
+# diagrams, bases and tableaux are imported by the runners that call them,
+# so a sweep that reads every polynomial from the cache never loads them:
+# the closure rows name their rules and cap through ``moves`` alone.
+from . import __version__, moves, perms
 from .perms import Composition, Permutation
 from .poly import Polynomial, _of
 
 FAULT_ENV = "KOHNERT_FAULT_INJECT"
 CACHE_ENV = "KOHNERT_CACHE"
+
+# The reports and cache values are encoded from objects the program has
+# just built, which hold no cycle, so these encoders skip the check that
+# ``json.dumps`` makes on every container; the bytes are those it writes.
+_encode = json.JSONEncoder(check_circular=False).encode
+_encode_sorted = json.JSONEncoder(check_circular=False, sort_keys=True).encode
 
 
 class VerificationCase(NamedTuple):
@@ -79,18 +86,17 @@ class SweepReport:
         worker count); identical across --jobs settings."""
         obj = self.to_json_obj()
         obj.pop("meta")
-        return json.dumps(obj, sort_keys=True)
+        return _encode_sorted(obj)
 
     def json_text(self) -> str:
         """The report as JSON text with one case per line; ``json.loads`` of
-        it equals ``to_json_obj()``, key order included.  It is built from
-        ``json.dumps`` calls alone, which reach the C encoder: ``json.dump``
-        and any ``indent`` run the pure-Python one."""
-        dumps = json.dumps
-        cases = ",\n".join(dumps(c.to_json_obj()) for c in self.cases)
+        it equals ``to_json_obj()``, key order included.  Each part is one
+        ``_encode`` call, which reaches the C encoder: ``json.dump`` and any
+        ``indent`` run the pure-Python one."""
+        cases = ",\n".join([_encode(c.to_json_obj()) for c in self.cases])
         return (
-            f'{{"config": {dumps(self.config)}, "cases": [\n{cases}\n], '
-            f'"totals": {dumps(self.totals)}, "meta": {dumps(self.meta)}}}\n'
+            f'{{"config": {_encode(self.config)}, "cases": [\n{cases}\n], '
+            f'"totals": {_encode(self.totals)}, "meta": {_encode(self.meta)}}}\n'
         )
 
 
@@ -172,9 +178,10 @@ class PolynomialCache:
     tag and version share an append-only log, whose name hashes both and
     ``_FORMAT``, so a file of another layout is never opened.  An entry is
     one line, the JSON object ``{"family", "param", "version",
-    "value_sha256", "value"}`` with the value last, written by one
-    ``json.dumps`` and appended between two newlines in one ``O_APPEND``
-    write, so a record appended after a torn tail starts a line of its own.
+    "value_sha256", "value"}`` with the value last, the bytes one
+    ``json.dumps`` of it writes, appended between two newlines in one
+    ``O_APPEND`` write, so a record appended after a torn tail starts a
+    line of its own.
     The object reads each log once, on its first use of that family, and
     indexes where each param's line sits (offset and length, not its bytes):
     the last line whose key fields name a param wins, a line whose key
@@ -306,7 +313,7 @@ class PolynomialCache:
     def put(self, family: str, param: str, poly: Polynomial) -> None:
         import hashlib
 
-        value = json.dumps(_flat_value(poly)).encode()
+        value = _encode(_flat_value(poly)).encode()
         # json.dumps of the whole entry, value last, with the value encoded once
         line = (
             self._head(family, param, hashlib.sha256(value).hexdigest())
@@ -380,7 +387,7 @@ class ClosureRow(NamedTuple):
 
     diagram_tag: str
     start: str  # a function in ``diagrams``
-    rule: diagrams.MoveRule
+    rule: moves.MoveRule
     operator_tag: str
     operator: str  # a function in ``bases``
 
@@ -391,11 +398,13 @@ def _run_closure_case(
     cap, cache = cfg["cap"], cfg["cache"]
 
     def walk() -> Polynomial:
+        from . import diagrams  # only a cache miss walks
+
         return diagrams.closure_polynomial(getattr(diagrams, row.start)(arg), row.rule, cap)
 
     try:
         lhs = _cached(cache, row.diagram_tag, param, walk)
-    except diagrams.ClosureCapError as exc:
+    except moves.ClosureCapError as exc:
         return _skip(family, param, exc)
     # Each diagram of the closure adds 1 to one coefficient, so a polynomial
     # read from the cache is over the cap when its coefficients sum past it.
@@ -403,7 +412,7 @@ def _run_closure_case(
     # its (cap + 1)-st diagram: a capped sweep skips the same cases with a
     # cache or without.
     if sum(lhs.terms.values()) > cap:
-        return _skip(family, param, diagrams.ClosureCapError(cap, cap))
+        return _skip(family, param, moves.ClosureCapError(cap, cap))
 
     def operator() -> Polynomial:
         from . import bases  # only a cache miss computes
@@ -576,21 +585,21 @@ SWEEPS = {
     # the skyline ghost closure at b = -1 against the omega polynomial
     "conj1": SweepFamily(
         {"conj1": CaseFamily(_compositions, _run_closure_case, (
-            ClosureRow("J", "skyline", diagrams.K_KOHNERT, "omega", "omega_polynomial"),))},
+            ClosureRow("J", "skyline", moves.K_KOHNERT, "omega", "omega_polynomial"),))},
         {"max_weight": 7, "max_parts": 4}),
     # the Rothe ghost closure at b = -1 against the Grothendieck polynomial
     "conj2": SweepFamily(
         {"conj2": CaseFamily(_permutations, _run_closure_case, (
-            ClosureRow("K", "rothe", diagrams.K_KOHNERT, "grothendieck", "grothendieck"),))},
+            ClosureRow("K", "rothe", moves.K_KOHNERT, "grothendieck", "grothendieck"),))},
         {"n": 5}),
     # plain Kohnert closures of skylines and Rothe diagrams against key and
     # Schubert polynomials
     "kohnert": SweepFamily(
         {
             "kohnert_key": CaseFamily(_compositions, _run_closure_case, (
-                ClosureRow("J0", "skyline", diagrams.KOHNERT, "key", "key_polynomial"),)),
+                ClosureRow("J0", "skyline", moves.KOHNERT, "key", "key_polynomial"),)),
             "kohnert_schubert": CaseFamily(_permutations, _run_closure_case, (
-                ClosureRow("K0", "rothe", diagrams.KOHNERT, "schubert", "schubert"),)),
+                ClosureRow("K0", "rothe", moves.KOHNERT, "schubert", "schubert"),)),
         },
         {"max_weight": 7, "max_parts": 4, "n": 5}),
     # three routes to the key splitting coefficients agree, all non-negative
@@ -675,7 +684,7 @@ def _checked_config(
             raise SweepInputError(f"cannot use {cache_dir!r} as a cache directory: {exc.strerror}")
     config = {"family": family, **bounds}
     if spec.closure:
-        config["cap"] = diagrams.DEFAULT_CLOSURE_CAP if cap is None else cap
+        config["cap"] = moves.DEFAULT_CLOSURE_CAP if cap is None else cap
     config["version"] = __version__
     return config
 

@@ -953,13 +953,18 @@ class TestExpandInBasis:
 UNBOUNDED_MEMOS = {"kohnert.bases._operator_memo", "kohnert.perms._reduced_words"}
 
 # Module-level tables filled at import; the test checks that they do not grow.
-REGISTRIES = {"kohnert.diagrams.RULES", "kohnert.harness.SWEEPS", "kohnert.harness._CASES"}
+REGISTRIES = {
+    "kohnert.diagrams.RULES",
+    "kohnert.moves.RULES",
+    "kohnert.harness.SWEEPS",
+    "kohnert.harness._CASES",
+}
 
 
 def test_memo_inventory():
-    from kohnert import harness, poly
+    from kohnert import harness, moves, poly
 
-    modules = (perms, poly, diagrams, tableaux, bases, harness)
+    modules = (perms, poly, moves, diagrams, tableaux, bases, harness)
 
     def containers():
         # a plain dict, set or list at module level is a memo with no bound

@@ -15,6 +15,7 @@ from kohnert.cli import (
     MAX_DIAGRAM_BOX,
     MAX_EGLS_LENGTH,
     MAX_EGLS_LETTER,
+    MAX_EXPAND_BYTES,
     MAX_EXPAND_VARIABLE,
     MAX_SPLIT_PARTS,
     MAX_SPLIT_WEIGHT,
@@ -815,6 +816,23 @@ class TestExpand:
         assert err.startswith(f"usage error: bad polynomial file {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("excess", [1, 0])
+    def test_file_past_the_byte_bound_is_refused_unread(self, tmp_path, capsys, excess):
+        # a sparse file of NUL bytes: one past the bound is refused by its
+        # size, and one at the bound is read, and fails to decode
+        path = tmp_path / "poly.json"
+        path.touch()
+        os.truncate(path, MAX_EXPAND_BYTES + excess)
+        code, out, err = run(capsys, "expand", "--basis", "key", "--input", str(path))
+        assert code == 2 and not out and err.count("\n") == 1
+        if excess:
+            assert err == (
+                f"usage error: {path} holds {MAX_EXPAND_BYTES + 1} bytes, past the "
+                f"bound of {MAX_EXPAND_BYTES} bytes\n"
+            )
+        else:
+            assert err.startswith(f"usage error: bad polynomial file {path}: ")
+
     def test_peel_scans_are_charged(self, tmp_path, capsys, monkeypatch):
         # the key expansion of x1^0 + ... + x1^40000 took 38.5 s, to stop
         # at a cap of 10 000 peel steps: each step scans the remainder
@@ -1059,6 +1077,36 @@ class TestVerify:
             bodies.append(json.dumps(obj))
         assert bodies[0] == bodies[1]
 
+    def test_report_bytes_are_those_json_dumps_writes(self, capsys, tmp_path, monkeypatch):
+        # The report is encoded by reused encoders that skip the cycle check;
+        # its bytes are those of plain json.dumps, failure details included.
+        built = []
+        original = harness.verify
+
+        def recording(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "verify", recording)
+        path = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "verify", "conj1", "--max-weight", "3", "--max-parts", "4",
+            "--report", str(path),
+        )
+        (report,) = built
+        failed = [c for c in report.cases if c.status == "fail"]
+        assert code == 1 and "0,0,1,2" in [c.param for c in failed]
+        assert all(c.detail["diff"] for c in failed)
+        dumps = json.dumps
+        cases = ",\n".join(dumps(c.to_json_obj()) for c in report.cases)
+        assert path.read_text() == (
+            f'{{"config": {dumps(report.config)}, "cases": [\n{cases}\n], '
+            f'"totals": {dumps(report.totals)}, "meta": {dumps(report.meta)}}}\n'
+        )
+        obj = report.to_json_obj()
+        obj.pop("meta")
+        assert report.deterministic_json() == dumps(obj, sort_keys=True)
+
 
 def no_cases(tasks, workers):
     raise AssertionError("a case ran")
@@ -1131,9 +1179,64 @@ class TestPackageNames:
             "kohnert.key_polynomial\n"
             "print(sorted(m for m in sys.modules if 'kohnert.' in m))\n"
         )
-        # the tableau module waits for the first function that builds a tableau
-        loaded = ["kohnert.bases", "kohnert.diagrams", "kohnert.perms", "kohnert.poly"]
+        # the tableau module waits for the first function that builds a
+        # tableau, and the diagram module for the J basis
+        loaded = ["kohnert.bases", "kohnert.perms", "kohnert.poly"]
         assert _python(script) == str(loaded)
+
+    CACHED_CONJ2 = ["verify", "conj2", "--n", "4", "--cache", "{cache}"]
+
+    @pytest.mark.parametrize(
+        "argv, warm, loaded",
+        [
+            pytest.param(["--version"], False, "cli harness moves perms poly", id="version"),
+            pytest.param(
+                CACHED_CONJ2, False, "bases cli diagrams harness moves perms poly",
+                id="closure-cold",
+            ),
+            pytest.param(CACHED_CONJ2, True, "cli harness moves perms poly", id="closure-warm"),
+            pytest.param(
+                ["verify", "theorem1", "--max-weight", "3", "--max-parts", "3"], False,
+                "bases cli harness moves perms poly tableaux", id="theorem1",
+            ),
+            pytest.param(
+                ["verify", "theorem4", "--max-weight", "3", "--max-parts", "3"], False,
+                "bases cli harness moves perms poly tableaux", id="theorem4",
+            ),
+            pytest.param(
+                ["verify", "bjs", "--n", "3"], False,
+                "bases cli harness moves perms poly tableaux", id="bjs",
+            ),
+            pytest.param(
+                ["verify", "talpha_props", "--max-weight", "3", "--max-parts", "3"], False,
+                "cli harness moves perms poly tableaux", id="talpha_props",
+            ),
+            pytest.param(None, False, "bases perms poly", id="key_polynomial"),
+        ],
+    )
+    def test_import_inventory(self, tmp_path, argv, warm, loaded):
+        # Every package module a process loads, by process kind: only a walk
+        # loads diagrams, only a computed operator polynomial bases, and only
+        # a built tableau tableaux.  argv None is the first use of
+        # kohnert.key_polynomial; a warm process runs after one that filled
+        # its cache.
+        if argv is None:
+            body = "code = 0\nkohnert.key_polynomial\n"
+        else:
+            argv = [a.replace("{cache}", str(tmp_path / "cache")) for a in argv]
+            body = (
+                "import contextlib, io\n"
+                "from kohnert import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({argv!r})\n"
+            )
+        script = (
+            "import sys, kohnert\n" + body
+            + "print(code, sorted(m[8:] for m in sys.modules if m.startswith('kohnert.')))\n"
+        )
+        if warm:
+            assert _python(script).startswith("0 ")
+        assert _python(script) == f"0 {loaded.split()}"
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="has no attribute 'nothing'"):

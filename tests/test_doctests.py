@@ -5,7 +5,7 @@ import io
 import re
 from pathlib import Path
 
-from kohnert import bases, cli, diagrams, harness, perms, poly, tableaux
+from kohnert import bases, cli, diagrams, harness, moves, perms, poly, tableaux
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,6 +28,11 @@ def test_bases_doctests():
 
 def test_diagrams_doctests():
     results = doctest.testmod(diagrams)
+    assert results.failed == 0 and results.attempted > 0
+
+
+def test_moves_doctests():
+    results = doctest.testmod(moves)
     assert results.failed == 0 and results.attempted > 0
 
 
@@ -64,6 +69,7 @@ def test_readme_names_every_cli_bound():
         "MAX_DIAGRAM_BOX",
         "MAX_EGLS_LENGTH",
         "MAX_EGLS_LETTER",
+        "MAX_EXPAND_BYTES",
         "MAX_EXPAND_VARIABLE",
         "MAX_SPLIT_PARTS",
         "MAX_SPLIT_WEIGHT",
@@ -78,7 +84,7 @@ def test_readme_names_no_missing_module_name():
     # a helper deleted from a module must not live on in the README
     modules = {
         m.__name__.rsplit(".", 1)[1]: m
-        for m in (bases, cli, diagrams, harness, perms, poly, tableaux)
+        for m in (bases, cli, diagrams, harness, moves, perms, poly, tableaux)
     }
     named = {
         (module, name)

@@ -497,6 +497,15 @@ class TestCoxeterKnuth:
             coxeter_knuth_class(Tableau([[1, 2], [2]]), (2, 1))
 
 
+@pytest.fixture
+def drops_reduced_words():
+    """Clears the process-lifetime memo of reduced words when the test ends.
+    The reduced words of S_6 within the length bound held about 66 MB, which
+    every later test of the run kept."""
+    yield
+    perms._reduced_words.cache_clear()
+
+
 class TestCompatiblePairs:
     def test_simple_cases(self):
         assert compatible_pairs((2, 1)) == [((1,), (1,))]
@@ -555,6 +564,7 @@ class TestCompatiblePairs:
             # every word with some marks, each once; (1, 2, 1) has none
             assert sorted(inserted) == marked
 
+    @pytest.mark.usefixtures("drops_reduced_words")
     def test_mark_choices_equal_the_recursion(self):
         # every reduced word of S_1 to S_5, and of S_6 up to length 9
         words = [
@@ -685,6 +695,7 @@ class TestCompatiblePairs:
             for marks in _mark_choices(word)
         ))
 
+    @pytest.mark.usefixtures("drops_reduced_words")
     def test_split_words_are_the_distinct_splits_of_the_pairs(self):
         # S_5 under every bound set in 1..5 that holds the descents; S_6
         # within the length bound under its descents, and those plus one
@@ -885,6 +896,7 @@ class TestFastPathsMatchTheLoops:
                 marked += len(got) > 1
         assert checked == 19531 and marked > 1000
 
+    @pytest.mark.usefixtures("drops_reduced_words")
     def test_fiber_test_by_columns_as_tableau_equality(self):
         # Every fiber of S_5 and of S_6 up to the length bound that holds a
         # word with marks (a word without marks gives no pair), and a tableau
